@@ -12,11 +12,9 @@ from .accel import aitken_step, aitken_tail
 from .core import (
     ApproachPath,
     BoundaryFunction,
-    CyclicPartition,
     DiskPoint,
     DomainError,
     LimitEstimate,
-    Partition,
     RSResult,
     RSStatus,
     reduce_angle,
@@ -48,7 +46,6 @@ from .quadrature import (
     cyclic_rs_integral,
     require_converged,
     rs_integral,
-    rs_sum,
 )
 from .singular import (
     JumpAtEvaluationPoint,
@@ -61,7 +58,6 @@ from .singular import (
     truncated_conjugate_integral,
 )
 from .transforms import (
-    TransformValue,
     cauchy_identity_residual,
     cauchy_stieltjes,
     conj_poisson_stieltjes,
@@ -70,7 +66,6 @@ from .transforms import (
     harmonicity_diagnostics,
     poisson_stieltjes,
     schwartz_stieltjes,
-    stieltjes_transforms,
 )
 from .zoo import catalog, make
 
@@ -79,7 +74,6 @@ __version__ = "0.1.0"
 __all__ = [
     "ApproachPath",
     "BoundaryFunction",
-    "CyclicPartition",
     "CyclicRSPair",
     "DiskPoint",
     "DomainError",
@@ -90,13 +84,11 @@ __all__ = [
     "LimitEstimate",
     "NonConvergentError",
     "PVResult",
-    "Partition",
     "QuadratureOptions",
     "RSResult",
     "RSStatus",
     "SingularConsistency",
     "SingularityError",
-    "TransformValue",
     "aitken_step",
     "aitken_tail",
     "analytic_kernel",
@@ -126,10 +118,8 @@ __all__ = [
     "reduce_angle",
     "require_converged",
     "rs_integral",
-    "rs_sum",
     "schwartz_stieltjes",
     "singular_cauchy_consistency",
     "singular_cauchy_stieltjes",
-    "stieltjes_transforms",
     "truncated_conjugate_integral",
 ]

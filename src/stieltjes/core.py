@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Optional, Sequence
 
@@ -37,8 +37,6 @@ __all__ = [
     "DomainError",
     "BoundaryFunction",
     "DiskPoint",
-    "Partition",
-    "CyclicPartition",
     "ApproachPath",
     "RSStatus",
     "RSResult",
@@ -274,110 +272,6 @@ class DiskPoint:
     @classmethod
     def from_complex(cls, z: complex) -> "DiskPoint":
         return cls(abs(z), math.atan2(z.imag, z.real))
-
-
-@dataclass(frozen=True)
-class Partition:
-    """Tagged partition: nondecreasing points plus one tag per subinterval."""
-
-    points: np.ndarray
-    tags: np.ndarray
-
-    def __post_init__(self):
-        pts = np.asarray(self.points, dtype=float)
-        tgs = np.asarray(self.tags, dtype=float)
-        object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "tags", tgs)
-        if pts.ndim != 1 or pts.size < 2:
-            raise ValueError("a partition needs at least two points")
-        if np.any(np.diff(pts) < 0):
-            raise ValueError("partition points must be nondecreasing")
-        if tgs.shape != (pts.size - 1,):
-            raise ValueError("need exactly one tag per subinterval")
-        if np.any(tgs < pts[:-1]) or np.any(tgs > pts[1:]):
-            raise ValueError("tags must lie inside their subintervals")
-
-    @property
-    def a(self) -> float:
-        return float(self.points[0])
-
-    @property
-    def b(self) -> float:
-        return float(self.points[-1])
-
-    @property
-    def mesh(self) -> float:
-        return float(np.max(np.diff(self.points)))
-
-    @property
-    def n_intervals(self) -> int:
-        return self.points.size - 1
-
-    @classmethod
-    def uniform(cls, a: float, b: float, n: int, tag_rule: str = "midpoint",
-                rng: Optional[np.random.Generator] = None) -> "Partition":
-        pts = np.linspace(a, b, n + 1)
-        if tag_rule == "midpoint":
-            tags = 0.5 * (pts[:-1] + pts[1:])
-        elif tag_rule == "left":
-            tags = pts[:-1].copy()
-        elif tag_rule == "right":
-            tags = pts[1:].copy()
-        elif tag_rule == "random":
-            rng = rng or np.random.default_rng()
-            tags = pts[:-1] + rng.random(n) * np.diff(pts)
-        else:
-            raise ValueError(f"unknown tag rule {tag_rule!r}")
-        return cls(pts, tags)
-
-    def bisected(self) -> "Partition":
-        """Insert the midpoint of every subinterval; midpoint tags."""
-        pts = self.points
-        mids = 0.5 * (pts[:-1] + pts[1:])
-        new = np.empty(pts.size + mids.size)
-        new[0::2] = pts
-        new[1::2] = mids
-        tags = 0.5 * (new[:-1] + new[1:])
-        return Partition(new, tags)
-
-
-@dataclass(frozen=True)
-class CyclicPartition:
-    """Partition of the full circle; the closure point is repeated once.
-
-    ``angles`` is strictly increasing with ``angles[-1] == angles[0] + 2*pi``,
-    so the first and last entries name the same boundary point.
-    """
-
-    angles: np.ndarray
-    tags: np.ndarray
-
-    def __post_init__(self):
-        ang = np.asarray(self.angles, dtype=float)
-        tgs = np.asarray(self.tags, dtype=float)
-        object.__setattr__(self, "angles", ang)
-        object.__setattr__(self, "tags", tgs)
-        if ang.size < 2:
-            raise ValueError("a cyclic partition needs at least two angles")
-        if abs((ang[-1] - ang[0]) - TWO_PI) > 1e-12:
-            raise ValueError("cyclic partition must close up after one turn")
-        if np.any(np.diff(ang) <= 0):
-            raise ValueError("cyclic partition angles must be increasing")
-        if tgs.shape != (ang.size - 1,):
-            raise ValueError("need exactly one tag per arc")
-
-    @property
-    def gaps(self) -> np.ndarray:
-        return np.diff(self.angles)
-
-    def to_partition(self) -> Partition:
-        return Partition(self.angles, self.tags)
-
-    @classmethod
-    def uniform(cls, n: int, base: float = -math.pi) -> "CyclicPartition":
-        ang = base + TWO_PI * np.arange(n + 1) / n
-        tags = 0.5 * (ang[:-1] + ang[1:])
-        return cls(ang, tags)
 
 
 @dataclass(frozen=True)

@@ -13,23 +13,25 @@ machine precision at every level.  Snapping is suppressed at angles where
 the integrand itself is discontinuous; a shared discontinuity is precisely
 the case where the integral must be allowed to fail.
 
-Divergence is declared only on sustained geometric growth of the replica
-spread, which is the signature of sums that blow up along ever finer
-partitions rather than merely converging slowly.
+Divergence is declared only when the replica spread and the level
+difference both grow geometrically over the same levels, which is the
+signature of sums that blow up along ever finer partitions.  Spread alone
+is not enough: while the mesh is coarser than a narrow kernel peak, random
+tags that hit or miss the peak make the spread jump about although the
+sums themselves settle.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Optional, Union
 
 import numpy as np
 
 from .core import (
     TWO_PI,
     BoundaryFunction,
-    Partition,
     RSResult,
     RSStatus,
     jump_images,
@@ -39,7 +41,6 @@ __all__ = [
     "QuadratureOptions",
     "Grading",
     "NonConvergentError",
-    "rs_sum",
     "rs_integral",
     "require_converged",
     "by_parts_residual",
@@ -48,17 +49,24 @@ __all__ = [
 ]
 
 
-def rs_sum(g: Callable, f: Callable, p: Partition):
-    """The tagged sum sum_k g(tag_k) * (f(t_k) - f(t_{k-1})), exactly."""
-    fvals = np.asarray(f(p.points))
-    gvals = np.asarray(g(p.tags))
-    total = (gvals * np.diff(fvals)).sum()
-    return complex(total) if np.iscomplexobj(gvals) else float(total)
-
 # partition points closer than this are considered the same point
 MERGE_TOL = 1e-13
 # a jump image within this distance of an avoided angle is not snapped
 AVOID_TOL = 1e-9
+# the coarsest level has 2**K_MIN base subintervals
+K_MIN = 4
+# random-tag replicas evaluated next to the midpoint sum on every level
+REPLICAS = 8
+# divergence: GROWTH_STEPS consecutive growth ratios of at least
+# GROWTH_FACTOR in both spread and level difference, with the last spread
+# above SPREAD_FLOOR_FACTOR * abs_tol
+GROWTH_FACTOR = 2.0
+GROWTH_STEPS = 3
+SPREAD_FLOOR_FACTOR = 100.0
+# grading: inner window half-width in units of the scale, and the spacing
+# growth from one relaxation zone to the next
+INNER_HALFWIDTH_FACTOR = 4.0
+MESH_GROWTH = 4.0
 
 
 class NonConvergentError(RuntimeError):
@@ -73,28 +81,26 @@ class NonConvergentError(RuntimeError):
 class QuadratureOptions:
     """Knobs of the refinement loop.
 
-    Levels use 2**k base subintervals for k in [k_min, k_max].  A level is
-    accepted once max(level difference, replica spread) falls under
-    max(rel_tol * |value|, abs_tol).  Divergence needs ``growth_steps``
-    consecutive spread ratios of at least ``growth_factor`` with the last
-    spread above ``spread_floor_factor * abs_tol``.
+    * ``k_max``: the finest level has 2**k_max base subintervals; the
+      coarsest has 2**K_MIN.
+    * ``rel_tol``, ``abs_tol``: a level is accepted once max(level
+      difference, replica spread) falls under max(rel_tol * |value|,
+      abs_tol).
+    * ``seed``: draws the REPLICAS random-tag replicas of every level.
+
+    Divergence needs GROWTH_STEPS consecutive ratios of at least
+    GROWTH_FACTOR in both the spread and the level difference, with the
+    last spread above SPREAD_FLOOR_FACTOR * abs_tol.
     """
 
-    k_min: int = 4
     k_max: int = 18
     rel_tol: float = 1e-8
     abs_tol: float = 1e-12
-    replicas: int = 8
     seed: int = 0
-    growth_factor: float = 2.0
-    growth_steps: int = 3
-    spread_floor_factor: float = 100.0
 
     def __post_init__(self):
-        if self.k_min < 1 or self.k_max < self.k_min:
-            raise ValueError("need 1 <= k_min <= k_max")
-        if self.replicas < 1:
-            raise ValueError("need at least one tag replica")
+        if self.k_max < K_MIN:
+            raise ValueError(f"need k_max >= {K_MIN}")
 
     def tolerance(self, magnitude: float) -> float:
         return max(self.rel_tol * magnitude, self.abs_tol)
@@ -105,16 +111,14 @@ class Grading:
     """Local mesh refinement around near-singular angles.
 
     Around every center the base mesh is divided by ceil(1/scale) inside a
-    window of ``inner_halfwidth_factor * scale``, then relaxed geometrically
-    (zone width doubling, spacing growing by ``mesh_growth``) until it meets
+    window of INNER_HALFWIDTH_FACTOR * scale, then relaxed geometrically
+    (zone width doubling, spacing growing by MESH_GROWTH) until it meets
     the base mesh again.  Centers act periodically: images shifted by one
     turn are included when they land in the integration window.
     """
 
     centers: tuple
     scale: float
-    inner_halfwidth_factor: float = 4.0
-    mesh_growth: float = 4.0
 
     def __post_init__(self):
         if self.scale <= 0.0:
@@ -123,7 +127,7 @@ class Grading:
     def points(self, a: float, b: float, base_h: float) -> np.ndarray:
         steps = max(1, math.ceil(1.0 / self.scale))
         h_near = base_h / steps
-        half = self.inner_halfwidth_factor * self.scale
+        half = INNER_HALFWIDTH_FACTOR * self.scale
         span = b - a
         chunks = []
         for c in self.centers:
@@ -132,14 +136,14 @@ class Grading:
                     continue
                 n_inner = max(2, int(math.ceil(2.0 * half / h_near)))
                 chunks.append(np.linspace(cc - half, cc + half, n_inner + 1))
-                lo, h = half, h_near * self.mesh_growth
+                lo, h = half, h_near * MESH_GROWTH
                 while h < base_h and lo < span:
                     hi = 2.0 * lo
                     n = max(1, int(math.ceil((hi - lo) / h)))
                     zone = np.linspace(lo, hi, n + 1)
                     chunks.append(cc + zone)
                     chunks.append(cc - zone)
-                    lo, h = hi, h * self.mesh_growth
+                    lo, h = hi, h * MESH_GROWTH
         if not chunks:
             return np.empty(0)
         pts = np.concatenate(chunks)
@@ -204,17 +208,15 @@ def rs_integral(
     b: float,
     opts: Optional[QuadratureOptions] = None,
     *,
-    f_jumps: Optional[Sequence[float]] = None,
-    g_avoid: Optional[Sequence[float]] = None,
     grading: Optional[Grading] = None,
 ) -> RSResult:
     """Integrate ``g`` against ``d f`` over ``[a, b]`` by dyadic refinement.
 
     ``f`` may be a :class:`BoundaryFunction` (its declared atoms are then
-    handled exactly) or any callable; ``f_jumps`` overrides the atom list.
-    ``g_avoid`` lists angles where the integrand is discontinuous and must
-    not receive a tag.  ``grading`` concentrates partition points near
-    almost-singular angles of the integrand.
+    handled exactly) or any callable.  When ``g`` is a
+    :class:`BoundaryFunction` too, its atoms are discontinuities of the
+    integrand and never receive a snapped tag.  ``grading`` concentrates
+    partition points near almost-singular angles of the integrand.
 
     Orientation is respected: ``a > b`` flips the sign.
     """
@@ -225,29 +227,29 @@ def rs_integral(
     if a > b:
         a, b, sign = b, a, -1.0
 
-    if f_jumps is not None:
-        jump_pts = [float(j) for j in f_jumps if a - 1e-12 <= j <= b + 1e-12]
-    elif isinstance(f, BoundaryFunction):
+    if isinstance(f, BoundaryFunction):
         periodic = f.kind != "pathological"
         jump_pts = [loc for loc, _h in jump_images(f.jumps, a, b, periodic)]
     else:
         jump_pts = []
 
-    if g_avoid is None and isinstance(g, BoundaryFunction):
-        g_avoid = [loc for loc, _h in jump_images(g.jumps, a, b, g.kind != "pathological")]
-    avoid = [float(x) for x in (g_avoid or ())]
+    if isinstance(g, BoundaryFunction):
+        avoid = [loc for loc, _h in jump_images(g.jumps, a, b, g.kind != "pathological")]
+    else:
+        avoid = []
 
     snap_pts = [j for j in jump_pts if not _near_any(j, avoid, AVOID_TOL)]
     avoided_pts = [j for j in jump_pts if _near_any(j, avoid, AVOID_TOL)]
 
     levels = []
     spreads = []
+    diffs = []
     prev_sum = None
     value = 0.0
     est = math.inf
     is_complex = False
 
-    for k in range(opts.k_min, opts.k_max + 1):
+    for k in range(K_MIN, opts.k_max + 1):
         n = 2 ** k
         pts = _level_points(a, b, n, grading, jump_pts)
         widths = np.diff(pts)
@@ -269,7 +271,7 @@ def rs_integral(
             tags = mids.copy()
             _snap_tags(tags, pts, _snap_indices(pts, jump_pts))
             sums.append((np.asarray(g(tags)) * df).sum())
-        for rep in range(opts.replicas):
+        for rep in range(REPLICAS):
             rng = np.random.default_rng((opts.seed, k, rep))
             tags = pts[:-1] + rng.random(widths.size) * widths
             _snap_tags(tags, pts, snap_idx)
@@ -282,25 +284,25 @@ def rs_integral(
         levels.append((mesh, value))
 
         diff = math.inf if prev_sum is None else abs(s_mid - prev_sum)
+        diffs.append(diff)
         prev_sum = s_mid
         est = max(diff, spread)
 
         if diff < math.inf and est <= opts.tolerance(abs(s_mid)):
             return RSResult(value, levels, float(est), RSStatus.CONVERGED)
 
-        m = opts.growth_steps
-        if (
-            len(spreads) > m
-            and spreads[-1] > opts.spread_floor_factor * opts.abs_tol
-            and all(
-                spreads[-i - 1] > 0.0
-                and spreads[-i] >= 0.999 * opts.growth_factor * spreads[-i - 1]
-                for i in range(1, m + 1)
-            )
-        ):
+        if spreads[-1] > SPREAD_FLOOR_FACTOR * opts.abs_tol and _grows(spreads) and _grows(diffs):
             return RSResult(value, levels, float(spreads[-1]), RSStatus.DIVERGED)
 
     return RSResult(value, levels, float(est), RSStatus.INCONCLUSIVE)
+
+
+def _grows(seq):
+    """GROWTH_STEPS consecutive ratios of at least GROWTH_FACTOR at the end of ``seq``."""
+    return len(seq) > GROWTH_STEPS and all(
+        seq[-i - 1] > 0.0 and seq[-i] >= 0.999 * GROWTH_FACTOR * seq[-i - 1]
+        for i in range(1, GROWTH_STEPS + 1)
+    )
 
 
 def require_converged(result: RSResult, what: str) -> RSResult:

@@ -25,7 +25,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .accel import aitken_tail
-from .core import TWO_PI, BoundaryFunction, DiskPoint, RSStatus, jump_images, reduce_angle
+from .core import TWO_PI, BoundaryFunction, DiskPoint, RSStatus, reduce_angle
 from .kernels import boundary_cot_kernel
 from .quadrature import Grading, NonConvergentError, QuadratureOptions, rs_integral
 from .transforms import conj_poisson_stieltjes
@@ -80,9 +80,9 @@ def _check_not_at_jump(phi: BoundaryFunction, tau: float):
             )
 
 
-def _window_pair(phi, g, tau, delta, opts, scale):
+def _window_pair(phi, g, tau, delta, opts):
     """Integrate g dPhi over [tau-pi, tau-delta] and [tau+delta, tau+pi]."""
-    grading = Grading(centers=(tau,), scale=scale)
+    grading = Grading(centers=(tau,), scale=delta)
     left = rs_integral(g, phi, tau - math.pi, tau - delta, opts, grading=grading)
     right = rs_integral(g, phi, tau + delta, tau + math.pi, opts, grading=grading)
     for part in (left, right):
@@ -91,6 +91,41 @@ def _window_pair(phi, g, tau, delta, opts, scale):
     value = (left.value + right.value) / TWO_PI
     est = (left.est_error + right.est_error) / TWO_PI
     return value, est
+
+
+def _checked_schedule(eps_schedule, upper=math.inf):
+    """The eps schedule (default if None), positive, below ``upper``, strictly decreasing."""
+    schedule = tuple(eps_schedule) if eps_schedule is not None else DEFAULT_EPS_SCHEDULE
+    if any(not (0.0 < e < upper) for e in schedule):
+        raise ValueError(f"eps values must lie in (0, {upper:g})")
+    if any(later >= earlier for earlier, later in zip(schedule, schedule[1:])):
+        raise ValueError("eps schedule must be strictly decreasing")
+    return schedule
+
+
+def _pv_limit(phi, g, tau, schedule, opts, halfwidth, cast):
+    """Truncated integrals of g dPhi along the schedule, extrapolated to eps -> 0.
+
+    Each eps excludes the angular window of half-width ``halfwidth(eps)``
+    around ``tau``; ``cast`` maps truncated values and the limit to the
+    reported number type.
+    """
+    trace = []
+    q_est = 0.0
+    for eps in schedule:
+        delta = halfwidth(eps)
+        val, est = _window_pair(phi, g, tau, delta, opts)
+        trace.append((eps, cast(val)))
+        q_est = max(q_est, est)
+
+    values = [v for _e, v in trace]
+    limit, resid = aitken_tail(values, window=5)
+    return PVResult(
+        value=cast(limit),
+        eps_trace=trace,
+        extrapolated=len(values) >= 3,
+        est_error=float(resid + q_est),
+    )
 
 
 def hilbert_stieltjes(
@@ -105,29 +140,10 @@ def hilbert_stieltjes(
     returned value extrapolates the eps -> 0 tail.
     """
     _check_not_at_jump(phi, tau)
-    opts = opts or SINGULAR_OPTS
-    schedule = tuple(eps_schedule) if eps_schedule is not None else DEFAULT_EPS_SCHEDULE
-    if any(e <= 0 for e in schedule) or any(
-        schedule[i + 1] >= schedule[i] for i in range(len(schedule) - 1)
-    ):
-        raise ValueError("eps schedule must be positive and strictly decreasing")
-
+    schedule = _checked_schedule(eps_schedule)
     g = lambda t: boundary_cot_kernel(tau, t)
-    trace = []
-    q_est = 0.0
-    for eps in schedule:
-        val, est = _window_pair(phi, g, tau, eps, opts, scale=eps)
-        trace.append((eps, float(np.real(val))))
-        q_est = max(q_est, est)
-
-    values = [v for _e, v in trace]
-    limit, resid = aitken_tail(values, window=5)
-    return PVResult(
-        value=float(limit),
-        eps_trace=trace,
-        extrapolated=len(values) >= 3,
-        est_error=float(resid + q_est),
-    )
+    real = lambda x: float(np.real(x))
+    return _pv_limit(phi, g, tau, schedule, opts or SINGULAR_OPTS, lambda eps: eps, real)
 
 
 def truncated_conjugate_integral(
@@ -147,7 +163,7 @@ def truncated_conjugate_integral(
     opts = opts or SINGULAR_OPTS
     eps = 1.0 - r
     g = lambda t: boundary_cot_kernel(t0, t)
-    val, _est = _window_pair(phi, g, t0, eps, opts, scale=eps)
+    val, _est = _window_pair(phi, g, t0, eps, opts)
     return float(np.real(val))
 
 
@@ -190,31 +206,14 @@ def singular_cauchy_stieltjes(
         raise ValueError("evaluation point must lie on the unit circle")
     tau = cmath.phase(zeta0)
     _check_not_at_jump(phi, tau)
-    opts = opts or SINGULAR_OPTS
-    schedule = tuple(eps_schedule) if eps_schedule is not None else DEFAULT_EPS_SCHEDULE
-    if any(not (0.0 < e < 2.0) for e in schedule):
-        raise ValueError("chord exclusions must lie in (0, 2)")
+    schedule = _checked_schedule(eps_schedule, upper=2.0)
 
     def g(t):
         zeta = np.exp(1j * np.asarray(t, dtype=float))
         return -1j * zeta / (zeta - zeta0)
 
-    trace = []
-    q_est = 0.0
-    for eps in schedule:
-        delta = 2.0 * math.asin(eps / 2.0)
-        val, est = _window_pair(phi, g, tau, delta, opts, scale=delta)
-        trace.append((eps, complex(val)))
-        q_est = max(q_est, est)
-
-    values = [v for _e, v in trace]
-    limit, resid = aitken_tail(values, window=5)
-    return PVResult(
-        value=complex(limit),
-        eps_trace=trace,
-        extrapolated=len(values) >= 3,
-        est_error=float(resid + q_est),
-    )
+    halfwidth = lambda eps: 2.0 * math.asin(eps / 2.0)
+    return _pv_limit(phi, g, tau, schedule, opts or SINGULAR_OPTS, halfwidth, complex)
 
 
 @dataclass

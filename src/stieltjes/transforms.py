@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -27,12 +26,10 @@ from .quadrature import Grading, NonConvergentError, QuadratureOptions, rs_integ
 
 __all__ = [
     "TRANSFORM_OPTS",
-    "TransformValue",
     "poisson_stieltjes",
     "conj_poisson_stieltjes",
     "schwartz_stieltjes",
     "cauchy_stieltjes",
-    "stieltjes_transforms",
     "cauchy_identity_residual",
     "duality_residual",
     "harmonicity_diagnostics",
@@ -46,6 +43,8 @@ TRANSFORM_OPTS = QuadratureOptions(rel_tol=1e-5, abs_tol=1e-9)
 
 # radius beyond which the kernel peak is narrower than uniform meshes resolve
 GRADING_RADIUS = 0.99
+# midpoint nodes of the finer ordinary quadrature in duality_residual
+DUALITY_NODES = 2 ** 20
 
 
 def _as_disk_point(z) -> DiskPoint:
@@ -109,34 +108,6 @@ def cauchy_stieltjes(phi: BoundaryFunction, z, opts: Optional[QuadratureOptions]
     return _kernel_transform(phi, z, lambda t: cauchy_kernel(z.z, t), opts)
 
 
-@dataclass
-class TransformValue:
-    """All four transforms at one point, with quadrature certificates.
-
-    ``u`` and ``v`` are independent real quadratures; ``s = u + iv`` and
-    ``c = s/2 + net_increment/(4 pi)`` are built from them, so the analytic
-    combination is exact by construction.  Direct quadratures of the
-    analytic and Cauchy kernels (for cross-checking) are the separate
-    functions above.
-    """
-
-    u: float
-    v: float
-    s: complex
-    c: complex
-    certificates: dict
-
-
-def stieltjes_transforms(phi: BoundaryFunction, z, opts: Optional[QuadratureOptions] = None) -> TransformValue:
-    ures = poisson_stieltjes(phi, z, opts)
-    vres = conj_poisson_stieltjes(phi, z, opts)
-    u = float(np.real(ures.value))
-    v = float(np.real(vres.value))
-    s = complex(u, v)
-    c = s / 2.0 + phi.period_increment / (2.0 * TWO_PI)
-    return TransformValue(u=u, v=v, s=s, c=c, certificates={"u": ures, "v": vres})
-
-
 def cauchy_identity_residual(phi: BoundaryFunction, z, opts: Optional[QuadratureOptions] = None) -> float:
     """Defect of the half-kernel identity between Cauchy and analytic forms.
 
@@ -150,12 +121,7 @@ def cauchy_identity_residual(phi: BoundaryFunction, z, opts: Optional[Quadrature
     return abs(c.value - (s.value / 2.0 + shift))
 
 
-def duality_residual(
-    phi: BoundaryFunction,
-    z,
-    opts: Optional[QuadratureOptions] = None,
-    ordinary_n: int = 2 ** 20,
-) -> float:
+def duality_residual(phi: BoundaryFunction, z, opts: Optional[QuadratureOptions] = None) -> float:
     """Compare the RS integral of the kernel against the ordinary integral.
 
     Left side: (1/2pi) int P_r(theta - t) dPhi(t) by the RS engine.
@@ -177,7 +143,7 @@ def duality_residual(
         return float(np.sum(phi(t) * poisson_dtheta(z.r, z.theta - t)) * w / TWO_PI)
 
     # one halving step of extrapolation knocks out the leading error term
-    coarse, fine = rhs_at(ordinary_n // 2), rhs_at(ordinary_n)
+    coarse, fine = rhs_at(DUALITY_NODES // 2), rhs_at(DUALITY_NODES)
     rhs = fine + (fine - coarse)
     return abs(float(np.real(lhs_res.value)) - rhs)
 

@@ -6,10 +6,8 @@ import pytest
 from stieltjes import (
     ApproachPath,
     BoundaryFunction,
-    CyclicPartition,
     DiskPoint,
     DomainError,
-    Partition,
     reduce_angle,
 )
 from stieltjes.core import _cantor_staircase, jump_images
@@ -142,45 +140,6 @@ class TestJumpImages:
         images = jump_images(((2.0, 0.3), (-1.0, 0.7)), 0.0, TWO_PI)
         assert images == sorted(images)
         assert {h for _, h in images} == {0.3, 0.7}
-
-
-class TestPartition:
-    def test_uniform_midpoint(self):
-        p = Partition.uniform(0.0, 1.0, 4)
-        assert p.n_intervals == 4
-        assert p.mesh == pytest.approx(0.25)
-        assert np.allclose(p.tags, [0.125, 0.375, 0.625, 0.875])
-
-    def test_tags_must_lie_in_intervals(self):
-        with pytest.raises(ValueError):
-            Partition(np.array([0.0, 1.0]), np.array([1.5]))
-
-    def test_points_must_increase(self):
-        with pytest.raises(ValueError):
-            Partition(np.array([0.0, 0.5, 0.4]), np.array([0.2, 0.45]))
-
-    def test_bisected_halves_mesh(self):
-        p = Partition.uniform(0.0, 1.0, 4).bisected()
-        assert p.n_intervals == 8
-        assert p.mesh == pytest.approx(0.125)
-
-    def test_random_tags_stay_inside(self):
-        rng = np.random.default_rng(3)
-        p = Partition.uniform(-1.0, 2.0, 64, tag_rule="random", rng=rng)
-        assert np.all(p.tags >= p.points[:-1])
-        assert np.all(p.tags <= p.points[1:])
-
-
-class TestCyclicPartition:
-    def test_closure(self):
-        cp = CyclicPartition.uniform(8)
-        assert cp.angles[-1] - cp.angles[0] == pytest.approx(TWO_PI, abs=1e-12)
-        assert np.all(cp.gaps > 0)
-
-    def test_rejects_bad_closure(self):
-        with pytest.raises(ValueError):
-            CyclicPartition(np.array([0.0, 1.0, 2.0]),
-                            np.array([0.5, 1.5]))
 
 
 class TestDiskPoint:

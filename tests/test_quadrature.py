@@ -4,17 +4,17 @@ import numpy as np
 import pytest
 
 from stieltjes import (
+    DiskPoint,
     Grading,
     NonConvergentError,
-    Partition,
     QuadratureOptions,
     RSStatus,
     by_parts_residual,
     cyclic_rs_integral,
     make,
+    poisson_stieltjes,
     require_converged,
     rs_integral,
-    rs_sum,
 )
 from stieltjes.accel import aitken_step, aitken_tail
 
@@ -53,21 +53,6 @@ class TestAitken:
     def test_tail_empty_rejected(self):
         with pytest.raises(ValueError):
             aitken_tail([])
-
-
-class TestRSSum:
-    def test_hand_computed(self):
-        p = Partition(np.array([0.0, 1.0, 2.0]), np.array([0.5, 1.5]))
-        # sum g(tag) * (f(right) - f(left)) with g = id, f = t^2
-        got = rs_sum(lambda t: np.asarray(t), lambda t: np.asarray(t) ** 2, p)
-        assert got == pytest.approx(0.5 * 1.0 + 1.5 * 3.0)
-
-    def test_matches_oracle_on_uniform(self):
-        g = lambda t: np.cos(2 * t)
-        f = lambda t: np.asarray(t) ** 3
-        p = Partition.uniform(-1.0, 2.0, 37)
-        want = rs_tagged_sum(g, f, -1.0, 2.0, 37, rule="mid")
-        assert rs_sum(g, f, p) == pytest.approx(want, abs=1e-14)
 
 
 class TestRSIntegral:
@@ -198,6 +183,14 @@ class TestDivergence:
         assert sums == sorted(sums)
         assert res.est_error > 1.0
 
+    def test_unresolved_kernel_peak_is_not_divergence(self):
+        # r = 0.99 next to the seam atom: while the mesh is coarser than the
+        # peak the replica spread jumps about, but the level difference
+        # does not grow with it, so the sums are not blowing up
+        res = poisson_stieltjes(make("linear"), DiskPoint(0.99, -3.052))
+        assert res.status is not RSStatus.DIVERGED
+        assert res.value == pytest.approx(-1.4747362168, abs=1e-9)
+
     def test_smooth_case_never_flags_divergence(self):
         # an uncertifiable tolerance may end inconclusive, never diverged
         res = rs_integral(np.cos, np.sin, -3.0, 3.0, QuadratureOptions(rel_tol=1e-12))
@@ -264,6 +257,10 @@ class TestGrading:
         pts = g.points(-math.pi, math.pi, TWO_PI / 16)
         # the image at -pi must be graded as well
         assert (pts < -math.pi + 0.05).any()
+
+    def test_options_reject_too_few_levels(self):
+        with pytest.raises(ValueError):
+            QuadratureOptions(k_max=3)
 
     def test_options_tolerance_floor(self):
         opts = QuadratureOptions(rel_tol=1e-6, abs_tol=1e-9)

@@ -131,6 +131,13 @@ class TestSingularCauchy:
         got = singular_cauchy_stieltjes(make("step2pi", 0.5), complex(np.exp(1j * 2.0)))
         assert got.value.imag == pytest.approx(-0.5, abs=1e-12)
 
+    def test_schedule_must_decrease(self):
+        zeta0 = complex(np.exp(0.9j))
+        with pytest.raises(ValueError):
+            singular_cauchy_stieltjes(make("sin"), zeta0, eps_schedule=(0.1, 0.2, 0.4))
+        with pytest.raises(ValueError):
+            singular_cauchy_stieltjes(make("sin"), zeta0, eps_schedule=(0.1, -0.05))
+
     def test_requires_unit_modulus(self):
         with pytest.raises(ValueError):
             singular_cauchy_stieltjes(make("sin"), 0.5 + 0.1j)
