@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import numpy as np
-
 __all__ = ["aitken_step", "aitken_tail"]
 
 DENOM_FLOOR = 1e-14
@@ -16,14 +14,8 @@ def aitken_step(x0, x1, x2):
     cannot poison a healthy real one.
     """
     if isinstance(x0, complex) or isinstance(x1, complex) or isinstance(x2, complex):
-        return complex(
-            aitken_step(x0.real if isinstance(x0, complex) else x0,
-                        x1.real if isinstance(x1, complex) else x1,
-                        x2.real if isinstance(x2, complex) else x2),
-            aitken_step(x0.imag if isinstance(x0, complex) else 0.0,
-                        x1.imag if isinstance(x1, complex) else 0.0,
-                        x2.imag if isinstance(x2, complex) else 0.0),
-        )
+        c0, c1, c2 = complex(x0), complex(x1), complex(x2)
+        return complex(aitken_step(c0.real, c1.real, c2.real), aitken_step(c0.imag, c1.imag, c2.imag))
     d1 = x1 - x0
     d2 = x2 - x1
     den = d2 - d1

@@ -21,10 +21,10 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -34,12 +34,7 @@ from .core import BoundaryFunction, DiskPoint, RSStatus
 from .limits import analytic_limit_check, conjugate_limit_check, poisson_limit_check
 from .quadrature import NonConvergentError, QuadratureOptions, rs_integral
 from .singular import JumpAtEvaluationPoint, hilbert_stieltjes, singular_cauchy_consistency
-from .transforms import (
-    cauchy_stieltjes,
-    conj_poisson_stieltjes,
-    poisson_stieltjes,
-    schwartz_stieltjes,
-)
+from .transforms import KERNELS, disk_transform
 
 __all__ = ["main", "main_entry"]
 
@@ -178,12 +173,7 @@ def _cmd_integrate(args) -> int:
     return _STATUS_EXIT[res.status]
 
 
-_TRANSFORMS = {
-    "U": poisson_stieltjes,
-    "V": conj_poisson_stieltjes,
-    "S": schwartz_stieltjes,
-    "C": cauchy_stieltjes,
-}
+_TRANSFORMS = {which: partial(disk_transform, which) for which in KERNELS}
 
 
 def _cmd_transform(args) -> int:

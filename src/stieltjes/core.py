@@ -3,9 +3,8 @@
 The central object is :class:`BoundaryFunction`, a bounded real function on
 the circle used as a Stieltjes integrator.  A boundary function is described
 by its kind (closed form, staircase, piecewise, Cantor-like, pathological)
-plus declared metadata: atom locations and heights, a sup bound, and any
-angles where the derivative is known exactly.  Evaluation is vectorized over
-numpy arrays.
+plus declared metadata: atom locations and heights and a sup bound.
+Evaluation is vectorized over numpy arrays.
 
 Conventions
 -----------
@@ -127,8 +126,6 @@ class BoundaryFunction:
     ``jumps`` lists atoms as ``(location in (-pi, pi], height)``; they repeat
     every period.  ``period_increment`` is ``phi(t + 2*pi) - phi(t)``, zero
     for charge-neutral kinds and the summed jump mass for staircases.
-    ``known_derivative_at`` pins exact derivatives at specific angles on top
-    of what the kind itself can certify.
     """
 
     name: str
@@ -139,7 +136,6 @@ class BoundaryFunction:
     base: float = 0.0
     period_increment: float = 0.0
     bounded_by: Optional[float] = None
-    known_derivative_at: tuple = ()  # ((angle, value), ...)
     domain: Optional[tuple] = None  # pathological only
     depth: int = 0
     margin: float = 0.0
@@ -196,9 +192,6 @@ class BoundaryFunction:
 
     def derivative(self, t: float) -> Optional[float]:
         """Exact derivative at ``t`` when the kind certifies one, else None."""
-        for angle, value in self.known_derivative_at:
-            if abs(reduce_angle(t - angle)) < 1e-12:
-                return float(value)
         guard = 1e-9
         if self.kind == "pathological":
             return None
@@ -224,9 +217,6 @@ class BoundaryFunction:
                     return None if pd is None else float(pd(tr))
             return None
         return None
-
-    def jump_locations(self) -> tuple:
-        return tuple(loc for loc, _h in self.jumps)
 
     def is_charge_neutral(self) -> bool:
         return self.period_increment == 0.0
@@ -294,13 +284,6 @@ class ApproachPath:
             raise DomainError("Stolz opening must satisfy |alpha| < pi/2")
         if self.k_min < 1 or self.k_max < self.k_min:
             raise ValueError("need 1 <= k_min <= k_max")
-
-    @property
-    def mode(self) -> str:
-        return "radial" if self.alpha == 0.0 else "stolz"
-
-    def schedule(self) -> np.ndarray:
-        return 2.0 ** (-np.arange(self.k_min, self.k_max + 1, dtype=float))
 
     def indexed_points(self) -> list:
         """(k, point) pairs; wide openings may clip their earliest entries."""

@@ -14,8 +14,6 @@ the boundary except the cotangent kernel, which gets an explicit guard.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .core import DomainError, reduce_angle

@@ -17,13 +17,12 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
-import numpy as np
-
 from .accel import aitken_tail
-from .core import TWO_PI, ApproachPath, BoundaryFunction, LimitEstimate
+from .core import ApproachPath, BoundaryFunction, LimitEstimate
 from .quadrature import QuadratureOptions
 from .singular import hilbert_stieltjes
 from .transforms import (
+    cauchy_from_schwartz,
     cauchy_stieltjes,
     conj_poisson_stieltjes,
     poisson_stieltjes,
@@ -110,27 +109,30 @@ def _paths(target: float, apertures: Sequence[float], k_max: int):
     return out
 
 
-def _run_rows(field_name, field, paths, expected, tol):
-    rows = []
-    for label, path in paths:
-        est = angular_limit(field, path, tol)
-        residual = abs(est.extrapolated - expected)
-        rows.append(
-            LimitCheckRow(
-                field=field_name,
-                approach=label,
-                estimate=est,
-                expected=expected,
-                residual=float(residual),
-                grade=_grade(residual, tol),
-            )
-        )
-    return rows
+def _certified_derivative(phi: BoundaryFunction, angle: float, label: str) -> float:
+    value = phi.derivative(angle)
+    if value is None:
+        raise ValueError(f"{phi.name} does not certify a derivative at {label}={angle:.6g}")
+    return value
 
 
-def _spread(rows) -> float:
-    vals = [row.estimate.extrapolated for row in rows]
-    return float(max(abs(a - b) for a in vals for b in vals)) if len(vals) > 1 else 0.0
+def _report(phi, target, fields, apertures, tol, opts, k_max) -> LimitCheckReport:
+    """Graded rows of each ``(letter, transform, expected)`` field along every path.
+
+    Rows come field by field in path order; ``aperture_spread`` is the
+    largest disagreement between the extrapolants of any one field.
+    """
+    opts = opts or LIMITS_OPTS
+    paths = _paths(target, apertures, k_max)
+    rows, spreads = [], []
+    for letter, transform, expected in fields:
+        field = lambda z: transform(phi, z, opts).value
+        ests = [angular_limit(field, path, tol) for _label, path in paths]
+        for (label, _path), est in zip(paths, ests):
+            residual = abs(est.extrapolated - expected)
+            rows.append(LimitCheckRow(letter, label, est, expected, float(residual), _grade(residual, tol)))
+        spreads.append(max(abs(a.extrapolated - b.extrapolated) for a in ests for b in ests))
+    return LimitCheckReport(phi.name, target, tol, rows, float(max(spreads)))
 
 
 def poisson_limit_check(
@@ -144,20 +146,11 @@ def poisson_limit_check(
     """Angular limits of the harmonic extension against the derivative.
 
     Needs an integrator whose derivative at ``t0`` is certified (smooth
-    kind, declared plateau, or an explicit known value); the harmonic
-    extension must approach exactly that number along every nontangential
-    path.
+    kind or declared plateau); the harmonic extension must approach
+    exactly that number along every nontangential path.
     """
-    expected = phi.derivative(t0)
-    if expected is None:
-        raise ValueError(f"{phi.name} does not certify a derivative at t0={t0:.6g}")
-    opts = opts or LIMITS_OPTS
-
-    def field(z):
-        return float(np.real(poisson_stieltjes(phi, z, opts).value))
-
-    rows = _run_rows("U", field, _paths(t0, apertures, k_max), float(expected), tol)
-    return LimitCheckReport(phi.name, t0, tol, rows, _spread(rows))
+    expected = _certified_derivative(phi, t0, "t0")
+    return _report(phi, t0, [("U", poisson_stieltjes, expected)], apertures, tol, opts, k_max)
 
 
 def conjugate_limit_check(
@@ -169,14 +162,8 @@ def conjugate_limit_check(
     k_max: int = 14,
 ) -> LimitCheckReport:
     """Angular limits of the conjugate extension against the PV integral."""
-    opts = opts or LIMITS_OPTS
-    expected = float(np.real(hilbert_stieltjes(phi, tau).value))
-
-    def field(z):
-        return float(np.real(conj_poisson_stieltjes(phi, z, opts).value))
-
-    rows = _run_rows("V", field, _paths(tau, apertures, k_max), expected, tol)
-    return LimitCheckReport(phi.name, tau, tol, rows, _spread(rows))
+    expected = hilbert_stieltjes(phi, tau).value
+    return _report(phi, tau, [("V", conj_poisson_stieltjes, expected)], apertures, tol, opts, k_max)
 
 
 def analytic_limit_check(
@@ -194,22 +181,8 @@ def analytic_limit_check(
     integrator is a staircase (the two kernels differ by the constant 1/2,
     which integrates the net increment).
     """
-    deriv = phi.derivative(tau)
-    if deriv is None:
-        raise ValueError(f"{phi.name} does not certify a derivative at tau={tau:.6g}")
-    opts = opts or LIMITS_OPTS
-    h = float(np.real(hilbert_stieltjes(phi, tau).value))
-    expected_s = complex(float(deriv), h)
-    expected_c = expected_s / 2.0 + phi.period_increment / (2.0 * TWO_PI)
-
-    def s_field(z):
-        return complex(schwartz_stieltjes(phi, z, opts).value)
-
-    def c_field(z):
-        return complex(cauchy_stieltjes(phi, z, opts).value)
-
-    paths = _paths(tau, apertures, k_max)
-    s_rows = _run_rows("S", s_field, paths, expected_s, tol)
-    c_rows = _run_rows("C", c_field, paths, expected_c, tol)
-    spread = max(_spread(s_rows), _spread(c_rows))
-    return LimitCheckReport(phi.name, tau, tol, s_rows + c_rows, spread)
+    deriv = _certified_derivative(phi, tau, "tau")
+    expected_s = complex(deriv, hilbert_stieltjes(phi, tau).value)
+    expected_c = cauchy_from_schwartz(expected_s, phi)
+    fields = [("S", schwartz_stieltjes, expected_s), ("C", cauchy_stieltjes, expected_c)]
+    return _report(phi, tau, fields, apertures, tol, opts, k_max)

@@ -93,7 +93,7 @@ def _window_pair(phi, g, tau, delta, opts):
     return value, est
 
 
-def _checked_schedule(eps_schedule, upper=math.inf):
+def _checked_schedule(eps_schedule, upper):
     """The eps schedule (default if None), positive, below ``upper``, strictly decreasing."""
     schedule = tuple(eps_schedule) if eps_schedule is not None else DEFAULT_EPS_SCHEDULE
     if any(not (0.0 < e < upper) for e in schedule):
@@ -140,7 +140,7 @@ def hilbert_stieltjes(
     returned value extrapolates the eps -> 0 tail.
     """
     _check_not_at_jump(phi, tau)
-    schedule = _checked_schedule(eps_schedule)
+    schedule = _checked_schedule(eps_schedule, upper=math.pi)
     g = lambda t: boundary_cot_kernel(tau, t)
     real = lambda x: float(np.real(x))
     return _pv_limit(phi, g, tau, schedule, opts or SINGULAR_OPTS, lambda eps: eps, real)

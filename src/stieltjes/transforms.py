@@ -26,10 +26,13 @@ from .quadrature import Grading, NonConvergentError, QuadratureOptions, rs_integ
 
 __all__ = [
     "TRANSFORM_OPTS",
+    "KERNELS",
+    "disk_transform",
     "poisson_stieltjes",
     "conj_poisson_stieltjes",
     "schwartz_stieltjes",
     "cauchy_stieltjes",
+    "cauchy_from_schwartz",
     "cauchy_identity_residual",
     "duality_residual",
     "harmonicity_diagnostics",
@@ -68,17 +71,27 @@ def _scaled(res: RSResult, factor: float) -> RSResult:
     )
 
 
-def _kernel_transform(phi: BoundaryFunction, z: DiskPoint, kernel: Callable,
-                      opts: Optional[QuadratureOptions]) -> RSResult:
+# the four disk kernels: each maps a disk point to its integrand in t
+KERNELS = {
+    "U": lambda z: (lambda t: poisson(z.r, z.theta - t)),
+    "V": lambda z: (lambda t: conj_poisson(z.r, z.theta - t)),
+    "S": lambda z: (lambda t: analytic_kernel(z.z, t)),
+    "C": lambda z: (lambda t: cauchy_kernel(z.z, t)),
+}
+
+
+def disk_transform(which: str, phi: BoundaryFunction, z,
+                   opts: Optional[QuadratureOptions] = None) -> RSResult:
+    """(1/2pi) int K(z, t) dPhi(t) over one period, K = ``KERNELS[which]``."""
+    z = _as_disk_point(z)
     if phi.kind == "pathological":
         raise DomainError("boundary transforms need a periodic integrator")
-    opts = opts or TRANSFORM_OPTS
     res = rs_integral(
-        kernel,
+        KERNELS[which](z),
         phi,
         -math.pi,
         math.pi,
-        opts,
+        opts or TRANSFORM_OPTS,
         grading=_grading_for(z),
     )
     return _scaled(res, 1.0 / TWO_PI)
@@ -86,26 +99,27 @@ def _kernel_transform(phi: BoundaryFunction, z: DiskPoint, kernel: Callable,
 
 def poisson_stieltjes(phi: BoundaryFunction, z, opts: Optional[QuadratureOptions] = None) -> RSResult:
     """Harmonic extension of dPhi: (1/2pi) int P_r(theta - t) dPhi(t)."""
-    z = _as_disk_point(z)
-    return _kernel_transform(phi, z, lambda t: poisson(z.r, z.theta - t), opts)
+    return disk_transform("U", phi, z, opts)
 
 
 def conj_poisson_stieltjes(phi: BoundaryFunction, z, opts: Optional[QuadratureOptions] = None) -> RSResult:
     """Conjugate harmonic extension: (1/2pi) int Q_r(theta - t) dPhi(t)."""
-    z = _as_disk_point(z)
-    return _kernel_transform(phi, z, lambda t: conj_poisson(z.r, z.theta - t), opts)
+    return disk_transform("V", phi, z, opts)
 
 
 def schwartz_stieltjes(phi: BoundaryFunction, z, opts: Optional[QuadratureOptions] = None) -> RSResult:
     """Analytic transform: (1/2pi) int (e^{it} + z)/(e^{it} - z) dPhi(t)."""
-    z = _as_disk_point(z)
-    return _kernel_transform(phi, z, lambda t: analytic_kernel(z.z, t), opts)
+    return disk_transform("S", phi, z, opts)
 
 
 def cauchy_stieltjes(phi: BoundaryFunction, z, opts: Optional[QuadratureOptions] = None) -> RSResult:
     """Cauchy transform: (1/2pi) int e^{it}/(e^{it} - z) dPhi(t), directly."""
-    z = _as_disk_point(z)
-    return _kernel_transform(phi, z, lambda t: cauchy_kernel(z.z, t), opts)
+    return disk_transform("C", phi, z, opts)
+
+
+def cauchy_from_schwartz(s: complex, phi: BoundaryFunction) -> complex:
+    """The Cauchy value the half-kernel identity predicts from the analytic one."""
+    return s / 2.0 + phi.period_increment / (2.0 * TWO_PI)
 
 
 def cauchy_identity_residual(phi: BoundaryFunction, z, opts: Optional[QuadratureOptions] = None) -> float:
@@ -117,8 +131,7 @@ def cauchy_identity_residual(phi: BoundaryFunction, z, opts: Optional[Quadrature
     """
     s = schwartz_stieltjes(phi, z, opts)
     c = cauchy_stieltjes(phi, z, opts)
-    shift = phi.period_increment / (2.0 * TWO_PI)
-    return abs(c.value - (s.value / 2.0 + shift))
+    return abs(c.value - cauchy_from_schwartz(s.value, phi))
 
 
 def duality_residual(phi: BoundaryFunction, z, opts: Optional[QuadratureOptions] = None) -> float:
@@ -188,19 +201,13 @@ def conjugacy_residual(
     if z.r + 2.0 * h >= 1.0:
         raise DomainError("step too large: the probe stencil leaves the disk")
 
-    def u_at(r, th):
-        return float(np.real(poisson_stieltjes(phi, DiskPoint(r, th), opts).value))
-
-    def v_at(r, th):
-        return float(np.real(conj_poisson_stieltjes(phi, DiskPoint(r, th), opts).value))
-
-    def d4(fvals, step):
-        fm2, fm1, fp1, fp2 = fvals
-        return (-fp2 + 8.0 * fp1 - 8.0 * fm1 + fm2) / (12.0 * step)
-
     r, th = z.r, z.theta
-    du_dr = d4([u_at(r - 2 * h, th), u_at(r - h, th), u_at(r + h, th), u_at(r + 2 * h, th)], h)
-    dv_dr = d4([v_at(r - 2 * h, th), v_at(r - h, th), v_at(r + h, th), v_at(r + 2 * h, th)], h)
-    du_dth = d4([u_at(r, th - 2 * h), u_at(r, th - h), u_at(r, th + h), u_at(r, th + 2 * h)], h)
-    dv_dth = d4([v_at(r, th - 2 * h), v_at(r, th - h), v_at(r, th + h), v_at(r, th + 2 * h)], h)
+
+    def d4(which, radial):
+        # fourth-order central difference of U or V along r or theta
+        points = [DiskPoint(r + j * h, th) if radial else DiskPoint(r, th + j * h) for j in (-2, -1, 1, 2)]
+        fm2, fm1, fp1, fp2 = (disk_transform(which, phi, p, opts).value for p in points)
+        return (-fp2 + 8.0 * fp1 - 8.0 * fm1 + fm2) / (12.0 * h)
+
+    du_dr, dv_dr, du_dth, dv_dth = d4("U", True), d4("V", True), d4("U", False), d4("V", False)
     return abs(du_dr - dv_dth / r) + abs(du_dth / r + dv_dr)

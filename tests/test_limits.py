@@ -1,6 +1,5 @@
 import math
 
-import numpy as np
 import pytest
 
 from stieltjes import (
@@ -144,6 +143,27 @@ class TestReportShape:
         ests = [complex(r.estimate.extrapolated) for r in report.rows]
         want = max(abs(a - b) for a in ests for b in ests)
         assert report.aperture_spread == pytest.approx(want, abs=1e-15)
+
+    def test_analytic_report_keeps_fields_apart(self):
+        # S rows then C rows, each in path order; the spread is taken within
+        # a field, since S and C tend to different limits
+        phi, tau = make("step2pi", 0.5), 2.0
+        report = analytic_limit_check(phi, tau)
+        labels = ["radial", "stolz+0.524", "stolz-0.524"]
+        assert [(r.field, r.approach) for r in report.rows] == [
+            (f, a) for f in ("S", "C") for a in labels
+        ]
+
+        def spread(rows):
+            vals = [r.estimate.extrapolated for r in rows]
+            return max(abs(a - b) for a in vals for b in vals)
+
+        per_field = [spread([r for r in report.rows if r.field == f]) for f in ("S", "C")]
+        assert report.aperture_spread == max(per_field)
+        assert spread(report.rows) > 100 * report.aperture_spread
+        assert all(type(r.estimate.extrapolated) is complex for r in report.rows)
+        real = poisson_limit_check(phi, tau, apertures=(math.pi / 6,))
+        assert all(type(r.estimate.extrapolated) is float for r in real.rows)
 
     def test_rejects_tangential_aperture(self):
         with pytest.raises(DomainError):

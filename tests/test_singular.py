@@ -92,6 +92,13 @@ class TestHilbertInterface:
         with pytest.raises(ValueError):
             hilbert_stieltjes(make("sin"), 0.9, eps_schedule=(0.1, -0.05))
 
+    def test_schedule_must_stay_below_pi(self):
+        # an exclusion of half-width eps >= pi leaves no window to integrate
+        with pytest.raises(ValueError):
+            hilbert_stieltjes(make("sin"), 0.9, eps_schedule=(4.0, 3.5, 3.2))
+        with pytest.raises(ValueError):
+            hilbert_stieltjes(make("sin"), 0.9, eps_schedule=(math.pi, 0.5, 0.25))
+
 
 class TestTruncatedConjugate:
     def test_truncation_approximates_disk_field(self):

@@ -1,12 +1,10 @@
 import math
 
-import numpy as np
 import pytest
 
 from stieltjes import (
     DiskPoint,
     DomainError,
-    QuadratureOptions,
     cauchy_identity_residual,
     cauchy_stieltjes,
     conj_poisson,
