@@ -39,7 +39,6 @@ from .limits import (
 )
 from .quadrature import (
     CyclicRSPair,
-    Grading,
     NonConvergentError,
     QuadratureOptions,
     by_parts_residual,
@@ -77,7 +76,6 @@ __all__ = [
     "CyclicRSPair",
     "DiskPoint",
     "DomainError",
-    "Grading",
     "JumpAtEvaluationPoint",
     "LimitCheckReport",
     "LimitCheckRow",

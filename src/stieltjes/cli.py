@@ -72,6 +72,8 @@ def _from_file(path: str):
             doc = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise SpecError(f"cannot read function file {path}: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise SpecError(f"function file {path} must hold a JSON object")
     kind = doc.get("kind")
     if kind == "zoo":
         return zoo.make(doc["name"], *doc.get("params", []))
@@ -79,14 +81,11 @@ def _from_file(path: str):
         v = float(doc["value"])
         return lambda t: np.full_like(np.asarray(t, dtype=float), v)
     if kind == "step":
-        jumps = tuple((float(loc), float(h)) for loc, h in doc.get("jumps", []))
         return BoundaryFunction(
             name=doc.get("name", "file_step"),
             kind="step",
-            jumps=jumps,
+            jumps=tuple((float(loc), float(h)) for loc, h in doc.get("jumps", [])),
             base=float(doc.get("base", 0.0)),
-            period_increment=sum(h for _loc, h in jumps),
-            bounded_by=abs(float(doc.get("base", 0.0))) + sum(abs(h) for _l, h in jumps),
         )
     raise SpecError(f"unknown kind {kind!r} in function file {path}")
 
@@ -110,6 +109,8 @@ def parse_function_spec(spec: str):
             return _from_file(rest)
     except SpecError:
         raise
+    except KeyError as exc:
+        raise SpecError(f"bad function spec {spec!r}: missing field {exc}") from exc
     except (ValueError, TypeError) as exc:
         raise SpecError(f"bad function spec {spec!r}: {exc}") from exc
     raise SpecError(f"unknown function spec {spec!r}")
@@ -180,6 +181,8 @@ def _cmd_transform(args) -> int:
     phi = parse_function_spec(args.phi)
     if not isinstance(phi, BoundaryFunction):
         raise SpecError("transforms need a boundary function (zoo: or file:)")
+    if args.jobs < 1:
+        raise ValueError("--jobs must be at least 1")
     op = _TRANSFORMS[args.which]
     opts = _opts(args)
     grid = [(r, th) for r in _floats(args.r) for th in _floats(args.theta)]
@@ -190,11 +193,8 @@ def _cmd_transform(args) -> int:
         v = complex(res.value)
         return [r, th, v.real, v.imag, res.est_error, res.status.value]
 
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            rows = list(pool.map(run, grid))
-    else:
-        rows = [run(p) for p in grid]
+    with ThreadPoolExecutor(max_workers=args.jobs) as pool:
+        rows = list(pool.map(run, grid))
     header = ["r", "theta", "value", "value_im", "est_error", "status"]
     _write_report(args.out, header, rows, args.format == "structured")
     worst = max((row[5] for row in rows), key=lambda s: _STATUS_EXIT[RSStatus(s)])
@@ -272,19 +272,22 @@ def _build_parser() -> _Parser:
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def output(p):
+        p.add_argument("--out", default=None, help="report file (default stdout)")
+        p.add_argument("--format", choices=("csv", "structured"), default="csv")
+
+    def quadrature(p):
         p.add_argument("--tol", type=float, default=None,
                        help="relative tolerance (default: STIELTJES_TOL or 1e-6)")
         p.add_argument("--seed", type=int, default=0, help="tag-replica seed")
-        p.add_argument("--out", default=None, help="report file (default stdout)")
-        p.add_argument("--format", choices=("csv", "structured"), default="csv")
+        output(p)
 
     p = sub.add_parser("integrate", help="Riemann-Stieltjes integral of g against df")
     p.add_argument("--g", required=True, help="integrand spec")
     p.add_argument("--f", required=True, help="integrator spec")
     p.add_argument("--a", type=float, required=True)
     p.add_argument("--b", type=float, required=True)
-    common(p)
+    quadrature(p)
     p.set_defaults(run=_cmd_integrate)
 
     p = sub.add_parser("transform", help="disk transforms on an r x theta grid")
@@ -292,15 +295,15 @@ def _build_parser() -> _Parser:
     p.add_argument("--which", choices=tuple(_TRANSFORMS), required=True)
     p.add_argument("--r", nargs="+", required=True)
     p.add_argument("--theta", nargs="+", required=True)
-    p.add_argument("--jobs", type=int, default=1)
-    common(p)
+    p.add_argument("--jobs", type=int, default=1, help="worker threads (at least 1)")
+    quadrature(p)
     p.set_defaults(run=_cmd_transform)
 
     p = sub.add_parser("hilbert", help="principal-value boundary integral")
     p.add_argument("--phi", required=True)
     p.add_argument("--tau", nargs="+", required=True)
     p.add_argument("--compare-singular-cauchy", action="store_true")
-    common(p)
+    quadrature(p)
     p.set_defaults(run=_cmd_hilbert)
 
     p = sub.add_parser("limits", help="graded boundary-limit checks")
@@ -308,11 +311,14 @@ def _build_parser() -> _Parser:
     p.add_argument("--which", choices=tuple(_LIMIT_CHECKS), required=True)
     p.add_argument("--target", nargs="+", required=True, help="boundary angles")
     p.add_argument("--apertures", nargs="*", default=None)
-    common(p)
+    p.add_argument("--tol", type=float, default=None,
+                   help="tolerance that grades the limit residuals "
+                        "(default: 1e-3 for U, 2e-3 for V, 3e-3 for SC)")
+    output(p)
     p.set_defaults(run=_cmd_limits)
 
     p = sub.add_parser("catalog", help="list built-in boundary functions")
-    common(p)
+    output(p)
     p.set_defaults(run=_cmd_catalog)
 
     return parser

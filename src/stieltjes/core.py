@@ -125,7 +125,9 @@ class BoundaryFunction:
 
     ``jumps`` lists atoms as ``(location in (-pi, pi], height)``; they repeat
     every period.  ``period_increment`` is ``phi(t + 2*pi) - phi(t)``, zero
-    for charge-neutral kinds and the summed jump mass for staircases.
+    for charge-neutral kinds and the summed jump mass for staircases; it is
+    derived when not given, and a given value that disagrees is refused.
+    A staircase's ``bounded_by`` defaults to |base| plus its summed |heights|.
     """
 
     name: str
@@ -134,7 +136,7 @@ class BoundaryFunction:
     dfn: Optional[Callable] = None
     jumps: tuple = ()
     base: float = 0.0
-    period_increment: float = 0.0
+    period_increment: Optional[float] = None
     bounded_by: Optional[float] = None
     domain: Optional[tuple] = None  # pathological only
     depth: int = 0
@@ -147,6 +149,14 @@ class BoundaryFunction:
         for loc, _h in self.jumps:
             if not (-math.pi < loc <= math.pi):
                 raise ValueError("jump locations must lie in (-pi, pi]")
+        step = self.kind == "step"
+        increment = sum((h for _loc, h in self.jumps), 0.0) if step else 0.0
+        if self.period_increment is None:
+            object.__setattr__(self, "period_increment", increment)
+        elif not math.isclose(self.period_increment, increment, rel_tol=1e-9, abs_tol=1e-12):
+            raise ValueError(f"a {self.kind} with these jumps has period_increment {increment!r}")
+        if step and self.bounded_by is None:
+            object.__setattr__(self, "bounded_by", abs(self.base) + sum(abs(h) for _loc, h in self.jumps))
 
     # -- evaluation ----------------------------------------------------
 

@@ -39,7 +39,6 @@ from .core import (
 
 __all__ = [
     "QuadratureOptions",
-    "Grading",
     "NonConvergentError",
     "rs_integral",
     "require_converged",
@@ -63,10 +62,6 @@ REPLICAS = 8
 GROWTH_FACTOR = 2.0
 GROWTH_STEPS = 3
 SPREAD_FLOOR_FACTOR = 100.0
-# grading: inner window half-width in units of the scale, and the spacing
-# growth from one relaxation zone to the next
-INNER_HALFWIDTH_FACTOR = 4.0
-MESH_GROWTH = 4.0
 
 
 class NonConvergentError(RuntimeError):
@@ -106,72 +101,45 @@ class QuadratureOptions:
         return max(self.rel_tol * magnitude, self.abs_tol)
 
 
-@dataclass(frozen=True)
-class Grading:
-    """Local mesh refinement around near-singular angles.
+def _graded_map(v, center, lam):
+    """t = center + 4 atan(sinh(lam w) / sinh lam) with w = v - 2m; each step of 2 in v adds a turn."""
+    m = np.round(v / 2.0)
+    return center + TWO_PI * m + 4.0 * np.arctan(np.sinh(lam * (v - 2.0 * m)) / math.sinh(lam))
 
-    Around every center the base mesh is divided by ceil(1/scale) inside a
-    window of INNER_HALFWIDTH_FACTOR * scale, then relaxed geometrically
-    (zone width doubling, spacing growing by MESH_GROWTH) until it meets
-    the base mesh again.  Centers act periodically: images shifted by one
-    turn are included when they land in the integration window.
-    """
 
-    centers: tuple
-    scale: float
-
-    def __post_init__(self):
-        if self.scale <= 0.0:
-            raise ValueError("grading scale must be positive")
-
-    def points(self, a: float, b: float, base_h: float) -> np.ndarray:
-        steps = max(1, math.ceil(1.0 / self.scale))
-        h_near = base_h / steps
-        half = INNER_HALFWIDTH_FACTOR * self.scale
-        span = b - a
-        chunks = []
-        for c in self.centers:
-            for cc in (c - TWO_PI, c, c + TWO_PI):
-                if cc + span < a or cc - span > b:
-                    continue
-                n_inner = max(2, int(math.ceil(2.0 * half / h_near)))
-                chunks.append(np.linspace(cc - half, cc + half, n_inner + 1))
-                lo, h = half, h_near * MESH_GROWTH
-                while h < base_h and lo < span:
-                    hi = 2.0 * lo
-                    n = max(1, int(math.ceil((hi - lo) / h)))
-                    zone = np.linspace(lo, hi, n + 1)
-                    chunks.append(cc + zone)
-                    chunks.append(cc - zone)
-                    lo, h = hi, h * MESH_GROWTH
-        if not chunks:
-            return np.empty(0)
-        pts = np.concatenate(chunks)
-        pts = np.unique(pts[(pts > a) & (pts < b)])
-        return pts
+def _graded_preimage(t, center, lam):
+    m = round((t - center) / TWO_PI)
+    return 2.0 * m + math.asinh(math.tan((t - center - TWO_PI * m) / 4.0) * math.sinh(lam)) / lam
 
 
 def _level_points(a, b, n, grading, insert):
-    pts = np.linspace(a, b, n + 1)
-    extra = []
-    if grading is not None:
-        g = grading.points(a, b, (b - a) / n)
-        if g.size:
-            extra.append(g)
-    if insert:
-        arr = np.asarray(insert, dtype=float)
-        arr = arr[(arr > a) & (arr < b)]
-        if arr.size:
-            extra.append(arr)
-    if extra:
-        pts = np.concatenate([pts] + extra)
+    """Level partition of [a, b] with the jump locations ``insert`` merged in.
+
+    With ``grading = (center, distance)`` it is the image under
+    :func:`_graded_map` of n + 1 uniform points spanning the preimage of
+    [a, b]: cells of about ``distance`` at the center that grow in proportion
+    to their distance from it, which evens out the midpoint error of the
+    kernels' 1/(e^{it} - z).  Both ends are pinned to a and b exactly, so an
+    atom on an end is never lost to rounding.
+    """
+    if grading is None:
+        pts = np.linspace(a, b, n + 1)
+    else:
+        center, distance = grading
+        lam = math.asinh(4.0 / distance)
+        v = np.linspace(_graded_preimage(a, center, lam), _graded_preimage(b, center, lam), n + 1)
+        pts = _graded_map(v, center, lam)
+    arr = np.asarray(insert, dtype=float)
+    arr = arr[(arr > a) & (arr < b)]
+    if arr.size:
+        pts = np.concatenate([pts, arr])
         pts.sort(kind="mergesort")
         keep = np.empty(pts.size, dtype=bool)
         keep[0] = True
         keep[1:] = np.diff(pts) > MERGE_TOL
         pts = pts[keep]
-        pts[0] = a
-        pts[-1] = b
+    pts[0] = a
+    pts[-1] = b
     return pts
 
 
@@ -208,19 +176,22 @@ def rs_integral(
     b: float,
     opts: Optional[QuadratureOptions] = None,
     *,
-    grading: Optional[Grading] = None,
+    grading: Optional[tuple] = None,
 ) -> RSResult:
     """Integrate ``g`` against ``d f`` over ``[a, b]`` by dyadic refinement.
 
     ``f`` may be a :class:`BoundaryFunction` (its declared atoms are then
     handled exactly) or any callable.  When ``g`` is a
     :class:`BoundaryFunction` too, its atoms are discontinuities of the
-    integrand and never receive a snapped tag.  ``grading`` concentrates
-    partition points near almost-singular angles of the integrand.
+    integrand and never receive a snapped tag.  ``grading = (center,
+    distance)`` concentrates partition points around an angle where the
+    integrand is nearly singular, at the given distance from a pole.
 
     Orientation is respected: ``a > b`` flips the sign.
     """
     opts = opts or QuadratureOptions()
+    if grading is not None and not (math.isfinite(grading[1]) and grading[1] > 0.0):
+        raise ValueError("grading distance must be finite and positive")
     sign = 1.0
     if a == b:
         return RSResult(0.0, [(0.0, 0.0)], 0.0, RSStatus.CONVERGED)

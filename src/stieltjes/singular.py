@@ -27,7 +27,7 @@ import numpy as np
 from .accel import aitken_tail
 from .core import TWO_PI, BoundaryFunction, DiskPoint, RSStatus, reduce_angle
 from .kernels import boundary_cot_kernel
-from .quadrature import Grading, NonConvergentError, QuadratureOptions, rs_integral
+from .quadrature import NonConvergentError, QuadratureOptions, rs_integral
 from .transforms import conj_poisson_stieltjes
 
 __all__ = [
@@ -82,7 +82,7 @@ def _check_not_at_jump(phi: BoundaryFunction, tau: float):
 
 def _window_pair(phi, g, tau, delta, opts):
     """Integrate g dPhi over [tau-pi, tau-delta] and [tau+delta, tau+pi]."""
-    grading = Grading(centers=(tau,), scale=delta)
+    grading = (tau, delta)
     left = rs_integral(g, phi, tau - math.pi, tau - delta, opts, grading=grading)
     right = rs_integral(g, phi, tau + delta, tau + math.pi, opts, grading=grading)
     for part in (left, right):

@@ -22,7 +22,7 @@ import numpy as np
 
 from .core import TWO_PI, BoundaryFunction, DiskPoint, DomainError, RSResult, RSStatus
 from .kernels import cauchy_kernel, analytic_kernel, conj_poisson, poisson, poisson_dtheta
-from .quadrature import Grading, NonConvergentError, QuadratureOptions, rs_integral
+from .quadrature import NonConvergentError, QuadratureOptions, rs_integral
 
 __all__ = [
     "TRANSFORM_OPTS",
@@ -56,10 +56,9 @@ def _as_disk_point(z) -> DiskPoint:
     return DiskPoint.from_complex(complex(z))
 
 
-def _grading_for(z: DiskPoint) -> Optional[Grading]:
-    if z.r > GRADING_RADIUS:
-        return Grading(centers=(z.theta,), scale=1.0 - z.r)
-    return None
+def _grading_for(z: DiskPoint) -> Optional[tuple]:
+    # the kernels' pole 1/z-bar sits at distance about 1 - r from e^{i theta}
+    return (z.theta, 1.0 - z.r) if z.r > GRADING_RADIUS else None
 
 
 def _scaled(res: RSResult, factor: float) -> RSResult:

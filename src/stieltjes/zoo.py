@@ -68,21 +68,15 @@ def _step2pi(t0=0.0):
         name="step2pi",
         kind="step",
         jumps=((t0, 2.0 * math.pi),),
-        base=0.0,
-        period_increment=2.0 * math.pi,
-        bounded_by=2.0 * math.pi,
     )
 
 
 def _multi_step():
-    jumps = ((-2.0, 1.5), (0.5, -2.2), (2.4, 0.8))
     return BoundaryFunction(
         name="multi_step",
         kind="step",
-        jumps=jumps,
+        jumps=((-2.0, 1.5), (0.5, -2.2), (2.4, 0.8)),
         base=0.3,
-        period_increment=sum(h for _loc, h in jumps),
-        bounded_by=0.3 + sum(abs(h) for _loc, h in jumps),
     )
 
 

@@ -105,6 +105,18 @@ class TestSpecParsing:
         with pytest.raises(SpecError):
             parse_function_spec(f"file:{path}")
 
+    @pytest.mark.parametrize(
+        "doc", [{"kind": "zoo"}, {"kind": "const"}, [{"kind": "zoo", "name": "sin"}]],
+        ids=["zoo_without_name", "const_without_value", "top_level_list"],
+    )
+    def test_file_missing_fields(self, tmp_path, capsys, doc):
+        path = tmp_path / "incomplete.json"
+        path.write_text(json.dumps(doc))
+        code = main(["transform", "--phi", f"file:{path}", "--which", "U",
+                     "--r", "0.5", "--theta", "0.0"])
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("stieltjes: ")
+
 
 class TestIntegrate:
     def test_smooth_pair(self, capsys):
@@ -269,6 +281,13 @@ class TestTransform:
         assert code == EXIT_USAGE
         capsys.readouterr()
 
+    @pytest.mark.parametrize("jobs", ["0", "-1"])
+    def test_jobs_below_one_exit_one(self, capsys, jobs):
+        code = main(["transform", "--phi", "zoo:sin", "--which", "U",
+                     "--r", "0.5", "--theta", "0.0", "--jobs", jobs])
+        assert code == EXIT_USAGE
+        assert "--jobs" in capsys.readouterr().err
+
 
 class TestHilbert:
     def test_smooth_values(self, capsys):
@@ -386,6 +405,15 @@ class TestCatalog:
 
 
 class TestUsage:
+    @pytest.mark.parametrize("argv", [
+        ["catalog", "--seed", "1"],
+        ["catalog", "--tol", "1e-3"],
+        ["limits", "--phi", "zoo:sin", "--which", "U", "--target", "0.8", "--seed", "1"],
+    ], ids=["catalog_seed", "catalog_tol", "limits_seed"])
+    def test_flags_nothing_reads_exit_one(self, capsys, argv):
+        assert main(argv) == EXIT_USAGE
+        assert "unrecognized arguments" in capsys.readouterr().err
+
     def test_no_command(self, capsys):
         assert main([]) == EXIT_USAGE
         assert "error" in capsys.readouterr().err

@@ -8,6 +8,8 @@ from stieltjes import (
     BoundaryFunction,
     DiskPoint,
     DomainError,
+    cauchy_identity_residual,
+    duality_residual,
     reduce_angle,
 )
 from stieltjes.core import _cantor_staircase, jump_images
@@ -95,6 +97,21 @@ class TestBoundaryFunctionKinds:
         assert not step.is_charge_neutral()
         flat = BoundaryFunction(name="c", kind="closed_form", fn=np.cos)
         assert flat.is_charge_neutral()
+
+    def test_step_derives_increment_and_bound(self):
+        phi = BoundaryFunction(name="st", kind="step", jumps=((0.5, 2.0), (1.0, -0.5)), base=-1.0)
+        assert phi.period_increment == 1.5
+        assert phi.bounded_by == 3.5
+        # the derived increment is what makes the Cauchy identity hold
+        assert cauchy_identity_residual(phi, DiskPoint(0.5, 0.3)) < 1e-12
+        with pytest.raises(ValueError):
+            duality_residual(phi, DiskPoint(0.5, 0.3))
+
+    @pytest.mark.parametrize("kind, increment", [("step", 0.0), ("closed_form", 2.0)])
+    def test_disagreeing_increment_refused(self, kind, increment):
+        with pytest.raises(ValueError):
+            BoundaryFunction(name="x", kind=kind, fn=np.sin, jumps=((0.5, 2.0),),
+                             period_increment=increment)
 
 
 class TestCantorStaircase:

@@ -1,9 +1,13 @@
-"""Source hygiene: every imported name in the package and the tests is used.
+"""Source hygiene: every imported name and every package constant is used.
 
-A name counts as used when it appears as a bare name or as the root of an
+An import counts as used when it appears as a bare name or as the root of an
 attribute chain anywhere in the module, or when the module lists it in
 ``__all__``.  Package ``__init__`` modules re-export their imports and
 ``__future__`` imports are compiler directives, so both are skipped.
+
+A module-level UPPER_CASE constant of the package counts as read when any
+module of the package or the tests reads it as a name or an attribute, or
+lists it in an ``__all__``.
 """
 
 import ast
@@ -12,7 +16,8 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-SOURCES = sorted(ROOT.glob("src/stieltjes/*.py")) + sorted(ROOT.glob("tests/*.py"))
+PACKAGE = sorted(ROOT.glob("src/stieltjes/*.py"))
+SOURCES = PACKAGE + sorted(ROOT.glob("tests/*.py"))
 
 
 def _imported(tree):
@@ -59,3 +64,50 @@ def test_checker_flags_an_unused_import():
 def test_checker_counts_exports_and_skips_future():
     src = "from __future__ import annotations\nfrom os import sep\n__all__ = ['sep']\n"
     assert unused_imports(src) == []
+
+
+def constants(source: str) -> list:
+    """(line, name) of every module-level UPPER_CASE assignment in ``source``."""
+    out = []
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, ast.AnnAssign):
+            targets = [node.target]
+        else:
+            continue
+        out += [(node.lineno, t.id) for t in targets if isinstance(t, ast.Name) and t.id.isupper()]
+    return out
+
+
+def read_names(sources) -> set:
+    """Names read as a bare name or an attribute, or exported, in any of ``sources``."""
+    names = set()
+    for source in sources:
+        tree = ast.parse(source)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+        names |= _exported(tree)
+    return names
+
+
+@pytest.fixture(scope="module")
+def everything_read():
+    return read_names(p.read_text(encoding="utf-8") for p in SOURCES)
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_no_unread_constants(path, everything_read):
+    defined = constants(path.read_text(encoding="utf-8"))
+    assert [(line, name) for line, name in defined if name not in everything_read] == []
+
+
+def test_checker_flags_an_unread_constant():
+    src = "A = 1\nB = 2\n_C: int = 3\nD = 4\nlower = 5\n__all__ = ['D']\nprint(A)\n"
+    defined = constants(src)
+    assert defined == [(1, "A"), (2, "B"), (3, "_C"), (4, "D")]
+    read = read_names([src, "import m\nm._C\n"])
+    assert [name for _line, name in defined if name not in read] == ["B"]

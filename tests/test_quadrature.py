@@ -5,7 +5,6 @@ import pytest
 
 from stieltjes import (
     DiskPoint,
-    Grading,
     NonConvergentError,
     QuadratureOptions,
     RSStatus,
@@ -17,6 +16,7 @@ from stieltjes import (
     rs_integral,
 )
 from stieltjes.accel import aitken_step, aitken_tail
+from stieltjes.quadrature import _level_points
 
 from oracles import rs_brute, rs_tagged_sum
 
@@ -240,23 +240,29 @@ class TestCyclic:
 
 class TestGrading:
     def test_points_sorted_inside_window(self):
-        g = Grading(centers=(0.3,), scale=1e-3)
-        pts = g.points(-math.pi, math.pi, TWO_PI / 16)
-        assert np.all(np.diff(pts) > 0)
-        assert pts.min() > -math.pi and pts.max() < math.pi
+        for a, b in ((-math.pi, math.pi), (0.3 - math.pi, 0.3 - 1e-3), (0.301, 0.3 + math.pi)):
+            pts = _level_points(a, b, 64, (0.3, 1e-3), [])
+            assert np.all(np.diff(pts) > 0)
+            assert pts[0] == a and pts[-1] == b
 
     def test_refines_near_center(self):
-        g = Grading(centers=(0.0,), scale=1e-3)
-        pts = g.points(-math.pi, math.pi, TWO_PI / 16)
-        near = pts[np.abs(pts) < 4e-3]
-        gaps = np.diff(near)
-        assert gaps.max() <= 1e-3 * TWO_PI / 16 * 1.001
+        for distance in (1e-2, 1e-3, 1e-5):
+            pts = _level_points(-math.pi, math.pi, 256, (0.0, distance), [])
+            near = pts[np.abs(pts) < 4.0 * distance]
+            assert near.size > 2
+            assert np.diff(near).max() < distance / 2.0
 
     def test_periodic_center_images(self):
-        g = Grading(centers=(math.pi,), scale=1e-2)
-        pts = g.points(-math.pi, math.pi, TWO_PI / 16)
-        # the image at -pi must be graded as well
-        assert (pts < -math.pi + 0.05).any()
+        n = 256
+        gaps = np.diff(_level_points(-math.pi, math.pi, n, (math.pi, 1e-2), []))
+        # a center at pi grades both ends of (-pi, pi]
+        assert gaps[0] < 0.1 * TWO_PI / n
+        assert gaps[-1] < 0.1 * TWO_PI / n
+
+    @pytest.mark.parametrize("distance", [0.0, -1e-3, math.nan, math.inf])
+    def test_rejects_bad_distance(self, distance):
+        with pytest.raises(ValueError):
+            rs_integral(lambda t: t, lambda t: t, 0.0, 1.0, grading=(0.5, distance))
 
     def test_options_reject_too_few_levels(self):
         with pytest.raises(ValueError):

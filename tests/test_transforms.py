@@ -150,6 +150,13 @@ class TestGradedDeepRadii:
         res = conj_poisson_stieltjes(make("step2pi", 0.5), z)
         assert res.value == pytest.approx(conj_poisson(0.999, 2e-3), abs=1e-9)
 
+    def test_seam_atom_survives_graded_ends(self):
+        # the cantor seam atom sits on the window end -pi; a graded end point
+        # a hair above -pi would reduce to the far side of the seam
+        res = conj_poisson_stieltjes(make("cantor"), DiskPoint(0.9999, 0.8 * math.pi))
+        assert res.converged
+        assert res.value == pytest.approx(0.4767208, abs=1e-5)
+
 
 class TestRefusals:
     def test_pathological_integrator_refused(self):
