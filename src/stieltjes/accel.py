@@ -5,6 +5,8 @@ from __future__ import annotations
 __all__ = ["aitken_step", "aitken_tail"]
 
 DENOM_FLOOR = 1e-14
+# aitken_tail accelerates this many trailing values
+TAIL_WINDOW = 5
 
 
 def aitken_step(x0, x1, x2):
@@ -24,10 +26,10 @@ def aitken_step(x0, x1, x2):
     return x2 - d2 * d2 / den
 
 
-def aitken_tail(values, window: int = 5):
+def aitken_tail(values):
     """Extrapolate the limit of a convergent sequence from its last entries.
 
-    Runs delta-squared over the trailing ``window`` values and returns
+    Runs delta-squared over the trailing TAIL_WINDOW values and returns
     ``(estimate, residual)`` where the residual is the distance between the
     last two accelerated iterates (or raw iterates if the sequence is too
     short to accelerate twice).
@@ -39,7 +41,7 @@ def aitken_tail(values, window: int = 5):
         return vals[0], float("inf")
     if len(vals) == 2:
         return vals[-1], abs(vals[-1] - vals[-2])
-    tail = vals[-window:] if len(vals) > window else vals
+    tail = vals[-TAIL_WINDOW:]
     accel = [aitken_step(tail[i], tail[i + 1], tail[i + 2])
              for i in range(len(tail) - 2)]
     if len(accel) >= 2:

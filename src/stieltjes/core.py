@@ -117,6 +117,10 @@ def _cantor_plateau_flag(x, depth):
 # fraction of the period kept flat at each end of the Cantor entry so the
 # periodization seam is an isolated atom between two plateaus
 CANTOR_MARGIN = 0.05
+# an angle this close to a declared atom, on the circle, sits on it
+ATOM_GUARD = 1e-9
+# every approach path starts at s = 2**-APPROACH_K_MIN
+APPROACH_K_MIN = 1
 
 
 @dataclass(frozen=True)
@@ -202,30 +206,32 @@ class BoundaryFunction:
 
     def derivative(self, t: float) -> Optional[float]:
         """Exact derivative at ``t`` when the kind certifies one, else None."""
-        guard = 1e-9
-        if self.kind == "pathological":
+        if self.kind == "pathological" or self.atom_near(t) is not None:
             return None
         tr = reduce_angle(t)
-        near_jump = any(abs(reduce_angle(tr - loc)) < guard for loc, _h in self.jumps)
         if self.kind == "closed_form":
-            if near_jump or self.dfn is None:
-                return None
-            return float(self.dfn(tr))
+            return None if self.dfn is None else float(self.dfn(tr))
         if self.kind == "step":
-            return None if near_jump else 0.0
+            return 0.0
         if self.kind == "cantor":
-            if near_jump:
-                return None
             u = (tr + math.pi) / TWO_PI
             x = (u - self.margin) / (1.0 - 2.0 * self.margin)
-            if _cantor_plateau_flag(x, self.depth):
-                return 0.0
-            return None
-        if self.kind == "piecewise":
-            for lo, hi, _pf, pd in self.pieces:
-                if lo + guard < tr < hi - guard:
-                    return None if pd is None else float(pd(tr))
-            return None
+            return 0.0 if _cantor_plateau_flag(x, self.depth) else None
+        # piecewise: only strictly inside a piece
+        for lo, hi, _pf, pd in self.pieces:
+            if lo + ATOM_GUARD < tr < hi - ATOM_GUARD:
+                return None if pd is None else float(pd(tr))
+        return None
+
+    def atoms(self, lo: float, hi: float) -> list:
+        """Sorted atom locations in ``[lo, hi]``; all kinds but ``pathological`` repeat them each period."""
+        return [loc for loc, _h in jump_images(self.jumps, lo, hi, self.kind != "pathological")]
+
+    def atom_near(self, t: float) -> Optional[float]:
+        """The declared atom within ATOM_GUARD of ``t`` on the circle, or None."""
+        for loc, _h in self.jumps:
+            if abs(reduce_angle(t - loc)) <= ATOM_GUARD:
+                return loc
         return None
 
     def is_charge_neutral(self) -> bool:
@@ -264,6 +270,8 @@ class DiskPoint:
     def __post_init__(self):
         if not (0.0 <= self.r < 1.0):
             raise DomainError(f"radius {self.r} is outside [0, 1)")
+        if not math.isfinite(self.theta):
+            raise DomainError(f"angle {self.theta} is not finite")
 
     @property
     def z(self) -> complex:
@@ -286,21 +294,20 @@ class ApproachPath:
 
     target_angle: float
     alpha: float = 0.0
-    k_min: int = 1
     k_max: int = 14
 
     def __post_init__(self):
         if abs(self.alpha) >= math.pi / 2:
             raise DomainError("Stolz opening must satisfy |alpha| < pi/2")
-        if self.k_min < 1 or self.k_max < self.k_min:
-            raise ValueError("need 1 <= k_min <= k_max")
+        if self.k_max < APPROACH_K_MIN:
+            raise ValueError(f"need k_max >= {APPROACH_K_MIN}")
 
     def indexed_points(self) -> list:
         """(k, point) pairs; wide openings may clip their earliest entries."""
         zeta0 = cmath.exp(1j * self.target_angle)
         shift = cmath.exp(1j * self.alpha)
         out = []
-        for k in range(self.k_min, self.k_max + 1):
+        for k in range(APPROACH_K_MIN, self.k_max + 1):
             s = 2.0 ** (-k)
             # clip to the open disk: very wide openings lose their first points
             if s >= 2.0 * math.cos(self.alpha):

@@ -56,7 +56,7 @@ def angular_limit(field: Callable, path: ApproachPath, tol: float = 1e-3) -> Lim
     """
     pairs = path.indexed_points()
     values = [field(z) for _k, z in pairs]
-    limit, resid = aitken_tail(values, window=5)
+    limit, resid = aitken_tail(values)
     return LimitEstimate(
         trace=[(k, v) for (k, _z), v in zip(pairs, values)],
         extrapolated=limit,

@@ -23,19 +23,14 @@ sums themselves settle.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .core import (
-    TWO_PI,
-    BoundaryFunction,
-    RSResult,
-    RSStatus,
-    jump_images,
-)
+from .core import ATOM_GUARD, TWO_PI, BoundaryFunction, RSResult, RSStatus
 
 __all__ = [
     "QuadratureOptions",
@@ -50,8 +45,6 @@ __all__ = [
 
 # partition points closer than this are considered the same point
 MERGE_TOL = 1e-13
-# a jump image within this distance of an avoided angle is not snapped
-AVOID_TOL = 1e-9
 # the coarsest level has 2**K_MIN base subintervals
 K_MIN = 4
 # random-tag replicas evaluated next to the midpoint sum on every level
@@ -80,7 +73,7 @@ class QuadratureOptions:
       coarsest has 2**K_MIN.
     * ``rel_tol``, ``abs_tol``: a level is accepted once max(level
       difference, replica spread) falls under max(rel_tol * |value|,
-      abs_tol).
+      abs_tol).  Both must be finite and >= 0, and one of them > 0.
     * ``seed``: draws the REPLICAS random-tag replicas of every level.
 
     Divergence needs GROWTH_STEPS consecutive ratios of at least
@@ -96,6 +89,9 @@ class QuadratureOptions:
     def __post_init__(self):
         if self.k_max < K_MIN:
             raise ValueError(f"need k_max >= {K_MIN}")
+        tols = (self.rel_tol, self.abs_tol)
+        if not all(math.isfinite(t) and t >= 0.0 for t in tols) or max(tols) == 0.0:
+            raise ValueError("rel_tol and abs_tol must be finite and >= 0, and one of them > 0")
 
     def tolerance(self, magnitude: float) -> float:
         return max(self.rel_tol * magnitude, self.abs_tol)
@@ -143,30 +139,37 @@ def _level_points(a, b, n, grading, insert):
     return pts
 
 
-def _snap_indices(pts, locations):
-    """Indices of partition points sitting on (or next to) given angles."""
-    out = set()
-    for j in locations:
-        i = int(np.searchsorted(pts, j))
-        best, dist = -1, AVOID_TOL
-        for c in (i - 1, i, i + 1):
-            if 0 <= c < pts.size and abs(pts[c] - j) <= dist:
-                best, dist = c, abs(pts[c] - j)
-        if best >= 0:
-            out.add(best)
-    return sorted(out)
+def _atoms(h, a, b):
+    return h.atoms(a, b) if isinstance(h, BoundaryFunction) else []
 
 
-def _snap_tags(tags, pts, snap_idx):
-    for i in snap_idx:
+def _merged_indices(pts, atoms):
+    """Index of the partition point each atom was merged into: the nearer of its two neighbours."""
+    out = []
+    for t in atoms:
+        i = int(np.searchsorted(pts, t))
+        out.append(i - 1 if i == pts.size or (i > 0 and t - pts[i - 1] < pts[i] - t) else i)
+    return out
+
+
+def _snapped(tags, pts, idx):
+    """``tags`` with the tags of both cells next to each point ``pts[i]``, i in ``idx``, moved onto it."""
+    for i in idx:
         if i > 0:
             tags[i - 1] = pts[i]
         if i < tags.size:
             tags[i] = pts[i]
+    return tags
 
 
-def _near_any(x, angles, tol):
-    return any(abs(x - y) <= tol for y in angles)
+def _level_tags(pts, widths, snap_idx, probe_idx, seed, k):
+    """Level k's tag arrays in turn: midpoint, probe (when ``probe_idx`` is given), REPLICAS random."""
+    for idx in (snap_idx, probe_idx):
+        if idx is not None:
+            yield _snapped(0.5 * (pts[:-1] + pts[1:]), pts, idx)
+    for rep in range(REPLICAS):
+        rng = np.random.default_rng((seed, k, rep))
+        yield _snapped(pts[:-1] + rng.random(widths.size) * widths, pts, snap_idx)
 
 
 def rs_integral(
@@ -187,73 +190,60 @@ def rs_integral(
     distance)`` concentrates partition points around an angle where the
     integrand is nearly singular, at the given distance from a pole.
 
-    Orientation is respected: ``a > b`` flips the sign.
+    Orientation is respected: ``a > b`` flips the sign.  A level with a
+    non-finite sum ends the run ``INCONCLUSIVE`` with est_error inf.
     """
     opts = opts or QuadratureOptions()
     if grading is not None and not (math.isfinite(grading[1]) and grading[1] > 0.0):
         raise ValueError("grading distance must be finite and positive")
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise ValueError(f"integration ends must be finite, got [{a}, {b}]")
     sign = 1.0
     if a == b:
         return RSResult(0.0, [(0.0, 0.0)], 0.0, RSStatus.CONVERGED)
     if a > b:
         a, b, sign = b, a, -1.0
 
-    if isinstance(f, BoundaryFunction):
-        periodic = f.kind != "pathological"
-        jump_pts = [loc for loc, _h in jump_images(f.jumps, a, b, periodic)]
-    else:
-        jump_pts = []
-
-    if isinstance(g, BoundaryFunction):
-        avoid = [loc for loc, _h in jump_images(g.jumps, a, b, g.kind != "pathological")]
-    else:
-        avoid = []
-
-    snap_pts = [j for j in jump_pts if not _near_any(j, avoid, AVOID_TOL)]
-    avoided_pts = [j for j in jump_pts if _near_any(j, avoid, AVOID_TOL)]
+    jump_pts = _atoms(f, a, b)
+    g_atoms = _atoms(g, a, b)
+    shared = [j for j in jump_pts if any(abs(j - y) <= ATOM_GUARD for y in g_atoms)]
+    snap_pts = [j for j in jump_pts if j not in shared]
 
     levels = []
     spreads = []
     diffs = []
     prev_sum = None
-    value = 0.0
-    est = math.inf
     is_complex = False
 
     for k in range(K_MIN, opts.k_max + 1):
-        n = 2 ** k
-        pts = _level_points(a, b, n, grading, jump_pts)
+        pts = _level_points(a, b, 2 ** k, grading, jump_pts)
         widths = np.diff(pts)
         fvals = np.asarray(f(pts), dtype=float)
         df = np.diff(fvals)
-        snap_idx = _snap_indices(pts, snap_pts)
-
-        mids = 0.5 * (pts[:-1] + pts[1:])
-        tags = mids.copy()
-        _snap_tags(tags, pts, snap_idx)
-        gvals = np.asarray(g(tags))
-        is_complex = is_complex or np.iscomplexobj(gvals)
-        s_mid = (gvals * df).sum()
-
-        sums = [s_mid]
-        if avoided_pts:
-            # probe tags on the shared discontinuities: if the integral is
-            # to exist at all, even these must agree with the rest
-            tags = mids.copy()
-            _snap_tags(tags, pts, _snap_indices(pts, jump_pts))
-            sums.append((np.asarray(g(tags)) * df).sum())
-        for rep in range(REPLICAS):
-            rng = np.random.default_rng((opts.seed, k, rep))
-            tags = pts[:-1] + rng.random(widths.size) * widths
-            _snap_tags(tags, pts, snap_idx)
-            sums.append((np.asarray(g(tags)) * df).sum())
+        snap_idx = _merged_indices(pts, snap_pts)
+        # probe tags on the shared discontinuities: if the integral is
+        # to exist at all, even these must agree with the rest
+        probe_idx = _merged_indices(pts, jump_pts) if shared else None
+        # the midpoint values live to the end of the level; freeing them at
+        # once lets the allocator shrink and re-fault the heap on every replica
+        sums = []
+        for tags in _level_tags(pts, widths, snap_idx, probe_idx, opts.seed, k):
+            if sums:
+                sums.append((np.asarray(g(tags)) * df).sum())
+            else:
+                g_mid = np.asarray(g(tags))
+                sums.append((g_mid * df).sum())
+            if not cmath.isfinite(sums[-1]):
+                break
+        s_mid = sums[0]
+        is_complex = is_complex or np.iscomplexobj(g_mid)
+        value = sign * (complex(s_mid) if is_complex else float(s_mid))
+        levels.append((float(widths.max()), value))
+        if not cmath.isfinite(sums[-1]):
+            return RSResult(value, levels, math.inf, RSStatus.INCONCLUSIVE)
 
         spread = max(abs(s - s_mid) for s in sums)
         spreads.append(spread)
-        mesh = float(widths.max())
-        value = sign * (complex(s_mid) if is_complex else float(s_mid))
-        levels.append((mesh, value))
-
         diff = math.inf if prev_sum is None else abs(s_mid - prev_sum)
         diffs.append(diff)
         prev_sum = s_mid

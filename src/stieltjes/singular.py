@@ -25,7 +25,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .accel import aitken_tail
-from .core import TWO_PI, BoundaryFunction, DiskPoint, RSStatus, reduce_angle
+from .core import TWO_PI, BoundaryFunction, DiskPoint, RSStatus
 from .kernels import boundary_cot_kernel
 from .quadrature import NonConvergentError, QuadratureOptions, rs_integral
 from .transforms import conj_poisson_stieltjes
@@ -46,9 +46,6 @@ __all__ = [
 SINGULAR_OPTS = QuadratureOptions(rel_tol=1e-5, abs_tol=1e-9)
 
 DEFAULT_EPS_SCHEDULE = tuple(2.0 ** -j for j in range(3, 17))
-
-# how close the evaluation angle may come to a declared atom
-JUMP_GUARD = 1e-9
 
 
 class JumpAtEvaluationPoint(ValueError):
@@ -73,11 +70,13 @@ class PVResult:
 
 
 def _check_not_at_jump(phi: BoundaryFunction, tau: float):
-    for loc, _h in phi.jumps:
-        if abs(reduce_angle(tau - loc)) <= JUMP_GUARD:
-            raise JumpAtEvaluationPoint(
-                f"{phi.name} has an atom at {loc:.6g}; the boundary value there is undefined"
-            )
+    if not math.isfinite(tau):
+        raise ValueError(f"boundary angle {tau} is not finite")
+    loc = phi.atom_near(tau)
+    if loc is not None:
+        raise JumpAtEvaluationPoint(
+            f"{phi.name} has an atom at {loc:.6g}; the boundary value there is undefined"
+        )
 
 
 def _window_pair(phi, g, tau, delta, opts):
@@ -119,7 +118,7 @@ def _pv_limit(phi, g, tau, schedule, opts, halfwidth, cast):
         q_est = max(q_est, est)
 
     values = [v for _e, v in trace]
-    limit, resid = aitken_tail(values, window=5)
+    limit, resid = aitken_tail(values)
     return PVResult(
         value=cast(limit),
         eps_trace=trace,

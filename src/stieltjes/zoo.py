@@ -82,8 +82,8 @@ def _multi_step():
 
 def _cantor(depth=24):
     depth = int(depth)
-    if depth < 1:
-        raise ValueError("cantor depth must be at least 1")
+    if not 1 <= depth <= 53:
+        raise ValueError("cantor depth must lie in [1, 53]; deeper steps fall below double resolution")
     # rises from 0 to 1 across (-pi, pi] with 5% flat margins at both ends;
     # periodization drops it back by 1 at the seam, a declared atom
     return BoundaryFunction(

@@ -200,6 +200,13 @@ class TestIntegrate:
         assert code == EXIT_USAGE
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags", [["--tol", "-1"], ["--tol", "nan"], ["--b", "inf"]])
+    def test_bad_number_exits_one(self, capsys, flags):
+        argv = ["integrate", "--g", "poly:t", "--f", "poly:t2", "--a", "0", "--b", "1"]
+        code = main(argv + flags)
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("stieltjes:")
+
     def test_bad_spec_exits_one(self, capsys):
         code = main(["integrate", "--g", "gauss:1", "--f", "poly:t2",
                      "--a", "0", "--b", "1"])
@@ -280,6 +287,18 @@ class TestTransform:
                      "--r", "0.5", "--theta", "0.0"])
         assert code == EXIT_USAGE
         capsys.readouterr()
+
+    def test_non_finite_theta_exits_one(self, capsys):
+        code = main(["transform", "--phi", "zoo:sin", "--which", "U",
+                     "--r", "0.5", "--theta", "nan"])
+        assert code == EXIT_USAGE
+        assert "not finite" in capsys.readouterr().err
+
+    def test_deep_cantor_exits_one(self, capsys):
+        code = main(["transform", "--phi", "zoo:cantor:54", "--which", "U",
+                     "--r", "0.5", "--theta", "0.0"])
+        assert code == EXIT_USAGE
+        assert "cantor depth" in capsys.readouterr().err
 
     @pytest.mark.parametrize("jobs", ["0", "-1"])
     def test_jobs_below_one_exit_one(self, capsys, jobs):

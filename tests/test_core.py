@@ -159,6 +159,30 @@ class TestJumpImages:
         assert {h for _, h in images} == {0.3, 0.7}
 
 
+class TestAtoms:
+    def test_periodic_images_in_window(self):
+        phi = BoundaryFunction(name="st", kind="step", jumps=((0.5, 1.0), (math.pi, -1.0)))
+        assert phi.atoms(-math.pi, math.pi) == [-math.pi, 0.5, math.pi]
+        assert phi.atoms(0.0, 2 * TWO_PI) == pytest.approx([0.5, math.pi, 0.5 + TWO_PI, 3 * math.pi])
+
+    def test_pathological_atoms_do_not_repeat(self):
+        phi = BoundaryFunction(name="p", kind="pathological", fn=lambda t: t,
+                               jumps=((0.5, 1.0),), domain=(-10.0, 10.0))
+        assert phi.atoms(-10.0, 10.0) == [0.5]
+
+    def test_atom_near_on_the_circle(self):
+        phi = BoundaryFunction(name="st", kind="step", jumps=((math.pi, 1.0),))
+        assert phi.atom_near(math.pi) == math.pi
+        assert phi.atom_near(-math.pi + 1e-10) == math.pi
+        assert phi.atom_near(math.pi + 3 * TWO_PI) == math.pi
+        assert phi.atom_near(math.pi - 1e-8) is None
+
+    def test_no_atoms(self):
+        phi = BoundaryFunction(name="s", kind="closed_form", fn=np.sin, dfn=np.cos)
+        assert phi.atoms(-math.pi, math.pi) == []
+        assert phi.atom_near(0.0) is None
+
+
 class TestDiskPoint:
     def test_z_and_back(self):
         p = DiskPoint(0.5, 1.0)
@@ -169,6 +193,11 @@ class TestDiskPoint:
     def test_rejects_boundary(self):
         with pytest.raises(DomainError):
             DiskPoint(1.0, 0.0)
+
+    @pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_angle(self, theta):
+        with pytest.raises(DomainError):
+            DiskPoint(0.5, theta)
 
 
 class TestApproachPath:

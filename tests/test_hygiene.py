@@ -7,7 +7,9 @@ attribute chain anywhere in the module, or when the module lists it in
 
 A module-level UPPER_CASE constant of the package counts as read when any
 module of the package or the tests reads it as a name or an attribute, or
-lists it in an ``__all__``.
+lists it in an ``__all__``.  A private (``_name``) module-level function or
+class of the package, or a private method of one of its classes, counts as
+referenced on the same terms.
 """
 
 import ast
@@ -111,3 +113,39 @@ def test_checker_flags_an_unread_constant():
     assert defined == [(1, "A"), (2, "B"), (3, "_C"), (4, "D")]
     read = read_names([src, "import m\nm._C\n"])
     assert [name for _line, name in defined if name not in read] == ["B"]
+
+
+def private_definitions(source: str) -> list:
+    """(line, name) of every private module-level function or class, and private method."""
+    out = []
+    for node in ast.parse(source).body:
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            continue
+        defs = [node]
+        if isinstance(node, ast.ClassDef):
+            defs += [m for m in node.body if isinstance(m, (ast.FunctionDef, ast.AsyncFunctionDef))]
+        out += [(d.lineno, d.name) for d in defs
+                if d.name.startswith("_") and not d.name.endswith("__")]
+    return out
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_no_unreferenced_private_definitions(path, everything_read):
+    defined = private_definitions(path.read_text(encoding="utf-8"))
+    assert [(line, name) for line, name in defined if name not in everything_read] == []
+
+
+def test_checker_flags_an_unreferenced_private_definition():
+    src = (
+        "def _a(): pass\n"
+        "def _b(): pass\n"
+        "def pub(): return _a()\n"
+        "class _K:\n"
+        "    def __init__(self): self._m()\n"
+        "    def _m(self): pass\n"
+        "    def _n(self): pass\n"
+    )
+    defined = private_definitions(src)
+    assert defined == [(1, "_a"), (2, "_b"), (4, "_K"), (6, "_m"), (7, "_n")]
+    read = read_names([src, "import m\nm._K\n"])
+    assert [name for _line, name in defined if name not in read] == ["_b", "_n"]

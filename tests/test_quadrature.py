@@ -272,3 +272,44 @@ class TestGrading:
         opts = QuadratureOptions(rel_tol=1e-6, abs_tol=1e-9)
         assert opts.tolerance(0.0) == 1e-9
         assert opts.tolerance(10.0) == pytest.approx(1e-5)
+
+
+class TestOptions:
+    @pytest.mark.parametrize("tols", [
+        {"rel_tol": -1.0},
+        {"rel_tol": math.nan},
+        {"rel_tol": math.inf},
+        {"rel_tol": 0.0, "abs_tol": 0.0},
+    ])
+    def test_rejects_bad_tolerances(self, tols):
+        with pytest.raises(ValueError):
+            QuadratureOptions(**tols)
+
+    def test_one_zero_tolerance_is_fine(self):
+        assert QuadratureOptions(rel_tol=0.0).tolerance(5.0) == 1e-12
+
+
+def _one_on_dyadics(t):
+    """1 on dyadic rationals of at most 20 bits, NaN elsewhere."""
+    t = np.asarray(t, dtype=float)
+    return np.where(t * 2.0 ** 20 == np.round(t * 2.0 ** 20), 1.0, np.nan)
+
+
+class TestNonFinite:
+    def test_nan_replica_sum_is_not_certified(self):
+        # midpoint tags are dyadic and see 1; random tags see NaN
+        res = rs_integral(_one_on_dyadics, lambda t: np.asarray(t, dtype=float), 0.0, 1.0)
+        assert res.status is RSStatus.INCONCLUSIVE
+        assert res.est_error == math.inf
+        assert len(res.levels) == 1
+
+    def test_all_nan_integrand_stops_at_first_level(self):
+        res = rs_integral(lambda t: np.full(np.shape(t), np.nan), np.sin, 0.0, 1.0)
+        assert res.status is RSStatus.INCONCLUSIVE
+        assert res.est_error == math.inf
+        assert len(res.levels) == 1
+
+    @pytest.mark.parametrize("a, b", [(0.0, math.inf), (-math.inf, 0.0), (math.nan, 1.0)])
+    def test_rejects_non_finite_ends(self, a, b):
+        with pytest.raises(ValueError):
+            rs_integral(np.cos, np.sin, a, b)

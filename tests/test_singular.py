@@ -86,6 +86,12 @@ class TestHilbertInterface:
         with pytest.raises(JumpAtEvaluationPoint):
             hilbert_stieltjes(make("step2pi", 0.5), 0.5 + TWO_PI)
 
+    @pytest.mark.parametrize("tau", [math.nan, math.inf])
+    def test_refuses_non_finite_angle(self, tau):
+        with pytest.raises(ValueError, match="not finite") as info:
+            hilbert_stieltjes(make("sin"), tau)
+        assert not isinstance(info.value, JumpAtEvaluationPoint)
+
     def test_schedule_must_decrease(self):
         with pytest.raises(ValueError):
             hilbert_stieltjes(make("sin"), 0.9, eps_schedule=(0.1, 0.2))
@@ -144,6 +150,10 @@ class TestSingularCauchy:
             singular_cauchy_stieltjes(make("sin"), zeta0, eps_schedule=(0.1, 0.2, 0.4))
         with pytest.raises(ValueError):
             singular_cauchy_stieltjes(make("sin"), zeta0, eps_schedule=(0.1, -0.05))
+
+    def test_refuses_non_finite_point(self):
+        with pytest.raises(ValueError, match="not finite"):
+            singular_cauchy_stieltjes(make("sin"), complex(math.nan, 0.0))
 
     def test_requires_unit_modulus(self):
         with pytest.raises(ValueError):

@@ -104,6 +104,13 @@ class TestCantor:
         t = np.linspace(-math.pi + 1e-9, math.pi - 1e-9, 30001)
         assert np.all(np.diff(phi(t)) >= -1e-15)
 
+    def test_depth_bounded(self):
+        # construction only: a deep staircase is never evaluated here
+        assert make("cantor", 53).depth == 53
+        for depth in (0, 54, 1_000_000):
+            with pytest.raises(ValueError):
+                make("cantor", depth)
+
     def test_plateau_derivative_is_zero(self):
         phi = make("cantor")
         assert phi.derivative(0.0) == 0.0
