@@ -66,6 +66,10 @@ def _poly(power: int):
     return lambda t: np.asarray(t, dtype=float) ** power
 
 
+def _const(v: float):
+    return lambda t: np.full_like(np.asarray(t, dtype=float), v)
+
+
 def _from_file(path: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -78,8 +82,7 @@ def _from_file(path: str):
     if kind == "zoo":
         return zoo.make(doc["name"], *doc.get("params", []))
     if kind == "const":
-        v = float(doc["value"])
-        return lambda t: np.full_like(np.asarray(t, dtype=float), v)
+        return _const(float(doc["value"]))
     if kind == "step":
         return BoundaryFunction(
             name=doc.get("name", "file_step"),
@@ -103,8 +106,7 @@ def parse_function_spec(spec: str):
                 raise SpecError(f"poly supports t, t2, t3; got {rest!r}")
             return _poly(powers[rest])
         if head == "const":
-            v = float(rest)
-            return lambda t: np.full_like(np.asarray(t, dtype=float), v)
+            return _const(float(rest))
         if head == "file":
             return _from_file(rest)
     except SpecError:

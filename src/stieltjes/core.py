@@ -301,6 +301,10 @@ class ApproachPath:
             raise DomainError("Stolz opening must satisfy |alpha| < pi/2")
         if self.k_max < APPROACH_K_MIN:
             raise ValueError(f"need k_max >= {APPROACH_K_MIN}")
+        # how deep a path may go before rounding puts it on the circle depends on alpha
+        deepest = cmath.exp(1j * self.target_angle) * (1.0 - 2.0 ** -self.k_max * cmath.exp(1j * self.alpha))
+        if abs(deepest) >= 1.0:
+            raise DomainError(f"k_max = {self.k_max} puts the deepest point on the circle")
 
     def indexed_points(self) -> list:
         """(k, point) pairs; wide openings may clip their earliest entries."""
@@ -332,11 +336,14 @@ class RSStatus(Enum):
 class RSResult:
     """Outcome of a refinement run of tagged Riemann-Stieltjes sums.
 
-    ``value`` is the midpoint-policy sum at the deepest level reached (a
-    complex number for complex integrands).  ``levels`` records
-    ``(mesh, sum)`` per level.  ``est_error`` folds the last level-to-level
-    difference together with the spread over tag-policy replicas, so a
-    ``CONVERGED`` status certifies both refinement and tag insensitivity.
+    ``value`` is, for a ``CONVERGED`` run, one Richardson step
+    s_k + (s_k - s_{k-1}) / 3 of the midpoint-policy sums of the last two
+    levels, and otherwise the midpoint-policy sum at the deepest level
+    reached (a complex number for complex integrands).  ``levels`` records
+    ``(mesh, midpoint sum)`` per level.  ``est_error`` folds the last
+    level-to-level difference together with the spread over tag-policy
+    replicas, so a ``CONVERGED`` status certifies both refinement and tag
+    insensitivity.
     """
 
     value: complex

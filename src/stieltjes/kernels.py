@@ -51,7 +51,7 @@ def _den(r, x):
 
 def _match(out, x):
     if np.ndim(out) == 0 and (np.isscalar(x) or getattr(x, "ndim", 1) == 0):
-        return float(out)
+        return out.item()
     return out
 
 
@@ -81,12 +81,7 @@ def boundary_cot_kernel(tau, t):
     x = np.asarray(reduce_angle(np.asarray(tau, dtype=float) - np.asarray(t, dtype=float)))
     if np.any(np.abs(x) < COT_GUARD):
         raise SingularityError("cotangent kernel evaluated at its pole")
-    out = 1.0 / np.tan(0.5 * x)
-    if (np.isscalar(tau) or getattr(tau, "ndim", 1) == 0) and (
-        np.isscalar(t) or getattr(t, "ndim", 1) == 0
-    ):
-        return float(out)
-    return out
+    return _match(1.0 / np.tan(0.5 * x), x)
 
 
 def conj_poisson(r, theta):
@@ -127,10 +122,7 @@ def analytic_kernel(z, t):
     if abs(z) >= 1.0:
         raise DomainError("analytic kernel needs |z| < 1")
     zeta = np.exp(1j * np.asarray(t, dtype=float))
-    out = (zeta + z) / (zeta - z)
-    if np.isscalar(t) or getattr(t, "ndim", 1) == 0:
-        return complex(out)
-    return out
+    return _match((zeta + z) / (zeta - z), t)
 
 
 def cauchy_kernel(z, t):
@@ -138,7 +130,4 @@ def cauchy_kernel(z, t):
     if abs(z) >= 1.0:
         raise DomainError("Cauchy kernel needs |z| < 1")
     zeta = np.exp(1j * np.asarray(t, dtype=float))
-    out = zeta / (zeta - z)
-    if np.isscalar(t) or getattr(t, "ndim", 1) == 0:
-        return complex(out)
-    return out
+    return _match(zeta / (zeta - z), t)

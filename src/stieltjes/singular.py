@@ -28,10 +28,9 @@ from .accel import aitken_tail
 from .core import TWO_PI, BoundaryFunction, DiskPoint, RSStatus
 from .kernels import boundary_cot_kernel
 from .quadrature import NonConvergentError, QuadratureOptions, rs_integral
-from .transforms import conj_poisson_stieltjes
+from .transforms import TRANSFORM_OPTS, conj_poisson_stieltjes
 
 __all__ = [
-    "SINGULAR_OPTS",
     "DEFAULT_EPS_SCHEDULE",
     "JumpAtEvaluationPoint",
     "PVResult",
@@ -42,8 +41,6 @@ __all__ = [
     "SingularConsistency",
     "singular_cauchy_consistency",
 ]
-
-SINGULAR_OPTS = QuadratureOptions(rel_tol=1e-5, abs_tol=1e-9)
 
 DEFAULT_EPS_SCHEDULE = tuple(2.0 ** -j for j in range(3, 17))
 
@@ -142,7 +139,7 @@ def hilbert_stieltjes(
     schedule = _checked_schedule(eps_schedule, upper=math.pi)
     g = lambda t: boundary_cot_kernel(tau, t)
     real = lambda x: float(np.real(x))
-    return _pv_limit(phi, g, tau, schedule, opts or SINGULAR_OPTS, lambda eps: eps, real)
+    return _pv_limit(phi, g, tau, schedule, opts or TRANSFORM_OPTS, lambda eps: eps, real)
 
 
 def truncated_conjugate_integral(
@@ -159,7 +156,7 @@ def truncated_conjugate_integral(
     if not (0.0 < r < 1.0):
         raise ValueError("need 0 < r < 1")
     _check_not_at_jump(phi, t0)
-    opts = opts or SINGULAR_OPTS
+    opts = opts or TRANSFORM_OPTS
     eps = 1.0 - r
     g = lambda t: boundary_cot_kernel(t0, t)
     val, _est = _window_pair(phi, g, t0, eps, opts)
@@ -212,7 +209,7 @@ def singular_cauchy_stieltjes(
         return -1j * zeta / (zeta - zeta0)
 
     halfwidth = lambda eps: 2.0 * math.asin(eps / 2.0)
-    return _pv_limit(phi, g, tau, schedule, opts or SINGULAR_OPTS, halfwidth, complex)
+    return _pv_limit(phi, g, tau, schedule, opts or TRANSFORM_OPTS, halfwidth, complex)
 
 
 @dataclass

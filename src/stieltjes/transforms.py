@@ -44,8 +44,6 @@ __all__ = [
 # for kernel-weighted integrands; values come out far more accurate.
 TRANSFORM_OPTS = QuadratureOptions(rel_tol=1e-5, abs_tol=1e-9)
 
-# radius beyond which the kernel peak is narrower than uniform meshes resolve
-GRADING_RADIUS = 0.99
 # midpoint nodes of the finer ordinary quadrature in duality_residual
 DUALITY_NODES = 2 ** 20
 
@@ -54,11 +52,6 @@ def _as_disk_point(z) -> DiskPoint:
     if isinstance(z, DiskPoint):
         return z
     return DiskPoint.from_complex(complex(z))
-
-
-def _grading_for(z: DiskPoint) -> Optional[tuple]:
-    # the kernels' pole 1/z-bar sits at distance about 1 - r from e^{i theta}
-    return (z.theta, 1.0 - z.r) if z.r > GRADING_RADIUS else None
 
 
 def _scaled(res: RSResult, factor: float) -> RSResult:
@@ -85,13 +78,14 @@ def disk_transform(which: str, phi: BoundaryFunction, z,
     z = _as_disk_point(z)
     if phi.kind == "pathological":
         raise DomainError("boundary transforms need a periodic integrator")
+    # the kernels' pole 1/z-bar sits at distance about 1 - r from e^{i theta}
     res = rs_integral(
         KERNELS[which](z),
         phi,
         -math.pi,
         math.pi,
         opts or TRANSFORM_OPTS,
-        grading=_grading_for(z),
+        grading=(z.theta, 1.0 - z.r),
     )
     return _scaled(res, 1.0 / TWO_PI)
 

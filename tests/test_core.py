@@ -226,3 +226,13 @@ class TestApproachPath:
     def test_rejects_tangential(self):
         with pytest.raises(DomainError):
             ApproachPath(0.0, math.pi / 2)
+
+    @pytest.mark.parametrize("alpha,k_max", [(0.0, 54), (1.5, 52)])
+    def test_rejects_depth_that_rounds_onto_circle(self, alpha, k_max):
+        with pytest.raises(DomainError, match="k_max"):
+            ApproachPath(0.3, alpha, k_max=k_max)
+
+    def test_deepest_representable_depth_yields_points(self):
+        pts = ApproachPath(0.3, 0.0, k_max=53).points()
+        assert len(pts) == 53
+        assert all(p.r < 1.0 for p in pts)

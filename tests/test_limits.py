@@ -77,7 +77,7 @@ class TestPoissonLimitCheck:
             poisson_limit_check(make("step2pi", 0.5), 0.5)
 
     def test_grades_scale_with_tolerance(self):
-        strict = poisson_limit_check(make("sin"), 0.4, tol=1e-12)
+        strict = poisson_limit_check(make("sin"), 0.4, tol=1e-15)
         assert not strict.passed
         assert strict.worst_grade == "fail"
         loose = poisson_limit_check(make("sin"), 0.4, tol=0.5)

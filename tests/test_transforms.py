@@ -140,6 +140,14 @@ class TestFieldDiagnostics:
 
 
 class TestGradedDeepRadii:
+    @pytest.mark.parametrize("r", [0.97, 0.985, 0.99, 0.9901, 0.995])
+    @pytest.mark.parametrize("which", ["U", "V"])
+    def test_no_status_cliff_across_radii(self, which, r):
+        transform, closed = {"U": (poisson_stieltjes, math.cos), "V": (conj_poisson_stieltjes, math.sin)}[which]
+        res = transform(make("sin"), DiskPoint(r, 0.7))
+        assert res.converged
+        assert abs(res.value - r * closed(0.7)) <= res.est_error
+
     def test_sin_field_stays_accurate_near_boundary(self):
         z = DiskPoint(0.9995, 0.7)
         res = poisson_stieltjes(make("sin"), z)
