@@ -59,7 +59,7 @@ class _Parser(argparse.ArgumentParser):
     # argparse exits with 2 on bad flags; the contract wants 1
     def error(self, message):
         self.print_usage(sys.stderr)
-        raise SystemExit((self.prog + ": error: " + message + "\n", EXIT_USAGE))
+        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
 def _poly(power: int):
@@ -327,29 +327,16 @@ def _build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        if isinstance(exc.code, tuple):
-            msg, code = exc.code
-            sys.stderr.write(msg)
-            return code
-        return EXIT_USAGE if exc.code else EXIT_OK
-    try:
+        args = _build_parser().parse_args(argv)
         return args.run(args)
-    except SpecError as exc:
+    except SystemExit as exc:
+        return EXIT_USAGE if exc.code else EXIT_OK
+    except (ValueError, NonConvergentError) as exc:
         sys.stderr.write(f"stieltjes: {exc}\n")
-        return EXIT_USAGE
-    except JumpAtEvaluationPoint as exc:
-        sys.stderr.write(f"stieltjes: {exc}\n")
-        return EXIT_JUMP
-    except NonConvergentError as exc:
-        sys.stderr.write(f"stieltjes: {exc}\n")
-        return EXIT_DIVERGED
-    except ValueError as exc:
-        sys.stderr.write(f"stieltjes: {exc}\n")
-        return EXIT_USAGE
+        if isinstance(exc, JumpAtEvaluationPoint):
+            return EXIT_JUMP
+        return EXIT_DIVERGED if isinstance(exc, NonConvergentError) else EXIT_USAGE
 
 
 def main_entry():

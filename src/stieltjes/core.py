@@ -53,13 +53,14 @@ def reduce_angle(t):
 
     Accepts scalars or arrays; the return type mirrors the input.
     """
-    arr = np.asarray(t, dtype=float)
-    k = np.ceil((arr - math.pi) / TWO_PI)
-    out = arr - TWO_PI * k
-    # Rounding can land an angle a hair below -pi; fold it back.
-    out = np.where(out <= -math.pi, out + TWO_PI, out)
+    arr = np.atleast_1d(np.asarray(t, dtype=float))
+    out = arr - TWO_PI * np.ceil((arr - math.pi) / TWO_PI)
+    # The rounded quotient can land an angle a hair outside (-pi, pi] on
+    # either side; both folds are exact, so a reduced angle stays put.
+    out[out <= -math.pi] += TWO_PI
+    out[out > math.pi] -= TWO_PI
     if np.isscalar(t) or getattr(t, "ndim", 1) == 0:
-        return float(out)
+        return float(out[0])
     return out
 
 
@@ -167,7 +168,7 @@ class BoundaryFunction:
     def __call__(self, t):
         scalar = np.isscalar(t) or getattr(t, "ndim", 1) == 0
         arr = np.asarray(t, dtype=float)
-        out = self._eval(np.atleast_1d(arr))
+        out = self._eval(arr.reshape(-1))
         if scalar:
             return float(out[0])
         return out.reshape(arr.shape)
@@ -297,6 +298,8 @@ class ApproachPath:
     k_max: int = 14
 
     def __post_init__(self):
+        if not (math.isfinite(self.target_angle) and math.isfinite(self.alpha)):
+            raise DomainError(f"target_angle {self.target_angle} and alpha {self.alpha} must be finite")
         if abs(self.alpha) >= math.pi / 2:
             raise DomainError("Stolz opening must satisfy |alpha| < pi/2")
         if self.k_max < APPROACH_K_MIN:

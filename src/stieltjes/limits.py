@@ -47,13 +47,20 @@ LIMITS_OPTS = QuadratureOptions(rel_tol=1e-5, abs_tol=3e-5)
 DEFAULT_APERTURES = (math.pi / 6.0, math.pi / 3.0)
 
 
+def _check_tol(tol: float):
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"limit tolerance must be finite and positive, got {tol}")
+
+
 def angular_limit(field: Callable, path: ApproachPath, tol: float = 1e-3) -> LimitEstimate:
     """Evaluate ``field`` along ``path`` and extrapolate the boundary value.
 
     The trace records (k, value) for the dyadic schedule s_k = 2^-k; the
     extrapolant accelerates the last five entries and ``converged`` means
-    the accelerated tail oscillates by less than ``tol``.
+    the accelerated tail oscillates by less than ``tol``, which must be
+    finite and positive.
     """
+    _check_tol(tol)
     pairs = path.indexed_points()
     values = [field(z) for _k, z in pairs]
     limit, resid = aitken_tail(values)
@@ -119,6 +126,7 @@ def _certified_derivative(phi: BoundaryFunction, angle: float, label: str) -> fl
 def _report(phi, target, fields, apertures, tol, opts, k_max) -> LimitCheckReport:
     """Graded rows of each ``(letter, transform, expected)`` field along every path.
 
+    The transforms run at ``opts``, or at ``LIMITS_OPTS`` when it is None.
     Rows come field by field in path order; ``aperture_spread`` is the
     largest disagreement between the extrapolants of any one field.
     """
@@ -140,17 +148,18 @@ def poisson_limit_check(
     t0: float,
     apertures: Sequence[float] = DEFAULT_APERTURES,
     tol: float = 1e-3,
-    opts: Optional[QuadratureOptions] = None,
     k_max: int = 14,
 ) -> LimitCheckReport:
     """Angular limits of the harmonic extension against the derivative.
 
     Needs an integrator whose derivative at ``t0`` is certified (smooth
     kind or declared plateau); the harmonic extension must approach
-    exactly that number along every nontangential path.
+    exactly that number along every nontangential path.  The transforms
+    run at ``LIMITS_OPTS``; ``tol`` must be finite and positive.
     """
+    _check_tol(tol)
     expected = _certified_derivative(phi, t0, "t0")
-    return _report(phi, t0, [("U", poisson_stieltjes, expected)], apertures, tol, opts, k_max)
+    return _report(phi, t0, [("U", poisson_stieltjes, expected)], apertures, tol, None, k_max)
 
 
 def conjugate_limit_check(
@@ -158,12 +167,16 @@ def conjugate_limit_check(
     tau: float,
     apertures: Sequence[float] = DEFAULT_APERTURES,
     tol: float = 2e-3,
-    opts: Optional[QuadratureOptions] = None,
     k_max: int = 14,
 ) -> LimitCheckReport:
-    """Angular limits of the conjugate extension against the PV integral."""
+    """Angular limits of the conjugate extension against the PV integral.
+
+    The transforms run at ``LIMITS_OPTS``; ``tol`` must be finite and
+    positive.
+    """
+    _check_tol(tol)
     expected = hilbert_stieltjes(phi, tau).value
-    return _report(phi, tau, [("V", conj_poisson_stieltjes, expected)], apertures, tol, opts, k_max)
+    return _report(phi, tau, [("V", conj_poisson_stieltjes, expected)], apertures, tol, None, k_max)
 
 
 def analytic_limit_check(
@@ -179,8 +192,10 @@ def analytic_limit_check(
     The analytic transform must approach derivative + i * PV integral; the
     Cauchy transform half of that, shifted by net_increment / 4 pi when the
     integrator is a staircase (the two kernels differ by the constant 1/2,
-    which integrates the net increment).
+    which integrates the net increment).  ``tol`` must be finite and
+    positive.
     """
+    _check_tol(tol)
     deriv = _certified_derivative(phi, tau, "tau")
     expected_s = complex(deriv, hilbert_stieltjes(phi, tau).value)
     expected_c = cauchy_from_schwartz(expected_s, phi)

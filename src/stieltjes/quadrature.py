@@ -327,12 +327,10 @@ class CyclicRSPair:
 def cyclic_rs_integral(
     g: Union[BoundaryFunction, Callable],
     f: Union[BoundaryFunction, Callable],
-    base: float = -math.pi,
     opts: Optional[QuadratureOptions] = None,
 ) -> CyclicRSPair:
-    """Integrate g df and f dg once around the circle starting at ``base``."""
-    a, b = base, base + TWO_PI
-    g_df = rs_integral(g, f, a, b, opts)
-    f_dg = rs_integral(f, g, a, b, opts)
+    """Integrate g df and f dg once around the circle, over [-pi, pi]."""
+    g_df = rs_integral(g, f, -math.pi, math.pi, opts)
+    f_dg = rs_integral(f, g, -math.pi, math.pi, opts)
     residual = abs(g_df.value + f_dg.value)
     return CyclicRSPair(g_df, f_dg, residual)

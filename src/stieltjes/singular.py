@@ -54,10 +54,10 @@ class PVResult:
     """A principal-value limit with its truncation trace.
 
     ``eps_trace`` holds (eps, truncated value) in decreasing eps order;
-    ``value`` is the extrapolated limit; ``est_error`` combines the
-    extrapolation residual with the worst quadrature certificate along the
-    tail; ``extrapolated`` distinguishes a genuine accelerated limit from a
-    last-truncation fallback on short traces.
+    ``value`` is the extrapolated limit; ``est_error`` adds the
+    extrapolation residual to the worst quadrature certificate over every
+    truncation of the trace; ``extrapolated`` distinguishes a genuine
+    accelerated limit from a last-truncation fallback on short traces.
     """
 
     value: complex
@@ -142,44 +142,36 @@ def hilbert_stieltjes(
     return _pv_limit(phi, g, tau, schedule, opts or TRANSFORM_OPTS, lambda eps: eps, real)
 
 
-def truncated_conjugate_integral(
-    phi: BoundaryFunction,
-    t0: float,
-    r: float,
-    opts: Optional[QuadratureOptions] = None,
-) -> float:
+def truncated_conjugate_integral(phi: BoundaryFunction, t0: float, r: float) -> float:
     """One truncation of the conjugate boundary integral, at eps = 1 - r.
 
     This is the boundary-side quantity the conjugate Poisson transform at
-    radius r approximates; no limit is taken.
+    radius r approximates: the first entry of the principal-value trace of
+    :func:`hilbert_stieltjes` on the one-entry schedule (1 - r,).  No limit
+    is taken.
     """
     if not (0.0 < r < 1.0):
         raise ValueError("need 0 < r < 1")
-    _check_not_at_jump(phi, t0)
-    opts = opts or TRANSFORM_OPTS
-    eps = 1.0 - r
-    g = lambda t: boundary_cot_kernel(t0, t)
-    val, _est = _window_pair(phi, g, t0, eps, opts)
-    return float(np.real(val))
+    return hilbert_stieltjes(phi, t0, (1.0 - r,)).eps_trace[0][1]
 
 
 def conjugate_truncation_trace(
     phi: BoundaryFunction,
     t0: float,
     ks: Optional[Sequence[int]] = None,
-    opts: Optional[QuadratureOptions] = None,
 ) -> list:
     """|V_phi(r e^{i t0}) - truncated integral at eps = 1 - r| along r -> 1.
 
-    Radii follow r = 1 - 2^-k.  When phi is differentiable at t0 the
-    difference tends to zero; the trace makes that decay observable.
+    Radii follow r = 1 - 2^-k; both sides run at ``TRANSFORM_OPTS``.  When
+    phi is differentiable at t0 the difference tends to zero; the trace
+    makes that decay observable.
     """
     ks = list(ks) if ks is not None else list(range(3, 13))
     out = []
     for k in ks:
         r = 1.0 - 2.0 ** (-k)
-        v = float(np.real(conj_poisson_stieltjes(phi, DiskPoint(r, t0), opts).value))
-        t = truncated_conjugate_integral(phi, t0, r, opts)
+        v = float(np.real(conj_poisson_stieltjes(phi, DiskPoint(r, t0)).value))
+        t = truncated_conjugate_integral(phi, t0, r)
         out.append((r, abs(v - t)))
     return out
 

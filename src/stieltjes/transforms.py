@@ -46,6 +46,8 @@ TRANSFORM_OPTS = QuadratureOptions(rel_tol=1e-5, abs_tol=1e-9)
 
 # midpoint nodes of the finer ordinary quadrature in duality_residual
 DUALITY_NODES = 2 ** 20
+# arm of the finite-difference stencils in conjugacy_residual
+CONJUGACY_STEP = 0.02
 
 
 def _as_disk_point(z) -> DiskPoint:
@@ -115,22 +117,23 @@ def cauchy_from_schwartz(s: complex, phi: BoundaryFunction) -> complex:
     return s / 2.0 + phi.period_increment / (2.0 * TWO_PI)
 
 
-def cauchy_identity_residual(phi: BoundaryFunction, z, opts: Optional[QuadratureOptions] = None) -> float:
+def cauchy_identity_residual(phi: BoundaryFunction, z) -> float:
     """Defect of the half-kernel identity between Cauchy and analytic forms.
 
-    Both sides are independent quadratures; the integrator's net increment
-    per turn enters as the constant (increment)/(4 pi) because the kernels
-    differ by the constant 1/2.
+    Both sides are independent quadratures at ``TRANSFORM_OPTS``; the
+    integrator's net increment per turn enters as the constant
+    (increment)/(4 pi) because the kernels differ by the constant 1/2.
     """
-    s = schwartz_stieltjes(phi, z, opts)
-    c = cauchy_stieltjes(phi, z, opts)
+    s = schwartz_stieltjes(phi, z)
+    c = cauchy_stieltjes(phi, z)
     return abs(c.value - cauchy_from_schwartz(s.value, phi))
 
 
-def duality_residual(phi: BoundaryFunction, z, opts: Optional[QuadratureOptions] = None) -> float:
+def duality_residual(phi: BoundaryFunction, z) -> float:
     """Compare the RS integral of the kernel against the ordinary integral.
 
-    Left side: (1/2pi) int P_r(theta - t) dPhi(t) by the RS engine.
+    Left side: (1/2pi) int P_r(theta - t) dPhi(t) by the RS engine at
+    ``TRANSFORM_OPTS``.
     Right side: (1/2pi) int Phi(t) * dP/dtheta (theta - t) dt by plain
     midpoint quadrature (refined once for an error estimate).  The identity
     needs the round-trip boundary term to cancel, so the integrator must be
@@ -139,7 +142,7 @@ def duality_residual(phi: BoundaryFunction, z, opts: Optional[QuadratureOptions]
     if phi.period_increment != 0.0:
         raise ValueError("duality needs a charge-neutral integrator")
     z = _as_disk_point(z)
-    lhs_res = poisson_stieltjes(phi, z, opts)
+    lhs_res = poisson_stieltjes(phi, z)
     if lhs_res.status is RSStatus.DIVERGED:
         raise NonConvergentError("left side diverged", lhs_res)
 
@@ -175,31 +178,26 @@ def harmonicity_diagnostics(field: Callable, z, h: float = 1e-2) -> float:
     return max(abs(lap), float(mean_defect))
 
 
-def conjugacy_residual(
-    phi: BoundaryFunction,
-    z,
-    h: float = 0.02,
-    opts: Optional[QuadratureOptions] = None,
-) -> float:
+def conjugacy_residual(phi: BoundaryFunction, z) -> float:
     """Polar Cauchy-Riemann defect of the (U, V) pair at ``z``.
 
     |dU/dr - (1/r) dV/dtheta| + |(1/r) dU/dtheta + dV/dr|, with all four
-    derivatives taken by five-point central differences (fourth order:
-    second-order stencils leave a truncation floor above the tight
-    tolerances the smooth cases meet).
+    derivatives taken by five-point central differences of arm
+    ``CONJUGACY_STEP`` (fourth order: second-order stencils leave a
+    truncation floor above the tight tolerances the smooth cases meet).
+    The transforms run at ``TRANSFORM_OPTS``.
     """
     z = _as_disk_point(z)
-    if z.r < 0.1:
-        raise DomainError("conjugacy probe needs r >= 0.1")
-    if z.r + 2.0 * h >= 1.0:
-        raise DomainError("step too large: the probe stencil leaves the disk")
+    h = CONJUGACY_STEP
+    if z.r < 0.1 or z.r + 2.0 * h >= 1.0:
+        raise DomainError(f"conjugacy probe needs 0.1 <= r < {1.0 - 2.0 * h:g}, so its stencil stays in the disk")
 
     r, th = z.r, z.theta
 
     def d4(which, radial):
         # fourth-order central difference of U or V along r or theta
         points = [DiskPoint(r + j * h, th) if radial else DiskPoint(r, th + j * h) for j in (-2, -1, 1, 2)]
-        fm2, fm1, fp1, fp2 = (disk_transform(which, phi, p, opts).value for p in points)
+        fm2, fm1, fp1, fp2 = (disk_transform(which, phi, p).value for p in points)
         return (-fp2 + 8.0 * fp1 - 8.0 * fm1 + fm2) / (12.0 * h)
 
     du_dr, dv_dr, du_dth, dv_dth = d4("U", True), d4("V", True), d4("U", False), d4("V", False)

@@ -374,6 +374,17 @@ class TestLimits:
         assert code == EXIT_OK
         assert [r["approach"] for r in records] == ["radial"]
 
+    @pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
+    def test_bad_tolerance_exits_one(self, capsys, tol):
+        code = main(["limits", "--phi", "zoo:sin", "--which", "V", "--target", "0.9", "--tol", tol])
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("stieltjes: limit tolerance")
+
+    def test_non_finite_target_exits_one(self, capsys):
+        code = main(["limits", "--phi", "zoo:sin", "--which", "U", "--target", "nan"])
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("stieltjes: target_angle nan")
+
     def test_impossible_tolerance_exits_three(self, capsys):
         code, _header, records = run_csv(
             capsys,

@@ -232,6 +232,13 @@ class TestApproachPath:
         with pytest.raises(DomainError, match="k_max"):
             ApproachPath(0.3, alpha, k_max=k_max)
 
+    @pytest.mark.parametrize("target,alpha,name", [
+        (math.nan, 0.0, "target_angle nan"), (math.inf, 0.0, "target_angle inf"), (0.3, math.nan, "alpha nan"),
+    ])
+    def test_rejects_non_finite_angles(self, target, alpha, name):
+        with pytest.raises(DomainError, match=name):
+            ApproachPath(target, alpha)
+
     def test_deepest_representable_depth_yields_points(self):
         pts = ApproachPath(0.3, 0.0, k_max=53).points()
         assert len(pts) == 53

@@ -9,6 +9,7 @@ from stieltjes import (
     angular_limit,
     conjugate_limit_check,
     hilbert_stieltjes,
+    limits,
     make,
     poisson_limit_check,
 )
@@ -168,3 +169,27 @@ class TestReportShape:
     def test_rejects_tangential_aperture(self):
         with pytest.raises(DomainError):
             poisson_limit_check(make("sin"), 0.4, apertures=(math.pi / 2,))
+
+
+class TestRefusesBadTolerance:
+    """A tolerance that is not finite and positive is refused before any quadrature runs."""
+
+    @pytest.fixture(autouse=True)
+    def no_quadrature(self, monkeypatch):
+        def ran(*_args, **_kwargs):
+            raise AssertionError("a quadrature ran before the tolerance was checked")
+
+        for name in ("hilbert_stieltjes", "poisson_stieltjes", "conj_poisson_stieltjes",
+                     "schwartz_stieltjes", "cauchy_stieltjes"):
+            monkeypatch.setattr(limits, name, ran)
+
+    @pytest.mark.parametrize("tol", [math.nan, -1.0, math.inf])
+    @pytest.mark.parametrize("check", [poisson_limit_check, conjugate_limit_check, analytic_limit_check])
+    def test_limit_checks(self, check, tol):
+        with pytest.raises(ValueError, match="tolerance"):
+            check(make("sin"), 0.9, tol=tol)
+
+    @pytest.mark.parametrize("tol", [math.nan, -1.0, 0.0, math.inf])
+    def test_angular_limit(self, tol):
+        with pytest.raises(ValueError, match="tolerance"):
+            angular_limit(lambda z: z.z.real, ApproachPath(0.0, 0.0), tol)

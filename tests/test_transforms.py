@@ -138,6 +138,11 @@ class TestFieldDiagnostics:
     def test_conjugacy_of_kernel_pair(self):
         assert conjugacy_residual(make("step2pi", 0.5), DiskPoint(0.6, 2.0)) < 1e-4
 
+    @pytest.mark.parametrize("r", [0.05, 0.96, 0.99])
+    def test_conjugacy_stencil_stays_in_annulus(self, r):
+        with pytest.raises(DomainError, match="conjugacy probe"):
+            conjugacy_residual(make("sin"), DiskPoint(r, 2.0))
+
 
 class TestGradedDeepRadii:
     @pytest.mark.parametrize("r", [0.97, 0.985, 0.99, 0.9901, 0.995])

@@ -31,6 +31,12 @@ class TestCatalog:
             assert phi.bounded_by is not None
             assert np.max(np.abs(phi(t))) <= phi.bounded_by + 1e-9
 
+    def test_evaluation_keeps_array_shape(self):
+        # points inside [0, 1], the domain of spikes
+        t = np.linspace(0.05, 0.95, 12).reshape(3, 4)
+        for phi in catalog():
+            assert np.array_equal(phi(t), phi(t.ravel()).reshape(3, 4)), phi.name
+
     def test_finite_jump_lists(self):
         for phi in catalog():
             assert len(phi.jumps) < 10
