@@ -67,6 +67,8 @@ def _poly(power: int):
 
 
 def _const(v: float):
+    if not np.isfinite(v):
+        raise SpecError(f"const value must be finite, got {v!r}")
     return lambda t: np.full_like(np.asarray(t, dtype=float), v)
 
 

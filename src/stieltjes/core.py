@@ -154,6 +154,8 @@ class BoundaryFunction:
         for loc, _h in self.jumps:
             if not (-math.pi < loc <= math.pi):
                 raise ValueError("jump locations must lie in (-pi, pi]")
+        if not all(math.isfinite(x) for x in (self.base, *(h for _loc, h in self.jumps))):
+            raise ValueError("jump heights and base must be finite")
         step = self.kind == "step"
         increment = sum((h for _loc, h in self.jumps), 0.0) if step else 0.0
         if self.period_increment is None:

@@ -179,6 +179,8 @@ def make(name: str, *params) -> BoundaryFunction:
         raise ValueError(
             f"unknown boundary function {name!r}; available: {', '.join(NAMES)}"
         ) from None
+    if not all(math.isfinite(float(p)) for p in params):
+        raise ValueError(f"{name} parameters must be finite, got {params!r}")
     return factory(*params)
 
 

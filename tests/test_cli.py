@@ -207,6 +207,19 @@ class TestIntegrate:
         assert code == EXIT_USAGE
         assert capsys.readouterr().err.startswith("stieltjes:")
 
+    @pytest.mark.parametrize("spec", ["const:nan", "const:inf"])
+    def test_non_finite_const_exits_one(self, capsys, spec):
+        code = main(["integrate", "--g", spec, "--f", "poly:t2", "--a", "0", "--b", "1"])
+        assert code == EXIT_USAGE
+        assert "finite" in capsys.readouterr().err
+
+    def test_non_finite_file_height_exits_one(self, capsys, tmp_path):
+        path = tmp_path / "nan_step.json"
+        path.write_text('{"kind": "step", "jumps": [[0.5, NaN]]}')
+        code = main(["integrate", "--g", "poly:t", "--f", f"file:{path}", "--a", "0", "--b", "1"])
+        assert code == EXIT_USAGE
+        assert "finite" in capsys.readouterr().err
+
     def test_bad_spec_exits_one(self, capsys):
         code = main(["integrate", "--g", "gauss:1", "--f", "poly:t2",
                      "--a", "0", "--b", "1"])
@@ -293,6 +306,13 @@ class TestTransform:
                      "--r", "0.5", "--theta", "nan"])
         assert code == EXIT_USAGE
         assert "not finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("spec", ["zoo:cantor:inf", "zoo:spikes:inf", "zoo:step2pi:inf"])
+    def test_non_finite_zoo_parameter_exits_one(self, capsys, spec):
+        code = main(["transform", "--phi", spec, "--which", "U",
+                     "--r", "0.5", "--theta", "0.0"])
+        assert code == EXIT_USAGE
+        assert "finite" in capsys.readouterr().err
 
     def test_deep_cantor_exits_one(self, capsys):
         code = main(["transform", "--phi", "zoo:cantor:54", "--which", "U",

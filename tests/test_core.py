@@ -113,6 +113,16 @@ class TestBoundaryFunctionKinds:
             BoundaryFunction(name="x", kind=kind, fn=np.sin, jumps=((0.5, 2.0),),
                              period_increment=increment)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_height_refused(self, bad):
+        with pytest.raises(ValueError, match="must be finite"):
+            BoundaryFunction(name="st", kind="step", jumps=((0.5, 1.0), (1.0, bad)))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_base_refused(self, bad):
+        with pytest.raises(ValueError, match="must be finite"):
+            BoundaryFunction(name="st", kind="step", jumps=((0.5, 1.0),), base=bad)
+
 
 class TestCantorStaircase:
     def test_against_recursive_oracle(self):

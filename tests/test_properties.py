@@ -7,10 +7,20 @@ example database, so the suite stays deterministic.
 import math
 
 import numpy as np
-from hypothesis import example, given, settings
+import pytest
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from stieltjes import BoundaryFunction, DiskPoint, poisson_stieltjes, reduce_angle
+from stieltjes import (
+    BoundaryFunction,
+    DiskPoint,
+    QuadratureOptions,
+    harmonicity_diagnostics,
+    make,
+    poisson_stieltjes,
+    reduce_angle,
+    rs_integral,
+)
 from stieltjes.core import ATOM_GUARD
 from stieltjes.quadrature import _graded_map, _graded_preimage
 
@@ -79,3 +89,62 @@ def test_staircase_collapses_to_its_atoms(jumps, r, theta):
     assert res.converged and len(res.levels) == 2
     want = sum(h * poisson_reference(r, theta - loc) for loc, h in jumps) / TWO_PI
     assert abs(res.value - want) <= 1e-12
+
+
+finite_complex = st.complex_numbers(max_magnitude=10.0, allow_nan=False, allow_infinity=False)
+
+
+@fixed(200)
+@given(
+    r=st.floats(min_value=0.0, max_value=0.95),
+    theta=st.floats(min_value=-math.pi, max_value=math.pi),
+    h=st.floats(min_value=1e-3, max_value=0.1),
+    a=finite_complex,
+    b=finite_complex,
+    c=finite_complex,
+)
+def test_harmonicity_defect_is_exact_on_cubics_and_pins_the_laplacian(r, theta, h, a, b, c):
+    assume(r + 2.0 * h < 1.0)
+    z = DiskPoint(r, theta)
+    # the five-point stencil is exact on cubics, so a harmonic one leaves only rounding
+    cubic = lambda w: (a * w.z ** 3 + b * w.z ** 2 + c * w.z).real
+    assert harmonicity_diagnostics(cubic, z, h) <= 1e-12 * (1.0 + abs(a) + abs(b) + abs(c))
+    # the Laplacian of |z|^2 is 4
+    assert harmonicity_diagnostics(lambda w: abs(w.z) ** 2, z, h) == pytest.approx(4.0 * h * h, rel=1e-9)
+
+
+@fixed(30)
+@given(
+    name=st.sampled_from(["sin", "linear", "multi_step", "cbv_demo"]),
+    a=st.floats(min_value=-3.0, max_value=3.0),
+    b=st.floats(min_value=-3.0, max_value=3.0),
+)
+def test_reversed_ends_flip_the_sign_exactly(name, a, b):
+    phi = make(name)
+    forward, backward = rs_integral(np.cos, phi, a, b), rs_integral(np.cos, phi, b, a)
+    assert backward.value == -forward.value
+    assert backward.status is forward.status
+    assert backward.est_error == forward.est_error
+
+
+@fixed(60)
+@given(
+    jumps=st.lists(
+        st.tuples(
+            st.floats(min_value=-3.0, max_value=3.0),
+            st.floats(min_value=-3.0, max_value=3.0),
+        ),
+        min_size=1,
+        max_size=3,
+    ).filter(_apart_on_circle),
+    split=st.integers(min_value=0, max_value=2),
+    left=st.floats(min_value=0.1, max_value=3.0),
+    right=st.floats(min_value=0.1, max_value=3.0),
+)
+def test_additive_across_an_atom_on_the_split_point(jumps, split, left, right):
+    phi = BoundaryFunction(name="staircase", kind="step", jumps=tuple(jumps))
+    c = jumps[split % len(jumps)][0]
+    opts = QuadratureOptions(rel_tol=1e-10)
+    whole = rs_integral(np.cos, phi, c - left, c + right, opts)
+    parts = rs_integral(np.cos, phi, c - left, c, opts).value + rs_integral(np.cos, phi, c, c + right, opts).value
+    assert abs(whole.value - parts) <= 1e-12 * max(1.0, abs(whole.value))

@@ -16,7 +16,7 @@ from stieltjes import (
     rs_integral,
 )
 from stieltjes.accel import aitken_step, aitken_tail
-from stieltjes.quadrature import _level_points
+from stieltjes.quadrature import MERGE_TOL, _level_points
 
 from oracles import rs_brute, rs_tagged_sum
 
@@ -258,6 +258,14 @@ class TestGrading:
         # a center at pi grades both ends of (-pi, pi]
         assert gaps[0] < 0.1 * TWO_PI / n
         assert gaps[-1] < 0.1 * TWO_PI / n
+
+    def test_center_stays_resolved_far_below_1e9(self):
+        # at distance 2^-45 the kernel peak is 2.8e-14 wide: the cell over
+        # the center must stay narrower than MERGE_TOL, not be merged away
+        pts = _level_points(-math.pi, math.pi, 2 ** 18, (0.7, 2.0 ** -45), [])
+        i = int(np.searchsorted(pts, 0.7))
+        assert pts[i] - pts[i - 1] < MERGE_TOL
+        assert pts[0] == -math.pi and pts[-1] == math.pi
 
     @pytest.mark.parametrize("distance", [0.0, -1e-3, math.nan, math.inf])
     def test_rejects_bad_distance(self, distance):

@@ -132,6 +132,19 @@ class TestFieldDiagnostics:
         d = harmonicity_diagnostics(lambda z: abs(z.z) ** 2, DiskPoint(0.5, 0.8), h=1e-2)
         assert d == pytest.approx(4e-4, rel=0.05)
 
+    def test_one_call_makes_five_field_evaluations(self):
+        calls = []
+        harmonicity_diagnostics(lambda z: calls.append(z) or 0.0, DiskPoint(0.5, 0.8))
+        assert len(calls) == 5
+
+    @pytest.mark.parametrize("h", [0.0, -1e-2, math.nan, math.inf])
+    def test_step_must_be_finite_and_positive(self, h):
+        def field(z):
+            raise AssertionError("the field was evaluated")
+
+        with pytest.raises(ValueError, match="step h"):
+            harmonicity_diagnostics(field, DiskPoint(0.5, 0.8), h=h)
+
     def test_conjugacy_of_sin_fields(self):
         assert conjugacy_residual(make("sin"), DiskPoint(0.6, 2.0)) < 1e-6
 
@@ -149,6 +162,16 @@ class TestGradedDeepRadii:
     @pytest.mark.parametrize("which", ["U", "V"])
     def test_no_status_cliff_across_radii(self, which, r):
         transform, closed = {"U": (poisson_stieltjes, math.cos), "V": (conj_poisson_stieltjes, math.sin)}[which]
+        res = transform(make("sin"), DiskPoint(r, 0.7))
+        assert res.converged
+        assert abs(res.value - r * closed(0.7)) <= res.est_error
+
+    @pytest.mark.parametrize("which", ["U", "V"])
+    def test_converges_at_depth_2_pow_40(self, which):
+        # 1 - r = 2^-40: the graded cells at the kernel peak sit near the
+        # spacing of doubles, and a merge there would leave the peak unresolved
+        transform, closed = {"U": (poisson_stieltjes, math.cos), "V": (conj_poisson_stieltjes, math.sin)}[which]
+        r = 1.0 - 2.0 ** -40
         res = transform(make("sin"), DiskPoint(r, 0.7))
         assert res.converged
         assert abs(res.value - r * closed(0.7)) <= res.est_error

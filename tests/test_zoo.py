@@ -117,6 +117,11 @@ class TestCantor:
             with pytest.raises(ValueError):
                 make("cantor", depth)
 
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_depth_refused(self, bad):
+        with pytest.raises(ValueError, match="cantor parameters must be finite"):
+            make("cantor", bad)
+
     def test_plateau_derivative_is_zero(self):
         phi = make("cantor")
         assert phi.derivative(0.0) == 0.0
