@@ -8,6 +8,14 @@ and that the replica spread collapses.  With atoms exact and a smooth
 mesh map the midpoint error is O(h^2), so a certified run reports one
 Richardson step of its last two midpoint sums, s_k + (s_k - s_{k-1}) / 3.
 
+Replica ``rep`` of level k draws its uniforms from its own stream,
+``default_rng((seed, k, rep))``, so every replica sum is fixed by the seed
+alone.  Levels of at most DRAW_CACHE_CELLS cells take those draws from a
+bounded, thread-safe, process-wide cache of read-only arrays.  The
+replicas are evaluated as one block of rows: one ``g`` call on the
+flattened tags of at most CHUNK_POINTS at a time, then one row reduction.
+``g`` only ever sees 1-D arrays, and it must act elementwise on them.
+
 Atoms of the integrator are handled exactly.  Declared jump locations are
 inserted as partition points and the tags of both adjacent subintervals are
 snapped onto the jump, so a pure staircase integrator is integrated to
@@ -26,7 +34,9 @@ sums themselves settle.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
@@ -47,10 +57,17 @@ __all__ = [
 
 # partition points closer than this are considered the same point
 MERGE_TOL = 1e-13
-# the coarsest level has 2**K_MIN base subintervals
+# the coarsest level has 2**K_MIN base subintervals, the finest at most 2**K_CAP
 K_MIN = 4
+K_CAP = 22
 # random-tag replicas evaluated next to the midpoint sum on every level
 REPLICAS = 8
+# replica tags per g call; a level this wide or wider makes one call per replica
+CHUNK_POINTS = 2 ** 15
+# levels of at most this many cells take their replica draws from a cache
+# of at most DRAW_CACHE_BYTES
+DRAW_CACHE_CELLS = 2 ** 10
+DRAW_CACHE_BYTES = 2 * 2 ** 20
 # divergence: GROWTH_STEPS consecutive growth ratios of at least
 # GROWTH_FACTOR in both spread and level difference, with the last spread
 # above SPREAD_FLOOR_FACTOR * abs_tol
@@ -72,11 +89,12 @@ class QuadratureOptions:
     """Knobs of the refinement loop.
 
     * ``k_max``: the finest level has 2**k_max base subintervals; the
-      coarsest has 2**K_MIN.
+      coarsest has 2**K_MIN.  An int in [K_MIN, K_CAP].
     * ``rel_tol``, ``abs_tol``: a level is accepted once max(level
       difference, replica spread) falls under max(rel_tol * |value|,
       abs_tol).  Both must be finite and >= 0, and one of them > 0.
-    * ``seed``: draws the REPLICAS random-tag replicas of every level.
+    * ``seed``: a non-negative int; draws the REPLICAS random-tag replicas
+      of every level.
 
     Divergence needs GROWTH_STEPS consecutive ratios of at least
     GROWTH_FACTOR in both the spread and the level difference, with the
@@ -89,14 +107,20 @@ class QuadratureOptions:
     seed: int = 0
 
     def __post_init__(self):
-        if self.k_max < K_MIN:
-            raise ValueError(f"need k_max >= {K_MIN}")
+        if not _is_int(self.k_max) or not K_MIN <= self.k_max <= K_CAP:
+            raise ValueError(f"k_max must be an int in [{K_MIN}, {K_CAP}], got {self.k_max!r}")
+        if not _is_int(self.seed) or self.seed < 0:
+            raise ValueError(f"seed must be a non-negative int, got {self.seed!r}")
         tols = (self.rel_tol, self.abs_tol)
         if not all(math.isfinite(t) and t >= 0.0 for t in tols) or max(tols) == 0.0:
             raise ValueError("rel_tol and abs_tol must be finite and >= 0, and one of them > 0")
 
     def tolerance(self, magnitude: float) -> float:
         return max(self.rel_tol * magnitude, self.abs_tol)
+
+
+def _is_int(x):
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
 
 
 def _graded_map(v, center, lam):
@@ -155,23 +179,69 @@ def _merged_indices(pts, atoms):
 
 
 def _snapped(tags, pts, idx):
-    """``tags`` with the tags of both cells next to each point ``pts[i]``, i in ``idx``, moved onto it."""
-    for i in idx:
-        if i > 0:
-            tags[i - 1] = pts[i]
-        if i < tags.size:
-            tags[i] = pts[i]
+    """``tags`` with the tags of both cells next to each point ``pts[i]``, i in ``idx``, moved onto it.
+
+    ``tags`` is one row of cells or a block of rows.  The upper cell is
+    written first, so the cell between two atoms on adjacent points goes to
+    the right-hand atom.
+    """
+    if not idx:
+        return tags
+    idx = np.asarray(idx, dtype=np.intp)
+    hi = idx[idx < tags.shape[-1]]
+    lo = idx[idx > 0]
+    tags[..., hi] = pts[hi]
+    tags[..., lo - 1] = pts[lo]
     return tags
 
 
-def _level_tags(pts, widths, snap_idx, probe_idx, seed, k):
-    """Level k's tag arrays in turn: midpoint, probe (when ``probe_idx`` is given), REPLICAS random."""
-    for idx in (snap_idx, probe_idx):
-        if idx is not None:
-            yield _snapped(0.5 * (pts[:-1] + pts[1:]), pts, idx)
-    for rep in range(REPLICAS):
-        rng = np.random.default_rng((seed, k, rep))
-        yield _snapped(pts[:-1] + rng.random(widths.size) * widths, pts, snap_idx)
+def _draws(seed, k, reps, n):
+    """Uniforms of replicas ``reps`` on level k: row rep is ``default_rng((seed, k, rep)).random(n)``."""
+    u = np.empty((len(reps), n))
+    for row, rep in zip(u, reps):
+        np.random.default_rng((seed, k, rep)).random(out=row)
+    return u
+
+
+# every entry holds at most REPLICAS * DRAW_CACHE_CELLS doubles
+@functools.lru_cache(maxsize=DRAW_CACHE_BYTES // (8 * REPLICAS * DRAW_CACHE_CELLS))
+def _cached_draws(seed, k, n):
+    """All REPLICAS rows of ``_draws`` for a small level, read-only, from a bounded process-wide cache."""
+    u = _draws(seed, k, range(REPLICAS), n)
+    u.flags.writeable = False
+    return u
+
+
+def _replica_sums(g, pts, widths, df, snap_idx, seed, k):
+    """Level k's REPLICAS random-tag sums, up to and including the first non-finite one.
+
+    The replicas are evaluated as blocks of rows, at most CHUNK_POINTS tags
+    and one ``g`` call on the flattened block each.
+    """
+    n = widths.size
+    cached = _cached_draws(seed, k, n) if n <= DRAW_CACHE_CELLS else None
+    rows = max(1, CHUNK_POINTS // n)
+    sums = []
+    for r0 in range(0, REPLICAS, rows):
+        reps = range(r0, min(r0 + rows, REPLICAS))
+        tags = (_draws(seed, k, reps, n) if cached is None else cached[r0:reps.stop]) * widths
+        tags += pts[:-1]
+        for s in _row_sums(g, _snapped(tags, pts, snap_idx), df):
+            sums.append(s)
+            if not cmath.isfinite(s):
+                return sums
+    return sums
+
+
+def _row_sums(g, tags, df):
+    """The tagged sum of each row of ``tags``, from one ``g`` call on the flattened rows.
+
+    A helper so that the g values die before the next chunk is drawn.
+    """
+    gv = np.asarray(g(tags.reshape(-1)))
+    # a g that returns a scalar still stands for a value at every tag
+    gv = gv.reshape(tags.shape) if gv.size == tags.size else np.broadcast_to(gv, tags.shape)
+    return (gv * df).sum(axis=1)
 
 
 def rs_integral(
@@ -225,20 +295,17 @@ def rs_integral(
         fvals = np.asarray(f(pts), dtype=float)
         df = np.diff(fvals)
         snap_idx = _merged_indices(pts, snap_pts)
-        # probe tags on the shared discontinuities: if the integral is
-        # to exist at all, even these must agree with the rest
-        probe_idx = _merged_indices(pts, jump_pts) if shared else None
         # the midpoint values live to the end of the level; freeing them at
         # once lets the allocator shrink and re-fault the heap on every replica
-        sums = []
-        for tags in _level_tags(pts, widths, snap_idx, probe_idx, opts.seed, k):
-            if sums:
-                sums.append((np.asarray(g(tags)) * df).sum())
-            else:
-                g_mid = np.asarray(g(tags))
-                sums.append((g_mid * df).sum())
-            if not cmath.isfinite(sums[-1]):
-                break
+        g_mid = np.asarray(g(_snapped(0.5 * (pts[:-1] + pts[1:]), pts, snap_idx)))
+        sums = [(g_mid * df).sum()]
+        if shared and cmath.isfinite(sums[-1]):
+            # probe tags on the shared discontinuities: if the integral is
+            # to exist at all, even these must agree with the rest
+            probe_idx = _merged_indices(pts, jump_pts)
+            sums.append((np.asarray(g(_snapped(0.5 * (pts[:-1] + pts[1:]), pts, probe_idx))) * df).sum())
+        if cmath.isfinite(sums[-1]):
+            sums += _replica_sums(g, pts, widths, df, snap_idx, opts.seed, k)
         s_mid = sums[0]
         is_complex = is_complex or np.iscomplexobj(g_mid)
         signed = lambda s: sign * (complex(s) if is_complex else float(s))

@@ -200,6 +200,13 @@ class TestIntegrate:
         assert code == EXIT_USAGE
         assert "error" in capsys.readouterr().err
 
+    def test_negative_seed_is_named(self, capsys):
+        code = main(["integrate", "--g", "poly:t", "--f", "poly:t2",
+                     "--a", "0", "--b", "1", "--seed", "-1"])
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("stieltjes: ") and "seed" in err
+
     @pytest.mark.parametrize("flags", [["--tol", "-1"], ["--tol", "nan"], ["--b", "inf"]])
     def test_bad_number_exits_one(self, capsys, flags):
         argv = ["integrate", "--g", "poly:t", "--f", "poly:t2", "--a", "0", "--b", "1"]

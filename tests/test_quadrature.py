@@ -1,14 +1,19 @@
 import math
+import sys
 
 import numpy as np
 import pytest
 
+from concurrent.futures import ThreadPoolExecutor
+
 from stieltjes import (
+    BoundaryFunction,
     DiskPoint,
     NonConvergentError,
     QuadratureOptions,
     RSStatus,
     by_parts_residual,
+    conj_poisson_stieltjes,
     cyclic_rs_integral,
     make,
     poisson_stieltjes,
@@ -16,7 +21,9 @@ from stieltjes import (
     rs_integral,
 )
 from stieltjes.accel import aitken_step, aitken_tail
-from stieltjes.quadrature import MERGE_TOL, _level_points
+from stieltjes import quadrature
+from stieltjes.quadrature import MERGE_TOL, REPLICAS, _cached_draws, _level_points
+from stieltjes.transforms import disk_transform
 
 from oracles import rs_brute, rs_tagged_sum
 
@@ -296,6 +303,19 @@ class TestOptions:
     def test_one_zero_tolerance_is_fine(self):
         assert QuadratureOptions(rel_tol=0.0).tolerance(5.0) == 1e-12
 
+    @pytest.mark.parametrize("seed", [-1, True, 1.0, "0", None])
+    def test_rejects_bad_seed(self, seed):
+        with pytest.raises(ValueError, match="seed"):
+            QuadratureOptions(seed=seed)
+
+    @pytest.mark.parametrize("k_max", [3, 23, 100, 5.5, True, None])
+    def test_rejects_bad_k_max(self, k_max):
+        with pytest.raises(ValueError, match="k_max"):
+            QuadratureOptions(k_max=k_max)
+
+    def test_accepts_integral_seed_and_k_max(self):
+        assert QuadratureOptions(k_max=np.int64(22), seed=np.int64(3)).seed == 3
+
 
 def _one_on_dyadics(t):
     """1 on dyadic rationals of at most 20 bits, NaN elsewhere."""
@@ -321,3 +341,114 @@ class TestNonFinite:
     def test_rejects_non_finite_ends(self, a, b):
         with pytest.raises(ValueError):
             rs_integral(np.cos, np.sin, a, b)
+
+
+class TestReplicaBlock:
+    """Ladders whose values, errors, statuses and depths the replica draws decide, pinned bit for bit."""
+
+    @pytest.mark.parametrize("run, value, est_error, status, depth", [
+        (lambda: rs_integral(np.cos, make("sin"), 0.0, 1.0),
+         "0.7273243567064205", "3.6715891438277026e-09", RSStatus.CONVERGED, 14),
+        (lambda: conj_poisson_stieltjes(make("cantor"), DiskPoint(0.9, 1.0)),
+         "-0.08437145384236844", "8.080483242149902e-07", RSStatus.CONVERGED, 13),
+        # integrand and integrator jump at 0.5: every level makes a probe sum
+        (lambda: rs_integral(make("step2pi", 0.5), make("step2pi", 0.5), -math.pi, math.pi,
+                             QuadratureOptions(rel_tol=1e-4, k_max=10)),
+         "0.0", "39.47841760435743", RSStatus.INCONCLUSIVE, 7),
+        # atoms on adjacent partition points: the cell between them is the right one's
+        (lambda: poisson_stieltjes(
+            BoundaryFunction(name="staircase", kind="step", jumps=((2.0, 1.0), (1.875, 0.0))),
+            DiskPoint(0.5, 0.0)),
+         "0.07164206941465698", "0.0", RSStatus.CONVERGED, 2),
+        # runs to 2**16 cells, past the one-replica-per-call width
+        (lambda: rs_integral(np.cos, make("sin"), 0.0, 1.0,
+                             QuadratureOptions(rel_tol=1e-15, abs_tol=0.0, k_max=16)),
+         "0.7273243567081858", "1.182078879224946e-08", RSStatus.INCONCLUSIVE, 13),
+    ], ids=["cos-dsin", "cantor-V", "shared-atom", "adjacent-atoms", "deep"])
+    def test_ladder_is_pinned(self, run, value, est_error, status, depth):
+        res = run()
+        assert (repr(res.value), repr(res.est_error), res.status, len(res.levels)) == (
+            value, est_error, status, depth)
+
+
+def _counting(g, calls):
+    def counted(t):
+        calls.append(np.ndim(t))
+        return g(t)
+    return counted
+
+
+class TestReplicaDraws:
+    def test_scalar_integrand_broadcasts(self):
+        res = rs_integral(lambda t: 2.0, np.sin, 0.0, 1.0)
+        assert res.status is RSStatus.CONVERGED and len(res.levels) == 2
+        assert repr(res.value) == "1.682941969615793"
+
+    def test_small_level_makes_two_g_calls_on_1d_arrays(self):
+        calls = []
+        res = rs_integral(_counting(np.cos, calls), np.sin, 0.0, 1.0,
+                          QuadratureOptions(rel_tol=1e-15, abs_tol=0.0, k_max=12))
+        # levels of 2**4 to 2**12 cells: one midpoint call and one replica block each
+        assert len(res.levels) == 9
+        assert calls == [1] * 18
+
+    def test_probe_adds_one_g_call(self, monkeypatch):
+        g = make("step2pi", 0.5)
+        f = make("step2pi", 0.5)
+        calls = []
+        call = BoundaryFunction.__call__
+
+        def counted(self, t):
+            if self is g:
+                calls.append(np.ndim(t))
+            return call(self, t)
+
+        monkeypatch.setattr(BoundaryFunction, "__call__", counted)
+        res = rs_integral(g, f, -math.pi, math.pi, QuadratureOptions(rel_tol=1e-4, k_max=10))
+        assert calls == [1] * 3 * len(res.levels)
+
+    def test_wider_levels_split_the_block(self):
+        calls = []
+        res = rs_integral(_counting(np.cos, calls), np.sin, 0.0, 1.0,
+                          QuadratureOptions(rel_tol=1e-15, abs_tol=0.0, k_max=15))
+        # one midpoint call per level; the block goes in chunks of at most
+        # 2**15 tags: 1 chunk up to 2**12 cells, then 2, 4 and REPLICAS
+        assert len(res.levels) == 12
+        assert len(calls) == 12 + 9 * 1 + 2 + 4 + REPLICAS
+        assert set(calls) == {1}
+
+    def test_cached_rows_are_the_seeded_streams_and_read_only(self):
+        u = _cached_draws(7, 5, 33)
+        assert u.shape == (REPLICAS, 33)
+        for rep in range(REPLICAS):
+            assert np.array_equal(u[rep], np.random.default_rng((7, 5, rep)).random(33))
+        with pytest.raises(ValueError):
+            u[0, 0] = 0.5
+        assert _cached_draws(7, 5, 33) is u
+
+    def test_cache_stays_bounded(self):
+        for n in range(16, quadrature.DRAW_CACHE_CELLS + 1, 8):
+            _cached_draws(8, 10, n)
+        info = _cached_draws.cache_info()
+        assert info.currsize == info.maxsize
+        largest = _cached_draws(8, 10, quadrature.DRAW_CACHE_CELLS).nbytes
+        assert info.maxsize * largest <= quadrature.DRAW_CACHE_BYTES
+
+    def test_threads_get_the_serial_values(self):
+        # a seed no other test uses, so the threads fill the cache themselves
+        opts = QuadratureOptions(rel_tol=1e-5, abs_tol=1e-9, seed=90210)
+        jobs = [(w, make(name), DiskPoint(r, 0.7)) for w in ("U", "V")
+                for name in ("sin", "cantor") for r in (0.5, 0.9)]
+
+        def run(job):
+            res = disk_transform(*job, opts)
+            return repr((res.value, res.est_error, res.status, len(res.levels)))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=2) as pool:
+                threaded = list(pool.map(run, jobs, timeout=120))
+        finally:
+            sys.setswitchinterval(interval)
+        assert threaded == [run(job) for job in jobs]
