@@ -38,11 +38,9 @@ from .limits import (
     poisson_limit_check,
 )
 from .quadrature import (
-    CyclicRSPair,
     NonConvergentError,
     QuadratureOptions,
     by_parts_residual,
-    cyclic_rs_integral,
     require_converged,
     rs_integral,
 )
@@ -73,7 +71,6 @@ __version__ = "0.1.0"
 __all__ = [
     "ApproachPath",
     "BoundaryFunction",
-    "CyclicRSPair",
     "DiskPoint",
     "DomainError",
     "JumpAtEvaluationPoint",
@@ -104,7 +101,6 @@ __all__ = [
     "conjugacy_residual",
     "conjugate_limit_check",
     "conjugate_truncation_trace",
-    "cyclic_rs_integral",
     "duality_residual",
     "harmonicity_diagnostics",
     "hilbert_stieltjes",

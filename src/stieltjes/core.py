@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Optional, Sequence
@@ -64,45 +65,46 @@ def reduce_angle(t):
     return out
 
 
+def _is_int(x):
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
+
+
 def _cantor_staircase(x, depth):
     """Depth-``depth`` staircase approximant of the ternary singular function.
 
-    Starts the recursion from the identity, so the result is continuous,
-    nondecreasing, exact on every plateau resolved within ``depth`` levels,
-    and within 2**-depth of the next approximant in sup norm.
+    A point still unresolved after ``depth`` digits carries half the
+    identity seed, x * 2**-(depth + 1).  The result is nondecreasing, exact
+    on every plateau resolved within ``depth`` levels and within 2**-depth
+    of the next approximant in sup norm, but it steps up by 2**-(depth + 1)
+    at the left end of every plateau it resolves and at x = 1.
     """
     x = np.array(x, dtype=float, copy=True)
     y = np.zeros_like(x)
-    scale = np.full_like(x, 0.5)
-    active = (x > 0.0) & (x < 1.0)
     y[x >= 1.0] = 1.0
+    # digit i (from 0) weighs 0.5**(i + 1) for every point still active
+    scale = 0.5
+    idx = np.flatnonzero((x > 0.0) & (x < 1.0))
     for _ in range(depth):
-        if not active.any():
+        if not idx.size:
             break
-        xa = x[active]
+        xa = x[idx]
         lo = xa < 1.0 / 3.0
         hi = xa >= 2.0 / 3.0
-        mid = ~(lo | hi)
-        xa = np.where(lo, 3.0 * xa, np.where(hi, 3.0 * xa - 2.0, xa))
-        ya = np.where(hi, scale[active], 0.0)
-        idx = np.flatnonzero(active)
-        x[idx] = xa
-        y[idx] += ya
-        # points that landed in the middle third sit on a plateau: freeze them
-        y[idx[mid]] += scale[active][mid]
-        still = np.zeros_like(active)
-        still[idx[~mid]] = True
-        active &= still
-        scale[active] *= 0.5
+        # both upper thirds gain the digit's weight; the middle one is a
+        # plateau, so its points are frozen there
+        y[idx[~lo]] += scale
+        x[idx] = np.where(lo, 3.0 * xa, 3.0 * xa - 2.0)
+        idx = idx[lo | hi]
+        scale *= 0.5
     # unresolved points carry the linear seed of the recursion
-    y[active] += x[active] * scale[active]
+    y[idx] += x[idx] * scale
     return y
 
 
 def _cantor_plateau_flag(x, depth):
     """True when ``x`` lies strictly inside a plateau resolved by ``depth``."""
-    if x <= 0.0 or x >= 1.0:
-        return True  # clamped flat margins
+    if x < 0.0 or x > 1.0:
+        return True  # clamped flat margins; their corners 0 and 1 are edges
     for _ in range(depth):
         if 1.0 / 3.0 < x < 2.0 / 3.0:
             return True
@@ -304,8 +306,8 @@ class ApproachPath:
             raise DomainError(f"target_angle {self.target_angle} and alpha {self.alpha} must be finite")
         if abs(self.alpha) >= math.pi / 2:
             raise DomainError("Stolz opening must satisfy |alpha| < pi/2")
-        if self.k_max < APPROACH_K_MIN:
-            raise ValueError(f"need k_max >= {APPROACH_K_MIN}")
+        if not _is_int(self.k_max) or self.k_max < APPROACH_K_MIN:
+            raise ValueError(f"k_max must be an int >= {APPROACH_K_MIN}, got {self.k_max!r}")
         # how deep a path may go before rounding puts it on the circle depends on alpha
         deepest = cmath.exp(1j * self.target_angle) * (1.0 - 2.0 ** -self.k_max * cmath.exp(1j * self.alpha))
         if abs(deepest) >= 1.0:

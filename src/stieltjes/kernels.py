@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import DomainError, reduce_angle
+from .core import DomainError
 
 __all__ = [
     "SingularityError",
@@ -30,7 +30,8 @@ __all__ = [
     "boundary_cot_kernel",
 ]
 
-# reduced angles closer than this to the cotangent pole are rejected
+# angles whose |tan(x / 2)| falls under COT_GUARD / 2, that is within about
+# COT_GUARD of a cotangent pole, are rejected
 COT_GUARD = 1e-14
 
 
@@ -75,13 +76,15 @@ def poisson_dtheta(r, theta):
 def boundary_cot_kernel(tau, t):
     """cot((tau - t) / 2), the r -> 1 limit of the conjugate kernel.
 
-    Raises when the reduced difference falls inside the pole guard; the
-    principal-value machinery must exclude the diagonal itself.
+    Raises when the difference falls inside the pole guard at any whole
+    turn; the principal-value machinery must exclude the diagonal itself.
     """
-    x = np.asarray(reduce_angle(np.asarray(tau, dtype=float) - np.asarray(t, dtype=float)))
-    if np.any(np.abs(x) < COT_GUARD):
+    x = np.asarray(tau, dtype=float) - np.asarray(t, dtype=float)
+    # tan(x / 2) is 2*pi-periodic and about half the reduced angle near a pole
+    tan_half = np.tan(0.5 * x)
+    if np.any(np.abs(tan_half) < 0.5 * COT_GUARD):
         raise SingularityError("cotangent kernel evaluated at its pole")
-    return _match(1.0 / np.tan(0.5 * x), x)
+    return _match(1.0 / tan_half, x)
 
 
 def conj_poisson(r, theta):

@@ -36,13 +36,12 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .core import ATOM_GUARD, TWO_PI, BoundaryFunction, RSResult, RSStatus
+from .core import ATOM_GUARD, TWO_PI, BoundaryFunction, RSResult, RSStatus, _is_int
 
 __all__ = [
     "QuadratureOptions",
@@ -50,8 +49,6 @@ __all__ = [
     "rs_integral",
     "require_converged",
     "by_parts_residual",
-    "CyclicRSPair",
-    "cyclic_rs_integral",
 ]
 
 
@@ -117,10 +114,6 @@ class QuadratureOptions:
 
     def tolerance(self, magnitude: float) -> float:
         return max(self.rel_tol * magnitude, self.abs_tol)
-
-
-def _is_int(x):
-    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
 
 
 def _graded_map(v, center, lam):
@@ -374,30 +367,3 @@ def by_parts_residual(
 def _call_scalar(h, t):
     v = h(np.asarray([t], dtype=float))
     return float(np.asarray(v).reshape(-1)[0])
-
-
-@dataclass
-class CyclicRSPair:
-    """Both circle integrals of a pair: int g df and int f dg.
-
-    For value-periodic g and f the boundary term of integration by parts
-    cancels around the circle, so ``g_df.value + f_dg.value`` should vanish;
-    ``residual`` is its magnitude.  For non-periodic (staircase) inputs the
-    pair is still returned but the residual is not expected to be small.
-    """
-
-    g_df: RSResult
-    f_dg: RSResult
-    residual: float
-
-
-def cyclic_rs_integral(
-    g: Union[BoundaryFunction, Callable],
-    f: Union[BoundaryFunction, Callable],
-    opts: Optional[QuadratureOptions] = None,
-) -> CyclicRSPair:
-    """Integrate g df and f dg once around the circle, over [-pi, pi]."""
-    g_df = rs_integral(g, f, -math.pi, math.pi, opts)
-    f_dg = rs_integral(f, g, -math.pi, math.pi, opts)
-    residual = abs(g_df.value + f_dg.value)
-    return CyclicRSPair(g_df, f_dg, residual)

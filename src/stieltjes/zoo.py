@@ -24,6 +24,13 @@ from .core import CANTOR_MARGIN, BoundaryFunction, reduce_angle
 __all__ = ["NAMES", "catalog", "make"]
 
 
+def _whole(value, what):
+    """``value`` as an int; integral floats such as the CLI's 24.0 pass, fractions are refused."""
+    if int(value) != value:
+        raise ValueError(f"{what} must be a whole number, got {value!r}")
+    return int(value)
+
+
 def _const():
     return BoundaryFunction(
         name="const",
@@ -81,7 +88,7 @@ def _multi_step():
 
 
 def _cantor(depth=24):
-    depth = int(depth)
+    depth = _whole(depth, "cantor depth")
     if not 1 <= depth <= 53:
         raise ValueError("cantor depth must lie in [1, 53]; deeper steps fall below double resolution")
     # rises from 0 to 1 across (-pi, pi] with 5% flat margins at both ends;
@@ -128,7 +135,7 @@ def _cbv_demo():
 
 
 def _spikes(n_max=10_000):
-    n_max = int(n_max)
+    n_max = _whole(n_max, "spikes n_max")
     if n_max < 1:
         raise ValueError("spikes needs n_max >= 1")
 

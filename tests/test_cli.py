@@ -327,6 +327,12 @@ class TestTransform:
         assert code == EXIT_USAGE
         assert "cantor depth" in capsys.readouterr().err
 
+    def test_fractional_cantor_depth_exits_one(self, capsys):
+        code = main(["transform", "--phi", "zoo:cantor:2.7", "--which", "U",
+                     "--r", "0.5", "--theta", "0.0"])
+        assert code == EXIT_USAGE
+        assert "cantor depth must be a whole number" in capsys.readouterr().err
+
     @pytest.mark.parametrize("jobs", ["0", "-1"])
     def test_jobs_below_one_exit_one(self, capsys, jobs):
         code = main(["transform", "--phi", "zoo:sin", "--which", "U",
@@ -347,6 +353,11 @@ class TestHilbert:
         assert len(records) == 2
         assert float(records[0]["value"]) == pytest.approx(math.sin(0.7), abs=1e-3)
         assert float(records[1]["value"]) == pytest.approx(math.sin(1.3), abs=1e-3)
+
+    def test_plain_callable_exits_one(self, capsys):
+        code = main(["hilbert", "--phi", "poly:t", "--tau", "0.5"])
+        assert code == EXIT_USAGE
+        assert "needs a boundary function" in capsys.readouterr().err
 
     def test_atom_exits_four(self, capsys):
         code = main(["hilbert", "--phi", "zoo:step2pi:0.0", "--tau", "0.0"])
@@ -406,6 +417,11 @@ class TestLimits:
         code = main(["limits", "--phi", "zoo:sin", "--which", "V", "--target", "0.9", "--tol", tol])
         assert code == EXIT_USAGE
         assert capsys.readouterr().err.startswith("stieltjes: limit tolerance")
+
+    def test_plain_callable_exits_one(self, capsys):
+        code = main(["limits", "--phi", "poly:t", "--which", "U", "--target", "0.5"])
+        assert code == EXIT_USAGE
+        assert "need a boundary function" in capsys.readouterr().err
 
     def test_non_finite_target_exits_one(self, capsys):
         code = main(["limits", "--phi", "zoo:sin", "--which", "U", "--target", "nan"])

@@ -12,7 +12,7 @@ from stieltjes import (
     duality_residual,
     reduce_angle,
 )
-from stieltjes.core import _cantor_staircase, jump_images
+from stieltjes.core import _cantor_plateau_flag, _cantor_staircase, jump_images
 
 from oracles import cantor_recursive
 
@@ -91,6 +91,15 @@ class TestBoundaryFunctionKinds:
         assert phi.derivative(0.5 + TWO_PI) is None
         assert phi.derivative(2.0) == 0.0
 
+    def test_unknown_kind_refused(self):
+        with pytest.raises(ValueError, match="unknown boundary function kind"):
+            BoundaryFunction(name="x", kind="smooth", fn=np.sin)
+
+    def test_jump_at_minus_pi_refused(self):
+        # -pi is pi on the circle, and atoms live in (-pi, pi]
+        with pytest.raises(ValueError, match=r"jump locations must lie in \(-pi, pi\]"):
+            BoundaryFunction(name="st", kind="step", jumps=((-math.pi, 1.0),))
+
     def test_charge_neutrality(self):
         step = BoundaryFunction(name="st", kind="step", jumps=((0.0, TWO_PI),),
                                 period_increment=TWO_PI)
@@ -149,6 +158,15 @@ class TestCantorStaircase:
     def test_endpoints(self):
         assert _cantor_staircase(np.array([0.0]), 20)[0] == 0.0
         assert _cantor_staircase(np.array([1.0]), 20)[0] == 1.0
+
+
+class TestCantorPlateauFlag:
+    # exact staircase coordinates; plateaus and margins are checked through
+    # the angle map in tests/test_zoo.py
+    @pytest.mark.parametrize("x", [1 / 3, 2 / 3, 1 / 9, 0.25, 0.0, 1.0])
+    def test_edges_corners_and_cantor_set_points_are_not_flat(self, x):
+        # 1/4 = 0.0202... in ternary never reaches the middle third
+        assert not _cantor_plateau_flag(x, 24)
 
 
 class TestJumpImages:
@@ -241,6 +259,15 @@ class TestApproachPath:
     def test_rejects_depth_that_rounds_onto_circle(self, alpha, k_max):
         with pytest.raises(DomainError, match="k_max"):
             ApproachPath(0.3, alpha, k_max=k_max)
+
+    def test_rejects_k_max_below_one(self):
+        with pytest.raises(ValueError, match="k_max"):
+            ApproachPath(0.3, 0.0, k_max=0)
+
+    @pytest.mark.parametrize("k_max", [5.5, 5.0, True])
+    def test_rejects_k_max_that_is_not_an_int(self, k_max):
+        with pytest.raises(ValueError, match="k_max must be an int"):
+            ApproachPath(0.3, 0.0, k_max=k_max)
 
     @pytest.mark.parametrize("target,alpha,name", [
         (math.nan, 0.0, "target_angle nan"), (math.inf, 0.0, "target_angle inf"), (0.3, math.nan, "alpha nan"),

@@ -130,6 +130,14 @@ class TestAnalyticLimitCheck:
         assert s_exp.imag == pytest.approx(h.value, abs=1e-4)
 
 
+class TestGrade:
+    @pytest.mark.parametrize("residual, grade", [
+        (1e-3, "pass"), (1.5e-3, "marginal"), (3e-3, "marginal"), (3.1e-3, "fail"),
+    ])
+    def test_bands(self, residual, grade):
+        assert limits._grade(residual, 1e-3) == grade
+
+
 class TestReportShape:
     def test_row_fields_and_labels(self):
         report = poisson_limit_check(make("step2pi", 0.0), math.pi,
@@ -165,6 +173,10 @@ class TestReportShape:
         assert all(type(r.estimate.extrapolated) is complex for r in report.rows)
         real = poisson_limit_check(phi, tau, apertures=(math.pi / 6,))
         assert all(type(r.estimate.extrapolated) is float for r in real.rows)
+
+    def test_rejects_fractional_k_max(self):
+        with pytest.raises(ValueError, match="k_max must be an int"):
+            poisson_limit_check(make("sin"), 0.3, k_max=5.5)
 
     def test_rejects_tangential_aperture(self):
         with pytest.raises(DomainError):

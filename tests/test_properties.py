@@ -15,16 +15,20 @@ from stieltjes import (
     BoundaryFunction,
     DiskPoint,
     QuadratureOptions,
+    analytic_kernel,
+    cauchy_kernel,
+    conj_poisson,
     harmonicity_diagnostics,
     make,
+    poisson,
     poisson_stieltjes,
     reduce_angle,
     rs_integral,
 )
-from stieltjes.core import ATOM_GUARD
+from stieltjes.core import ATOM_GUARD, _cantor_staircase
 from stieltjes.quadrature import _graded_map, _graded_preimage
 
-from oracles import poisson_reference
+from oracles import cantor_recursive, poisson_reference
 
 TWO_PI = 2 * math.pi
 
@@ -148,3 +152,82 @@ def test_additive_across_an_atom_on_the_split_point(jumps, split, left, right):
     whole = rs_integral(np.cos, phi, c - left, c + right, opts)
     parts = rs_integral(np.cos, phi, c - left, c, opts).value + rs_integral(np.cos, phi, c, c + right, opts).value
     assert abs(whole.value - parts) <= 1e-12 * max(1.0, abs(whole.value))
+
+
+def _sin2(t):
+    return np.sin(2.0 * np.asarray(t, dtype=float))
+
+
+@fixed(30)
+@given(
+    name=st.sampled_from(["sin", "linear", "multi_step", "cbv_demo", "cantor"]),
+    a=st.floats(min_value=-3.0, max_value=0.0),
+    b=st.floats(min_value=0.1, max_value=3.0),
+    c1=st.floats(min_value=-3.0, max_value=3.0),
+    c2=finite_complex,
+)
+def test_linear_in_the_integrand(name, a, b, c1, c2):
+    phi = make(name)
+    opts = QuadratureOptions(rel_tol=1e-6, abs_tol=1e-9)
+    one, two = rs_integral(np.cos, phi, a, b, opts), rs_integral(_sin2, phi, a, b, opts)
+    both = rs_integral(lambda t: c1 * np.cos(t) + c2 * _sin2(t), phi, a, b, opts)
+    scale = 1e-12 * (1.0 + abs(c1) + abs(c2)) * (1.0 + abs(one.value) + abs(two.value))
+    # the same partitions and tags on every level, so each level's sum is linear
+    for (_m, s), (_m1, s1), (_m2, s2) in zip(both.levels, one.levels, two.levels):
+        assert abs(s - (c1 * s1 + c2 * s2)) <= scale
+    combined = c1 * one.value + c2 * two.value
+    if len(both.levels) == len(one.levels) == len(two.levels):
+        assert both.status is one.status is two.status
+        assert abs(both.value - combined) <= scale
+    elif both.converged and one.converged and two.converged:
+        bound = both.est_error + abs(c1) * one.est_error + abs(c2) * two.est_error
+        assert abs(both.value - combined) <= bound + scale
+
+
+@fixed(30)
+@given(
+    name=st.sampled_from(["sin", "linear", "multi_step", "cbv_demo", "cantor"]),
+    c=st.floats(min_value=-3.0, max_value=3.0),
+    left=st.floats(min_value=0.1, max_value=6.0),
+    right=st.floats(min_value=0.1, max_value=6.0),
+)
+def test_additive_over_adjacent_intervals(name, c, left, right):
+    phi = make(name)
+    assume(all(abs(reduce_angle(c - loc)) > 1e-3 for loc, _h in phi.jumps))
+    opts = QuadratureOptions(rel_tol=1e-7, abs_tol=1e-10)
+    runs = [rs_integral(np.cos, phi, lo, hi, opts) for lo, hi in ((c - left, c + right), (c - left, c), (c, c + right))]
+    assume(all(run.converged for run in runs))
+    whole, lower, upper = runs
+    bound = sum(run.est_error for run in runs)
+    assert abs(whole.value - (lower.value + upper.value)) <= bound + 1e-12
+
+
+@fixed(300)
+@given(
+    r=st.floats(min_value=0.0, max_value=0.99),
+    theta=st.floats(min_value=-math.pi, max_value=math.pi),
+    t=st.floats(min_value=-math.pi, max_value=math.pi),
+)
+def test_kernel_identities(r, theta, t):
+    z = r * complex(math.cos(theta), math.sin(theta))
+    analytic = analytic_kernel(z, t)
+    split = complex(poisson(r, theta - t), conj_poisson(r, theta - t))
+    assert abs(analytic - split) <= 1e-12 * abs(analytic)
+    assert abs(cauchy_kernel(z, t) - (analytic + 1.0) / 2.0) <= 1e-12 * abs(analytic + 1.0)
+
+
+@fixed(200)
+@example([0.0, 1.0, -0.5, 1.5, 1.0 / 3.0, 2.0 / 3.0, 1.0 / 9.0, 0.25], 53)
+@given(
+    xs=st.lists(st.floats(min_value=-0.1, max_value=1.1), min_size=1, max_size=20),
+    depth=st.integers(min_value=1, max_value=53),
+)
+def test_cantor_staircase_matches_the_recursive_oracle(xs, depth):
+    x = np.array(xs)
+    got = _cantor_staircase(x, depth)
+    assert np.array_equal(x, np.array(xs))
+    want = np.array([cantor_recursive(v, depth) for v in xs])
+    # a point still unresolved after ``depth`` digits carries the linear seed
+    # x * 0.5**(depth + 1), half the oracle's; every other point agrees to rounding
+    assert np.all(want - got >= -1e-15)
+    assert np.all(want - got <= 0.5 ** (depth + 1) + 1e-15)

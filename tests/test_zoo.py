@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from stieltjes import DomainError, catalog, make
+from stieltjes import DomainError, catalog, make, poisson_limit_check
 from stieltjes.zoo import NAMES
 
 from oracles import cantor_recursive
@@ -126,6 +126,32 @@ class TestCantor:
         phi = make("cantor")
         assert phi.derivative(0.0) == 0.0
 
+    @pytest.mark.parametrize("x", [1 / 6, 5 / 6, 1 / 18, 5 / 18, 13 / 18, 17 / 18, 1 / 54, -0.01, 1.01])
+    def test_derivative_is_zero_on_plateaus_and_margins(self, x):
+        phi = make("cantor")
+        m = phi.margin
+        assert phi.derivative(((x * (1 - 2 * m) + m) - 0.5) * TWO_PI) == 0.0
+
+    def test_no_derivative_at_the_corners_of_the_rise(self):
+        # U rises without bound along the radius at a corner, so no limit
+        # check may expect 0 there; the margins just outside stay flat
+        phi = make("cantor")
+        lower, upper = -math.pi + 0.1 * math.pi, math.pi - 0.1 * math.pi
+        assert phi.derivative(lower) is None
+        assert phi.derivative(upper) is None
+        assert phi.derivative(lower - 1e-3) == 0.0
+        assert phi.derivative(upper + 1e-3) == 0.0
+        with pytest.raises(ValueError, match="does not certify a derivative"):
+            poisson_limit_check(phi, lower)
+
+    def test_integral_float_depth_accepted(self):
+        assert make("cantor", 24.0).depth == 24
+
+    @pytest.mark.parametrize("name, value, what", [("cantor", 2.7, "cantor depth"), ("spikes", 2.5, "spikes n_max")])
+    def test_fractional_integer_parameter_refused(self, name, value, what):
+        with pytest.raises(ValueError, match=what):
+            make(name, value)
+
     def test_seam_bookkeeping(self):
         phi = make("cantor")
         # the periodized staircase drops by its full rise crossing the seam,
@@ -149,6 +175,10 @@ class TestSpikes:
         phi = make("spikes")
         with pytest.raises(DomainError):
             phi(np.array([-0.25]))
+
+    def test_needs_at_least_one_spike(self):
+        with pytest.raises(ValueError, match="n_max >= 1"):
+            make("spikes", 0)
 
     def test_truncation_parameter(self):
         phi = make("spikes", 100)
@@ -177,3 +207,11 @@ class TestCbvDemo:
     def test_charge_neutral(self):
         phi = make("cbv_demo")
         assert phi.is_charge_neutral()
+
+    def test_derivative_inside_pieces_and_none_at_atoms(self):
+        phi = make("cbv_demo")
+        assert phi.derivative(-2.0) == -np.sin(-4.0)
+        assert phi.derivative(0.0) == 0.3
+        assert phi.derivative(2.0) == -0.4 * np.cos(2.0)
+        assert phi.derivative(-1.0) is None
+        assert phi.derivative(0.5) is None
