@@ -1,11 +1,16 @@
 """Boundary kernels of the unit disk in numerically stable forms.
 
-Every kernel is written over the shared denominator
+The four disk kernels are parts of one, S = (1 + r e^{ix}) / (1 - r e^{ix})
+at x = theta - t: its real part is the Poisson kernel P, its imaginary
+part the conjugate kernel Q, and the Cauchy kernel is (S + 1) / 2.  All
+are written over the half-angle tangent tau = tan(x / 2) and
 
-    D(r, x) = (1 - r)**2 + 4 * r * sin(x / 2)**2 = 1 - 2 r cos(x) + r**2,
+    D'(r, tau) = (1 - r)**2 + (1 + r)**2 * tau**2 = (1 + tau**2) (1 - 2 r cos x + r**2),
 
-which stays positive for r < 1 and avoids the cancellation the textbook
-``1 - 2 r cos x + r**2`` form suffers when r -> 1 with x -> 0.
+as P = (1 - r^2)(1 + tau^2) / D' and Q = 4 r tau / D'.  Both terms of D'
+are non-negative, which avoids the cancellation the textbook
+``1 - 2 r cos x + r**2`` form suffers when r -> 1 with x -> 0, and tau is
+finite at every float angle, since none is an odd multiple of pi.
 
 Angles are always taken as differences (the kernels are 2*pi-periodic in
 ``theta``); radii are validated because every formula here degenerates on
@@ -13,6 +18,8 @@ the boundary except the cotangent kernel, which gets an explicit guard.
 """
 
 from __future__ import annotations
+
+import cmath
 
 import numpy as np
 
@@ -45,9 +52,11 @@ def _check_radius(r):
         raise DomainError(f"radius {r} outside the open unit disk")
 
 
-def _den(r, x):
-    s = np.sin(0.5 * np.asarray(x, dtype=float))
-    return (1.0 - r) ** 2 + 4.0 * r * s * s
+def _half_angle(r, x):
+    """tau = tan(x / 2), tau^2 and D'(r, tau)."""
+    tau = np.tan(0.5 * np.asarray(x, dtype=float))
+    tau2 = tau * tau
+    return tau, tau2, (1.0 - r) ** 2 + (1.0 + r) ** 2 * tau2
 
 
 def _match(out, x):
@@ -57,20 +66,21 @@ def _match(out, x):
 
 
 def poisson(r, theta):
-    """Poisson kernel (1 - r^2) / D(r, theta); strictly positive for r < 1."""
+    """Poisson kernel (1 - r^2)(1 + tau^2) / D'; strictly positive for r < 1."""
     _check_radius(r)
-    return _match((1.0 - r * r) / _den(r, theta), theta)
+    _, tau2, d = _half_angle(r, theta)
+    return _match((1.0 - r * r) * (1.0 + tau2) / d, theta)
 
 
 def poisson_dtheta(r, theta):
     """Angular derivative of the Poisson kernel.
 
-    Equals -2 r (1 - r^2) sin(theta) / D^2; odd in theta.
+    Equals -4 r (1 - r^2) tau (1 + tau^2) / D'^2, that is
+    -2 r (1 - r^2) sin(theta) / (1 - 2 r cos(theta) + r^2)^2; odd in theta.
     """
     _check_radius(r)
-    x = np.asarray(theta, dtype=float)
-    d = _den(r, x)
-    return _match(-2.0 * r * (1.0 - r * r) * np.sin(x) / (d * d), theta)
+    tau, tau2, d = _half_angle(r, theta)
+    return _match(-4.0 * r * (1.0 - r * r) * tau * (1.0 + tau2) / (d * d), theta)
 
 
 def boundary_cot_kernel(tau, t):
@@ -88,7 +98,7 @@ def boundary_cot_kernel(tau, t):
 
 
 def conj_poisson(r, theta):
-    """Conjugate Poisson kernel 2 r sin(theta) / D(r, theta); odd in theta.
+    """Conjugate Poisson kernel 4 r tau / D'; odd in theta.
 
     At r = 1 the kernel degenerates to cot(theta / 2), which is returned
     (with the pole guard) so truncated boundary integrals can be phrased
@@ -97,23 +107,29 @@ def conj_poisson(r, theta):
     if np.ndim(r) == 0 and r == 1.0:
         return boundary_cot_kernel(theta, 0.0)
     _check_radius(r)
-    x = np.asarray(theta, dtype=float)
-    return _match(2.0 * r * np.sin(x) / _den(r, x), theta)
+    tau, _, d = _half_angle(r, theta)
+    return _match(4.0 * r * tau / d, theta)
 
 
 def conj_poisson_dt(r, theta):
     """Angular derivative of the conjugate Poisson kernel.
 
-    Written as 2 r ((1 - r)^2 - 2 (1 + r^2) sin(theta/2)^2) / D^2, an
-    equivalent of 2 r ((1 + r^2) cos(theta) - 2 r) / D^2 whose numerator
-    keeps its sign readable: positive on |theta| <= 1 - r, where the kernel
-    is still rising toward its peak.
+    Written as 2 r ((1 - r)^2 - (1 + r)^2 tau^2)(1 + tau^2) / D'^2, whose
+    numerator keeps its sign readable: positive on tau^2 < ((1 - r)/(1 + r))^2,
+    where the kernel is still rising toward its peak.
     """
     _check_radius(r)
-    x = np.asarray(theta, dtype=float)
-    s2 = np.sin(0.5 * x) ** 2
-    d = _den(r, x)
-    return _match(2.0 * r * ((1.0 - r) ** 2 - 2.0 * (1.0 + r * r) * s2) / (d * d), theta)
+    _, tau2, d = _half_angle(r, theta)
+    return _match(2.0 * r * ((1.0 - r) ** 2 - (1.0 + r) ** 2 * tau2) * (1.0 + tau2) / (d * d), theta)
+
+
+def _schwarz(r, x):
+    """S = P + iQ at radius r and angle x, filled from the two real kernels."""
+    tau, tau2, d = _half_angle(r, x)
+    s = np.empty(np.shape(d), dtype=complex)
+    s.real = (1.0 - r * r) * (1.0 + tau2) / d
+    s.imag = 4.0 * r * tau / d
+    return _match(s, x)
 
 
 def analytic_kernel(z, t):
@@ -122,15 +138,11 @@ def analytic_kernel(z, t):
     Its real part is the Poisson kernel and its imaginary part the
     conjugate Poisson kernel at (|z|, arg z - t).
     """
-    if abs(z) >= 1.0:
-        raise DomainError("analytic kernel needs |z| < 1")
-    zeta = np.exp(1j * np.asarray(t, dtype=float))
-    return _match((zeta + z) / (zeta - z), t)
+    if not abs(z) < 1.0:  # refuses nan and inf too
+        raise DomainError(f"disk kernels need |z| < 1, got {z!r}")
+    return _schwarz(abs(z), cmath.phase(z) - np.asarray(t, dtype=float))
 
 
 def cauchy_kernel(z, t):
     """e^{it} / (e^{it} - z); equals (analytic_kernel + 1) / 2."""
-    if abs(z) >= 1.0:
-        raise DomainError("Cauchy kernel needs |z| < 1")
-    zeta = np.exp(1j * np.asarray(t, dtype=float))
-    return _match(zeta / (zeta - z), t)
+    return (analytic_kernel(z, t) + 1.0) / 2.0

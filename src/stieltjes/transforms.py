@@ -20,7 +20,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .core import TWO_PI, BoundaryFunction, DiskPoint, DomainError, RSResult, RSStatus
-from .kernels import cauchy_kernel, analytic_kernel, conj_poisson, poisson, poisson_dtheta
+from .kernels import _schwarz, conj_poisson, poisson, poisson_dtheta
 from .quadrature import NonConvergentError, QuadratureOptions, rs_integral
 
 __all__ = [
@@ -64,12 +64,13 @@ def _scaled(res: RSResult, factor: float) -> RSResult:
     )
 
 
-# the four disk kernels: each maps a disk point to its integrand in t
+# the four disk kernels: each maps a disk point to its integrand in t, all
+# at radius z.r and angle z.theta - t (DiskPoint has checked the radius)
 KERNELS = {
     "U": lambda z: (lambda t: poisson(z.r, z.theta - t)),
     "V": lambda z: (lambda t: conj_poisson(z.r, z.theta - t)),
-    "S": lambda z: (lambda t: analytic_kernel(z.z, t)),
-    "C": lambda z: (lambda t: cauchy_kernel(z.z, t)),
+    "S": lambda z: (lambda t: _schwarz(z.r, z.theta - t)),
+    "C": lambda z: (lambda t: (_schwarz(z.r, z.theta - t) + 1.0) / 2.0),
 }
 
 

@@ -85,3 +85,33 @@ def poisson_reference(r, x):
 
 def conj_poisson_reference(r, x):
     return 2 * r * np.sin(x) / (1 - 2 * r * np.cos(x) + r * r)
+
+
+# the kernels' earlier forms: P and Q over the sine form of the denominator,
+# S and C from complex exponentials
+
+
+def den_sin(r, x):
+    """1 - 2 r cos(x) + r^2 written as (1 - r)^2 + 4 r sin^2(x / 2)."""
+    s = np.sin(0.5 * x)
+    return (1 - r) ** 2 + 4 * r * s * s
+
+
+def poisson_sin(r, x):
+    return (1 - r * r) / den_sin(r, x)
+
+
+def conj_poisson_sin(r, x):
+    return 2 * r * np.sin(x) / den_sin(r, x)
+
+
+def analytic_exp(z, t):
+    """(e^{it} + z) / (e^{it} - z)."""
+    zeta = np.exp(1j * t)
+    return (zeta + z) / (zeta - z)
+
+
+def cauchy_exp(z, t):
+    """e^{it} / (e^{it} - z)."""
+    zeta = np.exp(1j * t)
+    return zeta / (zeta - z)

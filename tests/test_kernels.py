@@ -148,3 +148,10 @@ class TestComplexKernels:
             analytic_kernel(1.0 + 0j, 0.0)
         with pytest.raises(DomainError):
             cauchy_kernel(2j, 0.0)
+
+    @pytest.mark.parametrize("kernel", [analytic_kernel, cauchy_kernel])
+    @pytest.mark.parametrize("z", [complex(math.nan, 0.0), complex(0.0, math.nan),
+                                   complex(math.inf, 0.0), complex(math.nan, math.inf)])
+    def test_rejects_non_finite_point(self, kernel, z):
+        with pytest.raises(DomainError):
+            kernel(z, 0.3)

@@ -5,6 +5,7 @@ example database, so the suite stays deterministic.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -28,7 +29,15 @@ from stieltjes import (
 from stieltjes.core import ATOM_GUARD, _cantor_staircase
 from stieltjes.quadrature import _graded_map, _graded_preimage
 
-from oracles import cantor_recursive, poisson_reference
+from oracles import (
+    analytic_exp,
+    cantor_recursive,
+    cauchy_exp,
+    conj_poisson_sin,
+    den_sin,
+    poisson_reference,
+    poisson_sin,
+)
 
 TWO_PI = 2 * math.pi
 
@@ -214,6 +223,39 @@ def test_kernel_identities(r, theta, t):
     split = complex(poisson(r, theta - t), conj_poisson(r, theta - t))
     assert abs(analytic - split) <= 1e-12 * abs(analytic)
     assert abs(cauchy_kernel(z, t) - (analytic + 1.0) / 2.0) <= 1e-12 * abs(analytic + 1.0)
+
+
+@fixed(400)
+@example(0.0, 1.0)
+@example(0.0, math.pi)
+@example(1.0 - 2.0 ** -52, 0.0)
+@example(1.0 - 2.0 ** -52, math.pi)
+@example(1.0 - 2.0 ** -52, -math.pi)
+@example(1.0 - 2.0 ** -52, TWO_PI - 1e-9)
+@example(1.0 - 2.0 ** -52, -(TWO_PI - 1e-9))
+@example(0.999, 1e-9)
+@given(
+    r=st.floats(min_value=0.0, max_value=1.0 - 2.0 ** -52),
+    x=st.floats(min_value=-TWO_PI, max_value=TWO_PI, exclude_min=True, exclude_max=True),
+)
+def test_kernels_match_their_sine_and_exponential_forms(r, x):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        # z = r and t = -x put the complex kernels at radius r and angle x
+        p, q, s, c = poisson(r, x), conj_poisson(r, x), analytic_kernel(r, -x), cauchy_kernel(r, -x)
+        want_p, want_q = poisson_sin(r, x), conj_poisson_sin(r, x)
+        want_s, want_c = analytic_exp(r, -x), cauchy_exp(r, -x)
+    assert all(math.isfinite(v) for v in (p, q, s.real, s.imag, c.real, c.imag))
+    assert abs(p - want_p) <= 1e-14 * want_p
+    assert abs(q - want_q) <= 1e-14 * abs(want_q)
+    for got, want in ((s, complex(want_p, want_q)), (c, complex((want_p + 1) / 2, want_q / 2))):
+        assert abs(got.real - want.real) <= 1e-14 * abs(want.real)
+        assert abs(got.imag - want.imag) <= 1e-14 * abs(want.imag)
+    # the exponential forms round e^{-ix}, an error of relative size about
+    # 2 r eps / |1 - r^2 e^{2ix}| in S and below that in C
+    cond = 1.0 + 2.0 * r / math.sqrt(den_sin(r, x) * den_sin(r, x + math.pi))
+    assert abs(s - want_s) <= 1e-14 * cond * abs(s)
+    assert abs(c - want_c) <= 1e-14 * cond * abs(c)
 
 
 @fixed(200)

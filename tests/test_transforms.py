@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from stieltjes import (
@@ -17,8 +18,28 @@ from stieltjes import (
     poisson_stieltjes,
     schwartz_stieltjes,
 )
+from stieltjes.transforms import KERNELS
 
 TWO_PI = 2 * math.pi
+
+
+def _bits(a):
+    return np.asarray(a).tobytes()
+
+
+class TestKernelTable:
+    @pytest.mark.parametrize("z", [DiskPoint(0.0, 0.4), DiskPoint(0.7, 1.3), DiskPoint(0.9999, -2.4),
+                                   DiskPoint(1.0 - 2.0 ** -52, 3.0)])
+    def test_s_and_c_are_built_from_u_and_v_bit_for_bit(self, z):
+        kernel = {which: KERNELS[which](z) for which in KERNELS}
+        t = np.linspace(-math.pi, math.pi, 1001)
+        u, v, s, c = (kernel[which](t) for which in "UVSC")
+        assert _bits(s.real) == _bits(u) and _bits(s.imag) == _bits(v)
+        assert _bits(c) == _bits((s + 1) / 2)
+        for tag in (-math.pi, -1.0, 0.0, z.theta, 2.5, math.pi):
+            u, v, s, c = (kernel[which](tag) for which in "UVSC")
+            assert _bits(s) == _bits(complex(u, v))
+            assert _bits(c) == _bits((s + 1) / 2)
 
 
 class TestClosedFormFields:
