@@ -214,17 +214,20 @@ def _cmd_hilbert(args) -> int:
     if args.compare_singular_cauchy:
         header += ["consistency_residual", "cauchy_imag"]
     rows = []
+    statuses = []
     for tau in _floats(args.tau):
         if args.compare_singular_cauchy:
             con = singular_cauchy_consistency(phi, tau, opts=opts)
             h = con.hilbert
-            rows.append([tau, float(np.real(h.value)), h.est_error,
+            statuses.append(con.cauchy.status)
+            rows.append([tau, h.value, h.est_error,
                          int(h.extrapolated), con.residual, con.imag_magnitude])
         else:
             h = hilbert_stieltjes(phi, tau, opts=opts)
-            rows.append([tau, float(np.real(h.value)), h.est_error, int(h.extrapolated)])
+            rows.append([tau, h.value, h.est_error, int(h.extrapolated)])
+        statuses.append(h.status)
     _write_report(args.out, header, rows, args.format == "structured")
-    return EXIT_OK
+    return max(_STATUS_EXIT[s] for s in statuses)
 
 
 _LIMIT_CHECKS = {

@@ -3,7 +3,10 @@
 The conjugate function's boundary values are reached through truncated
 integrals of the cotangent kernel over symmetric angular exclusions
 ``eps <= |tau - t| <= pi``, refined along a dyadic schedule of ``eps`` and
-extrapolated.  The singular Cauchy form excludes a chord-metric arc
+extrapolated.  The default schedule is eps = 2^-12 ... 2^-16, the
+``accel.TAIL_WINDOW`` truncations the Aitken step reads, and ``est_error``
+is its residual plus the worst window certificate along the schedule.
+The singular Cauchy form excludes a chord-metric arc
 ``|zeta - zeta0| < eps`` instead, carries the 1/(2 pi i) normalization of
 classical singular integrals, and its real part reproduces half the
 cotangent limit; the imaginary part decays with the excluded arc's mass
@@ -24,7 +27,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .accel import aitken_tail
+from .accel import TAIL_WINDOW, aitken_tail
 from .core import TWO_PI, BoundaryFunction, DiskPoint, RSStatus
 from .kernels import boundary_cot_kernel
 from .quadrature import NonConvergentError, QuadratureOptions, rs_integral
@@ -42,7 +45,8 @@ __all__ = [
     "singular_cauchy_consistency",
 ]
 
-DEFAULT_EPS_SCHEDULE = tuple(2.0 ** -j for j in range(3, 17))
+# the truncations aitken_tail reads: eps = 2^-12 ... 2^-16
+DEFAULT_EPS_SCHEDULE = tuple(2.0 ** -j for j in range(17 - TAIL_WINDOW, 17))
 
 
 class JumpAtEvaluationPoint(ValueError):
@@ -55,15 +59,19 @@ class PVResult:
 
     ``eps_trace`` holds (eps, truncated value) in decreasing eps order;
     ``value`` is the extrapolated limit; ``est_error`` adds the
-    extrapolation residual to the worst quadrature certificate over every
-    truncation of the trace; ``extrapolated`` distinguishes a genuine
-    accelerated limit from a last-truncation fallback on short traces.
+    extrapolation residual to the worst quadrature certificate over the
+    truncations of the trace (on the default schedule, exactly those the
+    extrapolation reads); ``extrapolated`` distinguishes a genuine
+    accelerated limit from a last-truncation fallback on short traces;
+    ``status`` is ``CONVERGED`` only when every window ladder converged
+    (a diverged window raises).
     """
 
     value: complex
     eps_trace: list
     extrapolated: bool
     est_error: float
+    status: RSStatus
 
 
 def _check_not_at_jump(phi: BoundaryFunction, tau: float):
@@ -76,19 +84,6 @@ def _check_not_at_jump(phi: BoundaryFunction, tau: float):
         )
 
 
-def _window_pair(phi, g, tau, delta, opts):
-    """Integrate g dPhi over [tau-pi, tau-delta] and [tau+delta, tau+pi]."""
-    grading = (tau, delta)
-    left = rs_integral(g, phi, tau - math.pi, tau - delta, opts, grading=grading)
-    right = rs_integral(g, phi, tau + delta, tau + math.pi, opts, grading=grading)
-    for part in (left, right):
-        if part.status is RSStatus.DIVERGED:
-            raise NonConvergentError("truncated integral diverged", part)
-    value = (left.value + right.value) / TWO_PI
-    est = (left.est_error + right.est_error) / TWO_PI
-    return value, est
-
-
 def _checked_schedule(eps_schedule, upper):
     """The eps schedule (default if None), positive, below ``upper``, strictly decreasing."""
     schedule = tuple(eps_schedule) if eps_schedule is not None else DEFAULT_EPS_SCHEDULE
@@ -99,28 +94,35 @@ def _checked_schedule(eps_schedule, upper):
     return schedule
 
 
-def _pv_limit(phi, g, tau, schedule, opts, halfwidth, cast):
+def _pv_limit(phi, g, tau, schedule, opts, halfwidth):
     """Truncated integrals of g dPhi along the schedule, extrapolated to eps -> 0.
 
-    Each eps excludes the angular window of half-width ``halfwidth(eps)``
-    around ``tau``; ``cast`` maps truncated values and the limit to the
-    reported number type.
+    Each eps integrates over [tau - pi, tau - delta] and [tau + delta, tau + pi]
+    with delta = ``halfwidth(eps)``, both graded at (tau, delta).
     """
     trace = []
     q_est = 0.0
+    status = RSStatus.CONVERGED
     for eps in schedule:
         delta = halfwidth(eps)
-        val, est = _window_pair(phi, g, tau, delta, opts)
-        trace.append((eps, cast(val)))
-        q_est = max(q_est, est)
+        grading = (tau, delta)
+        left = rs_integral(g, phi, tau - math.pi, tau - delta, opts, grading=grading)
+        right = rs_integral(g, phi, tau + delta, tau + math.pi, opts, grading=grading)
+        for part in (left, right):
+            if part.status is RSStatus.DIVERGED:
+                raise NonConvergentError("truncated integral diverged", part)
+            if part.status is not RSStatus.CONVERGED:
+                status = RSStatus.INCONCLUSIVE
+        trace.append((eps, (left.value + right.value) / TWO_PI))
+        q_est = max(q_est, (left.est_error + right.est_error) / TWO_PI)
 
-    values = [v for _e, v in trace]
-    limit, resid = aitken_tail(values)
+    limit, resid = aitken_tail([v for _e, v in trace])
     return PVResult(
-        value=cast(limit),
+        value=limit,
         eps_trace=trace,
-        extrapolated=len(values) >= 3,
-        est_error=float(resid + q_est),
+        extrapolated=len(trace) >= 3,
+        est_error=resid + q_est,
+        status=status,
     )
 
 
@@ -138,8 +140,7 @@ def hilbert_stieltjes(
     _check_not_at_jump(phi, tau)
     schedule = _checked_schedule(eps_schedule, upper=math.pi)
     g = lambda t: boundary_cot_kernel(tau, t)
-    real = lambda x: float(np.real(x))
-    return _pv_limit(phi, g, tau, schedule, opts or TRANSFORM_OPTS, lambda eps: eps, real)
+    return _pv_limit(phi, g, tau, schedule, opts or TRANSFORM_OPTS, lambda eps: eps)
 
 
 def truncated_conjugate_integral(phi: BoundaryFunction, t0: float, r: float) -> float:
@@ -201,7 +202,7 @@ def singular_cauchy_stieltjes(
         return -1j * zeta / (zeta - zeta0)
 
     halfwidth = lambda eps: 2.0 * math.asin(eps / 2.0)
-    return _pv_limit(phi, g, tau, schedule, opts or TRANSFORM_OPTS, halfwidth, complex)
+    return _pv_limit(phi, g, tau, schedule, opts or TRANSFORM_OPTS, halfwidth)
 
 
 @dataclass
@@ -231,6 +232,6 @@ def singular_cauchy_consistency(
     return SingularConsistency(
         hilbert=h,
         cauchy=i,
-        residual=abs(float(np.real(h.value)) - 2.0 * i.value.real),
+        residual=abs(h.value - 2.0 * i.value.real),
         imag_magnitude=abs(i.value.imag),
     )

@@ -364,6 +364,20 @@ class TestHilbert:
         assert code == EXIT_JUMP
         capsys.readouterr()
 
+    @pytest.mark.parametrize("argv", [
+        # 1 of the 10 window ladders ends inconclusive at the default tol
+        ["--phi", "zoo:cantor", "--tau", "0.0"],
+        # 6 of 10
+        ["--phi", "zoo:cantor", "--tau", "0.7"],
+        # 1 of 20: the cotangent form's right window at eps = 2^-12
+        ["--phi", "zoo:cbv_demo", "--tau", "0.3", "--compare-singular-cauchy"],
+    ])
+    def test_inconclusive_window_exits_three(self, capsys, argv):
+        code, header, records = run_csv(capsys, ["hilbert"] + argv)
+        assert code == EXIT_INCONCLUSIVE
+        assert header[:4] == ["tau", "value", "est_error", "extrapolated"]
+        assert len(records) == 1
+
     def test_compare_singular_cauchy(self, capsys):
         code, header, records = run_csv(
             capsys,

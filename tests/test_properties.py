@@ -20,6 +20,7 @@ from stieltjes import (
     cauchy_kernel,
     conj_poisson,
     harmonicity_diagnostics,
+    hilbert_stieltjes,
     make,
     poisson,
     poisson_stieltjes,
@@ -273,3 +274,37 @@ def test_cantor_staircase_matches_the_recursive_oracle(xs, depth):
     # x * 0.5**(depth + 1), half the oracle's; every other point agrees to rounding
     assert np.all(want - got >= -1e-15)
     assert np.all(want - got <= 0.5 ** (depth + 1) + 1e-15)
+
+
+def _atom_cotangents(phi, tau):
+    return sum(h / math.tan((tau - loc) / 2.0) for loc, h in phi.jumps) / TWO_PI
+
+
+# (1/2 pi) PV int cot((tau - t)/2) dphi(t) in closed form: the conjugate of
+# cos is sin and of -sin is cos; a constant density adds nothing, so the
+# other entries reduce to the cotangents of their atoms
+PV_CLOSED_FORMS = {
+    "sin": lambda phi, tau: math.sin(tau),
+    "cos": lambda phi, tau: math.cos(tau),
+    "sawtooth": _atom_cotangents,
+    "linear": _atom_cotangents,
+    "step2pi": _atom_cotangents,
+    "multi_step": _atom_cotangents,
+    "const": _atom_cotangents,
+}
+
+
+@fixed(40)
+@example("linear", 0.0, math.pi - 0.05)
+@example("step2pi", 0.5, 0.45)
+@given(
+    name=st.sampled_from(sorted(PV_CLOSED_FORMS)),
+    t0=st.floats(min_value=-math.pi, max_value=math.pi),
+    tau=st.floats(min_value=-math.pi, max_value=math.pi),
+)
+def test_principal_value_is_within_est_error_of_its_closed_form(name, t0, tau):
+    phi = make(name, t0) if name == "step2pi" else make(name)
+    assume(all(abs(reduce_angle(tau - loc)) >= 0.05 for loc, _h in phi.jumps))
+    want = PV_CLOSED_FORMS[name](phi, tau)
+    got = hilbert_stieltjes(phi, tau)
+    assert abs(got.value - want) <= got.est_error + 1e-12 * max(1.0, abs(want))

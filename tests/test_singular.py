@@ -6,6 +6,8 @@ import pytest
 from stieltjes import (
     DiskPoint,
     JumpAtEvaluationPoint,
+    QuadratureOptions,
+    RSStatus,
     conj_poisson_stieltjes,
     conjugate_truncation_trace,
     hilbert_stieltjes,
@@ -14,10 +16,14 @@ from stieltjes import (
     singular_cauchy_stieltjes,
     truncated_conjugate_integral,
 )
+from stieltjes.accel import TAIL_WINDOW
+from stieltjes.singular import DEFAULT_EPS_SCHEDULE
 
 from oracles import pv_cot_density
 
 TWO_PI = 2 * math.pi
+# fourteen truncations, nine more than the extrapolation reads
+LONG_SCHEDULE = tuple(2.0 ** -j for j in range(3, 17))
 
 
 class TestHilbertClosedForms:
@@ -104,6 +110,48 @@ class TestHilbertInterface:
             hilbert_stieltjes(make("sin"), 0.9, eps_schedule=(4.0, 3.5, 3.2))
         with pytest.raises(ValueError):
             hilbert_stieltjes(make("sin"), 0.9, eps_schedule=(math.pi, 0.5, 0.25))
+
+
+class TestDefaultSchedule:
+    def test_is_the_extrapolation_tail_of_the_long_schedule(self):
+        assert len(DEFAULT_EPS_SCHEDULE) == TAIL_WINDOW
+        assert DEFAULT_EPS_SCHEDULE == LONG_SCHEDULE[-TAIL_WINDOW:]
+
+    @staticmethod
+    def _same_value_smaller_error(short, long):
+        assert repr(short.value) == repr(long.value)
+        assert short.eps_trace == long.eps_trace[-TAIL_WINDOW:]
+        assert short.est_error <= long.est_error
+
+    @pytest.mark.parametrize("name,tau", [("sin", 0.8), ("cantor", 0.7), ("cbv_demo", 0.3)])
+    def test_hilbert_matches_the_long_schedule(self, name, tau):
+        phi = make(name)
+        self._same_value_smaller_error(hilbert_stieltjes(phi, tau),
+                                       hilbert_stieltjes(phi, tau, LONG_SCHEDULE))
+
+    def test_singular_cauchy_matches_the_long_schedule(self):
+        phi, zeta0 = make("cbv_demo"), complex(np.exp(0.3j))
+        self._same_value_smaller_error(singular_cauchy_stieltjes(phi, zeta0),
+                                       singular_cauchy_stieltjes(phi, zeta0, LONG_SCHEDULE))
+
+
+class TestPVStatus:
+    def test_converged_when_every_window_converges(self):
+        assert hilbert_stieltjes(make("sin"), 0.9).status is RSStatus.CONVERGED
+        assert singular_cauchy_stieltjes(make("sin"), complex(np.exp(0.9j))).status is RSStatus.CONVERGED
+
+    def test_inconclusive_window_makes_the_limit_inconclusive(self):
+        # at rel_tol 1e-6, 6 of the 10 cantor windows at 0.7 end inconclusive
+        h = hilbert_stieltjes(make("cantor"), 0.7, opts=QuadratureOptions(rel_tol=1e-6))
+        assert h.status is RSStatus.INCONCLUSIVE
+        assert math.isfinite(h.est_error)
+
+    def test_cauchy_form_carries_its_own_status(self):
+        # one window of the cotangent form at eps = 2^-12 ends inconclusive;
+        # the Cauchy form's chord windows all converge
+        con = singular_cauchy_consistency(make("cbv_demo"), 0.3)
+        assert con.hilbert.status is RSStatus.INCONCLUSIVE
+        assert con.cauchy.status is RSStatus.CONVERGED
 
 
 class TestTruncatedConjugate:
