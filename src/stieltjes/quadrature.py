@@ -2,11 +2,12 @@
 
 The integral is taken in the strong sense: the net of tagged sums must
 settle down no matter how the tags are chosen.  Each refinement level
-therefore evaluates one midpoint-policy sum plus a bundle of randomized tag
-replicas, and the certificate demands both that successive levels agree
-and that the replica spread collapses.  With atoms exact and a smooth
-mesh map the midpoint error is O(h^2), so a certified run reports one
-Richardson step of its last two midpoint sums, s_k + (s_k - s_{k-1}) / 3.
+therefore evaluates one midpoint-policy sum, and a bundle of randomized tag
+replicas wherever their spread can decide the outcome; the certificate
+demands both that successive levels agree and that the replica spread
+collapses.  With atoms exact and a smooth mesh map the midpoint error is
+O(h^2), so a certified run reports one Richardson step of its last two
+midpoint sums, s_k + (s_k - s_{k-1}) / 3.
 
 Replica ``rep`` of level k draws its uniforms from its own stream,
 ``default_rng((seed, k, rep))``, so every replica sum is fixed by the seed
@@ -15,6 +16,20 @@ bounded, thread-safe, process-wide cache of read-only arrays.  The
 replicas are evaluated as one block of rows: one ``g`` call on the
 flattened tags of at most CHUNK_POINTS at a time, then one row reduction.
 ``g`` only ever sees 1-D arrays, and it must act elementwise on them.
+
+A level runs its block only where the spread can matter: on the first
+level, on the last (its spread enters an inconclusive est_error), on a
+level whose difference is within tolerance, and where the level
+differences have grown as the divergence rule asks.  On any other level the
+difference alone fails the tolerance.  On a level whose difference passed,
+the block stops at the first chunk that leaves the spread above the
+tolerance, since that level can no longer converge.  Before the divergence
+rule reads the spreads, the levels in its window whose block was skipped or
+cut short run it in full, so every status, value, est_error and level
+count is the one a block on every level gives.  The one exception: a
+non-finite replica sum on a level whose block was skipped or cut short,
+and not run again, goes unseen.  A certified level still has all of its
+replica sums finite.
 
 Atoms of the integrator are handled exactly.  Declared jump locations are
 inserted as partition points and the tags of both adjacent subintervals are
@@ -57,7 +72,8 @@ MERGE_TOL = 1e-13
 # the coarsest level has 2**K_MIN base subintervals, the finest at most 2**K_CAP
 K_MIN = 4
 K_CAP = 22
-# random-tag replicas evaluated next to the midpoint sum on every level
+# random-tag replicas evaluated next to the midpoint sum on the levels whose
+# spread can decide the outcome
 REPLICAS = 8
 # replica tags per g call; a level this wide or wider makes one call per replica
 CHUNK_POINTS = 2 ** 15
@@ -91,7 +107,7 @@ class QuadratureOptions:
       difference, replica spread) falls under max(rel_tol * |value|,
       abs_tol).  Both must be finite and >= 0, and one of them > 0.
     * ``seed``: a non-negative int; draws the REPLICAS random-tag replicas
-      of every level.
+      of each level.
 
     Divergence needs GROWTH_STEPS consecutive ratios of at least
     GROWTH_FACTOR in both the spread and the level difference, with the
@@ -205,25 +221,32 @@ def _cached_draws(seed, k, n):
     return u
 
 
-def _replica_sums(g, pts, widths, df, snap_idx, seed, k):
-    """Level k's REPLICAS random-tag sums, up to and including the first non-finite one.
+def _replica_spread(g, level, seed, k, s_mid, spread, cutoff=math.inf):
+    """The largest of ``spread`` and |s - s_mid| over level k's REPLICAS random-tag sums s.
 
-    The replicas are evaluated as blocks of rows, at most CHUNK_POINTS tags
-    and one ``g`` call on the flattened block each.
+    ``level`` is ``(pts, widths, df, snap_idx)``.  The replicas are evaluated
+    as blocks of rows, at most CHUNK_POINTS tags and one ``g`` call on the
+    flattened block each.  A non-finite replica sum returns nan at once.  A
+    block that leaves the spread above ``cutoff`` ends the evaluation, and
+    the spread is then unknown: None.
     """
+    pts, widths, df, snap_idx = level
     n = widths.size
     cached = _cached_draws(seed, k, n) if n <= DRAW_CACHE_CELLS else None
     rows = max(1, CHUNK_POINTS // n)
-    sums = []
     for r0 in range(0, REPLICAS, rows):
         reps = range(r0, min(r0 + rows, REPLICAS))
         tags = (_draws(seed, k, reps, n) if cached is None else cached[r0:reps.stop]) * widths
         tags += pts[:-1]
         for s in _row_sums(g, _snapped(tags, pts, snap_idx), df):
-            sums.append(s)
             if not cmath.isfinite(s):
-                return sums
-    return sums
+                return math.nan
+            d = abs(s - s_mid)
+            if d > spread:
+                spread = d
+        if spread > cutoff:
+            return None
+    return spread
 
 
 def _row_sums(g, tags, df):
@@ -259,6 +282,10 @@ def rs_integral(
     non-finite sum ends the run ``INCONCLUSIVE`` with est_error inf.  A
     ``CONVERGED`` run reports the Richardson step of its last two midpoint
     sums; any other run reports its deepest midpoint sum.
+
+    Replicas run only on the levels whose spread can decide the outcome (see
+    the module docstring), so a non-finite replica sum on a level that
+    skipped or cut short its block goes unseen.
     """
     opts = opts or QuadratureOptions()
     if grading is not None and not (math.isfinite(grading[1]) and grading[1] > 0.0):
@@ -276,18 +303,25 @@ def rs_integral(
     shared = [j for j in jump_pts if any(abs(j - y) <= ATOM_GUARD for y in g_atoms)]
     snap_pts = [j for j in jump_pts if j not in shared]
 
+    def level_at(k):
+        pts = _level_points(a, b, 2 ** k, grading, jump_pts)
+        return pts, np.diff(pts), np.diff(np.asarray(f(pts), dtype=float)), _merged_indices(pts, snap_pts)
+
+    def signed(s):
+        return sign * (complex(s) if is_complex else float(s))
+
     levels = []
+    # per level: the midpoint sum and the distance of the probe sum from it
+    heads = []
+    # None where the replicas were skipped or cut short
     spreads = []
     diffs = []
     prev_sum = None
     is_complex = False
 
     for k in range(K_MIN, opts.k_max + 1):
-        pts = _level_points(a, b, 2 ** k, grading, jump_pts)
-        widths = np.diff(pts)
-        fvals = np.asarray(f(pts), dtype=float)
-        df = np.diff(fvals)
-        snap_idx = _merged_indices(pts, snap_pts)
+        level = level_at(k)
+        pts, widths, df, snap_idx = level
         # the midpoint values live to the end of the level; freeing them at
         # once lets the allocator shrink and re-fault the heap on every replica
         g_mid = np.asarray(g(_snapped(0.5 * (pts[:-1] + pts[1:]), pts, snap_idx)))
@@ -297,32 +331,50 @@ def rs_integral(
             # to exist at all, even these must agree with the rest
             probe_idx = _merged_indices(pts, jump_pts)
             sums.append((np.asarray(g(_snapped(0.5 * (pts[:-1] + pts[1:]), pts, probe_idx))) * df).sum())
-        if cmath.isfinite(sums[-1]):
-            sums += _replica_sums(g, pts, widths, df, snap_idx, opts.seed, k)
         s_mid = sums[0]
         is_complex = is_complex or np.iscomplexobj(g_mid)
-        signed = lambda s: sign * (complex(s) if is_complex else float(s))
         value = signed(s_mid)
         levels.append((float(widths.max()), value))
         if not cmath.isfinite(sums[-1]):
             return RSResult(value, levels, math.inf, RSStatus.INCONCLUSIVE)
 
-        spread = max(abs(s - s_mid) for s in sums)
-        spreads.append(spread)
+        heads.append((s_mid, abs(sums[-1] - s_mid)))
         diff = math.inf if prev_sum is None else abs(s_mid - prev_sum)
         diffs.append(diff)
-        est = max(diff, spread)
+        tol = opts.tolerance(abs(s_mid))
+        passed = diff <= tol
+        growing = _grows(diffs)
+        if growing:
+            # complete the spreads the divergence rule reads below, oldest
+            # first; a non-finite replica sum among them ends the run at its
+            # own level
+            for j in range(len(spreads) - GROWTH_STEPS, len(spreads)):
+                if spreads[j] is None:
+                    spreads[j] = _replica_spread(g, level_at(K_MIN + j), opts.seed, K_MIN + j, *heads[j])
+                    if math.isnan(spreads[j]):
+                        return RSResult(levels[j][1], levels[:j + 1], math.inf, RSStatus.INCONCLUSIVE)
+        spread = None
+        # any other level fails its tolerance on the difference alone
+        if passed or growing or k in (K_MIN, opts.k_max):
+            # a passed level cannot converge once its spread exceeds tol; the
+            # divergence rule and the last level's est_error need the whole spread
+            cutoff = tol if passed and not growing and k < opts.k_max else math.inf
+            spread = _replica_spread(g, level, opts.seed, k, *heads[-1], cutoff)
+            if spread is not None and math.isnan(spread):
+                return RSResult(value, levels, math.inf, RSStatus.INCONCLUSIVE)
+        spreads.append(spread)
 
-        if diff < math.inf and est <= opts.tolerance(abs(s_mid)):
+        if passed and spread is not None and spread <= tol:
             # halving the mesh quarters the O(h^2) midpoint error: one
             # Richardson step moves the value by diff / 3, inside est_error
-            return RSResult(signed(s_mid + (s_mid - prev_sum) / 3.0), levels, float(est), RSStatus.CONVERGED)
+            est = float(max(diff, spread))
+            return RSResult(signed(s_mid + (s_mid - prev_sum) / 3.0), levels, est, RSStatus.CONVERGED)
 
-        if spreads[-1] > SPREAD_FLOOR_FACTOR * opts.abs_tol and _grows(spreads) and _grows(diffs):
-            return RSResult(value, levels, float(spreads[-1]), RSStatus.DIVERGED)
+        if growing and spread > SPREAD_FLOOR_FACTOR * opts.abs_tol and _grows(spreads):
+            return RSResult(value, levels, float(spread), RSStatus.DIVERGED)
         prev_sum = s_mid
 
-    return RSResult(value, levels, float(est), RSStatus.INCONCLUSIVE)
+    return RSResult(value, levels, float(max(diff, spread)), RSStatus.INCONCLUSIVE)
 
 
 def _grows(seq):

@@ -19,9 +19,9 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import TWO_PI, BoundaryFunction, DiskPoint, DomainError, RSResult, RSStatus
+from .core import TWO_PI, BoundaryFunction, DiskPoint, DomainError, RSResult
 from .kernels import _schwarz, conj_poisson, poisson, poisson_dtheta
-from .quadrature import NonConvergentError, QuadratureOptions, rs_integral
+from .quadrature import QuadratureOptions, require_converged, rs_integral
 
 __all__ = [
     "TRANSFORM_OPTS",
@@ -123,9 +123,10 @@ def cauchy_identity_residual(phi: BoundaryFunction, z) -> float:
     Both sides are independent quadratures at ``TRANSFORM_OPTS``; the
     integrator's net increment per turn enters as the constant
     (increment)/(4 pi) because the kernels differ by the constant 1/2.
+    A side that does not converge raises :class:`NonConvergentError`.
     """
-    s = schwartz_stieltjes(phi, z)
-    c = cauchy_stieltjes(phi, z)
+    s = require_converged(schwartz_stieltjes(phi, z), "analytic side")
+    c = require_converged(cauchy_stieltjes(phi, z), "Cauchy side")
     return abs(c.value - cauchy_from_schwartz(s.value, phi))
 
 
@@ -137,14 +138,13 @@ def duality_residual(phi: BoundaryFunction, z) -> float:
     Right side: (1/2pi) int Phi(t) * dP/dtheta (theta - t) dt by plain
     midpoint quadrature (refined once for an error estimate).  The identity
     needs the round-trip boundary term to cancel, so the integrator must be
-    charge neutral over one period.
+    charge neutral over one period.  A left side that does not converge
+    raises :class:`NonConvergentError`.
     """
     if phi.period_increment != 0.0:
         raise ValueError("duality needs a charge-neutral integrator")
     z = _as_disk_point(z)
-    lhs_res = poisson_stieltjes(phi, z)
-    if lhs_res.status is RSStatus.DIVERGED:
-        raise NonConvergentError("left side diverged", lhs_res)
+    lhs_res = require_converged(poisson_stieltjes(phi, z), "left side")
 
     def rhs_at(n):
         t = -math.pi + TWO_PI * (np.arange(n) + 0.5) / n
@@ -178,7 +178,8 @@ def conjugacy_residual(phi: BoundaryFunction, z) -> float:
     derivatives taken by five-point central differences of arm
     ``CONJUGACY_STEP`` (fourth order: second-order stencils leave a
     truncation floor above the tight tolerances the smooth cases meet).
-    The transforms run at ``TRANSFORM_OPTS``.
+    The transforms run at ``TRANSFORM_OPTS``; one that does not converge
+    raises :class:`NonConvergentError`.
     """
     z = _as_disk_point(z)
     h = CONJUGACY_STEP
@@ -190,7 +191,8 @@ def conjugacy_residual(phi: BoundaryFunction, z) -> float:
     def d4(which, radial):
         # fourth-order central difference of U or V along r or theta
         points = [DiskPoint(r + j * h, th) if radial else DiskPoint(r, th + j * h) for j in (-2, -1, 1, 2)]
-        fm2, fm1, fp1, fp2 = (disk_transform(which, phi, p).value for p in points)
+        fm2, fm1, fp1, fp2 = (require_converged(disk_transform(which, phi, p), f"{which} at {p}").value
+                              for p in points)
         return (-fp2 + 8.0 * fp1 - 8.0 * fm1 + fm2) / (12.0 * h)
 
     du_dr, dv_dr, du_dth, dv_dth = d4("U", True), d4("V", True), d4("U", False), d4("V", False)

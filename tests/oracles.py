@@ -3,10 +3,33 @@
 Everything here is deliberately naive and kept separate from the package:
 plain tagged sums, dense-grid quadrature, a recursive Cantor evaluator, and
 textbook finite differences.  When a test compares the library against one
-of these, the two sides share no code.
+of these, the two sides share no code.  The one exception is
+``eager_rs_integral``, which must match ``rs_integral`` bit for bit: it
+shares the package's level helpers and keeps only its own level loop.
 """
 
+import cmath
+import math
+
 import numpy as np
+
+from stieltjes.core import ATOM_GUARD, RSResult, RSStatus
+from stieltjes.quadrature import (
+    CHUNK_POINTS,
+    DRAW_CACHE_CELLS,
+    K_MIN,
+    REPLICAS,
+    SPREAD_FLOOR_FACTOR,
+    QuadratureOptions,
+    _atoms,
+    _cached_draws,
+    _draws,
+    _grows,
+    _level_points,
+    _merged_indices,
+    _row_sums,
+    _snapped,
+)
 
 
 def rs_tagged_sum(g, f, a, b, n, rule="mid", rng=None):
@@ -115,3 +138,95 @@ def cauchy_exp(z, t):
     """e^{it} / (e^{it} - z)."""
     zeta = np.exp(1j * t)
     return zeta / (zeta - z)
+
+
+# the refinement ladder as it was before lazy replicas: every level
+# evaluates all REPLICAS replica sums, up to the first non-finite one
+
+
+def _replica_sums(g, pts, widths, df, snap_idx, seed, k):
+    """Level k's REPLICAS random-tag sums, up to and including the first non-finite one.
+
+    The replicas are evaluated as blocks of rows, at most CHUNK_POINTS tags
+    and one ``g`` call on the flattened block each.
+    """
+    n = widths.size
+    cached = _cached_draws(seed, k, n) if n <= DRAW_CACHE_CELLS else None
+    rows = max(1, CHUNK_POINTS // n)
+    sums = []
+    for r0 in range(0, REPLICAS, rows):
+        reps = range(r0, min(r0 + rows, REPLICAS))
+        tags = (_draws(seed, k, reps, n) if cached is None else cached[r0:reps.stop]) * widths
+        tags += pts[:-1]
+        for s in _row_sums(g, _snapped(tags, pts, snap_idx), df):
+            sums.append(s)
+            if not cmath.isfinite(s):
+                return sums
+    return sums
+
+
+def eager_rs_integral(g, f, a, b, opts=None, *, grading=None):
+    """``rs_integral`` with the whole replica block evaluated on every level."""
+    opts = opts or QuadratureOptions()
+    if grading is not None and not (math.isfinite(grading[1]) and grading[1] > 0.0):
+        raise ValueError("grading distance must be finite and positive")
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise ValueError(f"integration ends must be finite, got [{a}, {b}]")
+    sign = 1.0
+    if a == b:
+        return RSResult(0.0, [(0.0, 0.0)], 0.0, RSStatus.CONVERGED)
+    if a > b:
+        a, b, sign = b, a, -1.0
+
+    jump_pts = _atoms(f, a, b)
+    g_atoms = _atoms(g, a, b)
+    shared = [j for j in jump_pts if any(abs(j - y) <= ATOM_GUARD for y in g_atoms)]
+    snap_pts = [j for j in jump_pts if j not in shared]
+
+    levels = []
+    spreads = []
+    diffs = []
+    prev_sum = None
+    is_complex = False
+
+    for k in range(K_MIN, opts.k_max + 1):
+        pts = _level_points(a, b, 2 ** k, grading, jump_pts)
+        widths = np.diff(pts)
+        fvals = np.asarray(f(pts), dtype=float)
+        df = np.diff(fvals)
+        snap_idx = _merged_indices(pts, snap_pts)
+        # the midpoint values live to the end of the level; freeing them at
+        # once lets the allocator shrink and re-fault the heap on every replica
+        g_mid = np.asarray(g(_snapped(0.5 * (pts[:-1] + pts[1:]), pts, snap_idx)))
+        sums = [(g_mid * df).sum()]
+        if shared and cmath.isfinite(sums[-1]):
+            # probe tags on the shared discontinuities: if the integral is
+            # to exist at all, even these must agree with the rest
+            probe_idx = _merged_indices(pts, jump_pts)
+            sums.append((np.asarray(g(_snapped(0.5 * (pts[:-1] + pts[1:]), pts, probe_idx))) * df).sum())
+        if cmath.isfinite(sums[-1]):
+            sums += _replica_sums(g, pts, widths, df, snap_idx, opts.seed, k)
+        s_mid = sums[0]
+        is_complex = is_complex or np.iscomplexobj(g_mid)
+        signed = lambda s: sign * (complex(s) if is_complex else float(s))
+        value = signed(s_mid)
+        levels.append((float(widths.max()), value))
+        if not cmath.isfinite(sums[-1]):
+            return RSResult(value, levels, math.inf, RSStatus.INCONCLUSIVE)
+
+        spread = max(abs(s - s_mid) for s in sums)
+        spreads.append(spread)
+        diff = math.inf if prev_sum is None else abs(s_mid - prev_sum)
+        diffs.append(diff)
+        est = max(diff, spread)
+
+        if diff < math.inf and est <= opts.tolerance(abs(s_mid)):
+            # halving the mesh quarters the O(h^2) midpoint error: one
+            # Richardson step moves the value by diff / 3, inside est_error
+            return RSResult(signed(s_mid + (s_mid - prev_sum) / 3.0), levels, float(est), RSStatus.CONVERGED)
+
+        if spreads[-1] > SPREAD_FLOOR_FACTOR * opts.abs_tol and _grows(spreads) and _grows(diffs):
+            return RSResult(value, levels, float(spreads[-1]), RSStatus.DIVERGED)
+        prev_sum = s_mid
+
+    return RSResult(value, levels, float(est), RSStatus.INCONCLUSIVE)

@@ -28,7 +28,8 @@ from stieltjes import (
     rs_integral,
 )
 from stieltjes.core import ATOM_GUARD, _cantor_staircase
-from stieltjes.quadrature import _graded_map, _graded_preimage
+from stieltjes.quadrature import K_MIN, _graded_map, _graded_preimage
+from stieltjes.transforms import KERNELS
 
 from oracles import (
     analytic_exp,
@@ -36,6 +37,7 @@ from oracles import (
     cauchy_exp,
     conj_poisson_sin,
     den_sin,
+    eager_rs_integral,
     poisson_reference,
     poisson_sin,
 )
@@ -308,3 +310,87 @@ def test_principal_value_is_within_est_error_of_its_closed_form(name, t0, tau):
     want = PV_CLOSED_FORMS[name](phi, tau)
     got = hilbert_stieltjes(phi, tau)
     assert abs(got.value - want) <= got.est_error + 1e-12 * max(1.0, abs(want))
+
+
+def _identity(t):
+    return np.asarray(t, dtype=float)
+
+
+def _one_on_dyadics(t):
+    """1 on dyadic rationals of at most 20 bits, NaN elsewhere."""
+    t = np.asarray(t, dtype=float)
+    return np.where(t * 2.0 ** 20 == np.round(t * 2.0 ** 20), 1.0, np.nan)
+
+
+def _spikes_nan_window(t):
+    """The spikes integrand, but NaN at tags off the dyadics in (0.3, 0.3 + 2**-9)."""
+    t = np.asarray(t, dtype=float)
+    window = (t > 0.3) & (t < 0.3 + 2.0 ** -9) & (t * 2.0 ** 20 != np.round(t * 2.0 ** 20))
+    return np.where(window, np.nan, make("spikes")(t))
+
+
+# the step of the heavy-tailed run's midpoint sums and its abs_tol
+HEAVY_STEP = 2.0 ** -30
+
+
+def _heavy_tailed(t):
+    """Heavy-tailed off the dyadics, 0 on them but for one spike per level from 13 to 16.
+
+    Off the dyadics it is 1/u**2, u the bits of the tag below 2**-24, so its
+    random-tag sums have no mean and jump about by orders of magnitude.  On
+    [0, 1] against dt, level k's midpoint sum is 0 up to level 12 and
+    (2**(k - 12) - 1) * HEAVY_STEP from level 13 on, so the level
+    differences double from 13 on.
+    """
+    t = np.asarray(t, dtype=float)
+    out = 1.0 / (np.modf(t * 2.0 ** 24)[0] + 2.0 ** -30) ** 2
+    out[t * 2.0 ** 20 == np.round(t * 2.0 ** 20)] = 0.0
+    for k in range(13, 17):
+        # the first midpoint tag of level k and of no other level
+        out[t == 2.0 ** -(k + 1)] = (2.0 ** (k - 12) - 1.0) * HEAVY_STEP * 2.0 ** k
+    return out
+
+
+def _disk_run(name, which, r, theta, seed, rel_tol, k_max):
+    """The arguments of the ladder behind ``disk_transform(which, make(name), (r, theta))``."""
+    opts = QuadratureOptions(k_max=k_max, rel_tol=rel_tol, abs_tol=1e-9, seed=seed)
+    return KERNELS[which](DiskPoint(r, theta)), make(name), -math.pi, math.pi, opts, (theta, 1.0 - r)
+
+
+@fixed(60)
+# diverged, decided on spreads of levels that skipped their replicas
+@example((make("spikes"), _identity, 0.0, 1.0, QuadratureOptions(), None))
+# level 13 passes its difference and its block is cut short; at level 16
+# the differences have doubled three times, and only level 13's whole block
+# shows that the spreads have not
+@example((_heavy_tailed, _identity, 0.0, 1.0, QuadratureOptions(rel_tol=0.0, abs_tol=HEAVY_STEP, k_max=16, seed=2),
+          None))
+# level 4's replicas miss the NaN window and level 5's hit it: the run ends
+# at level 5, whose block runs only when level 8 completes the spreads
+@example((_spikes_nan_window, _identity, 0.0, 1.0, QuadratureOptions(seed=2), None))
+# NaN replica sums on the first level
+@example((_one_on_dyadics, _identity, 0.0, 1.0, QuadratureOptions(), None))
+# integrand and integrator jump at 0.5: every level makes a probe sum
+@example((make("step2pi", 0.5), make("step2pi", 0.5), -math.pi, math.pi,
+          QuadratureOptions(rel_tol=1e-4, k_max=10), None))
+@example(_disk_run("cantor", "V", 0.9, 1.0, 0, 1e-5, K_MIN))
+# runs out of levels at 2**16 cells, past the one-replica-per-call width
+@example((np.cos, make("sin"), 0.0, 1.0, QuadratureOptions(rel_tol=1e-15, abs_tol=0.0, k_max=16), None))
+@given(st.builds(
+    _disk_run,
+    # the catalog but spikes, which lives on [0, 1] only
+    name=st.sampled_from(["const", "linear", "sin", "cos", "step2pi", "multi_step", "cantor", "sawtooth",
+                          "cbv_demo"]),
+    which=st.sampled_from(sorted(KERNELS)),
+    r=st.floats(min_value=0.0, max_value=0.999),
+    theta=st.floats(min_value=-math.pi, max_value=math.pi),
+    seed=st.integers(min_value=0, max_value=4),
+    rel_tol=st.floats(min_value=-8.0, max_value=-3.0).map(lambda e: 10.0 ** e),
+    k_max=st.integers(min_value=K_MIN, max_value=14),
+))
+def test_lazy_replicas_give_the_eager_ladder_bit_for_bit(run):
+    g, f, a, b, opts, grading = run
+    got = rs_integral(g, f, a, b, opts, grading=grading)
+    want = eager_rs_integral(g, f, a, b, opts, grading=grading)
+    assert (repr(got.value), repr(got.est_error), got.status, repr(got.levels)) == (
+        repr(want.value), repr(want.est_error), want.status, repr(want.levels))

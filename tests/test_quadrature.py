@@ -395,9 +395,11 @@ class TestReplicaDraws:
         calls = []
         res = rs_integral(_counting(np.cos, calls), np.sin, 0.0, 1.0,
                           QuadratureOptions(rel_tol=1e-15, abs_tol=0.0, k_max=12))
-        # levels of 2**4 to 2**12 cells: one midpoint call and one replica block each
+        # levels of 2**4 to 2**12 cells: one midpoint call each; no level
+        # difference passes, so only the first and the last level run their
+        # replica block, one call each
         assert len(res.levels) == 9
-        assert calls == [1] * 18
+        assert calls == [1] * 11
 
     def test_probe_adds_one_g_call(self, monkeypatch):
         g = make("step2pi", 0.5)
@@ -418,11 +420,30 @@ class TestReplicaDraws:
         calls = []
         res = rs_integral(_counting(np.cos, calls), np.sin, 0.0, 1.0,
                           QuadratureOptions(rel_tol=1e-15, abs_tol=0.0, k_max=15))
-        # one midpoint call per level; the block goes in chunks of at most
-        # 2**15 tags: 1 chunk up to 2**12 cells, then 2, 4 and REPLICAS
+        # one midpoint call per level; only the first and the last level run
+        # their block, in chunks of at most 2**15 tags: 1 chunk at 2**4 cells
+        # and REPLICAS at 2**15
         assert len(res.levels) == 12
-        assert len(calls) == 12 + 9 * 1 + 2 + 4 + REPLICAS
+        assert len(calls) == 12 + 1 + REPLICAS
         assert set(calls) == {1}
+
+    def test_passed_level_stops_at_its_first_wide_chunk(self, monkeypatch):
+        drawn = {}
+        draws = quadrature._draws
+
+        def counted(seed, k, reps, n):
+            drawn[k] = drawn.get(k, 0) + len(reps)
+            return draws(seed, k, reps, n)
+
+        monkeypatch.setattr(quadrature, "_draws", counted)
+        res = rs_integral(np.cos, np.sin, 0.0, 1.0, QuadratureOptions(rel_tol=1e-10, abs_tol=0.0, k_max=16))
+        # level 15 (2**15 cells, one replica per chunk) passes its difference
+        # but not its first replica, so its block stops there; level 16 is the
+        # last and runs all of its own
+        (_, s14), (_, s15) = res.levels[-3:-1]
+        assert abs(s15 - s14) <= 1e-10 * abs(s15)
+        wide = {k: n for k, n in drawn.items() if 2 ** k > quadrature.DRAW_CACHE_CELLS}
+        assert wide == {15: 1, 16: REPLICAS}
 
     def test_cached_rows_are_the_seeded_streams_and_read_only(self):
         u = _cached_draws(7, 5, 33)

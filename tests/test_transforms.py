@@ -6,6 +6,7 @@ import pytest
 from stieltjes import (
     DiskPoint,
     DomainError,
+    NonConvergentError,
     cauchy_identity_residual,
     cauchy_stieltjes,
     conj_poisson,
@@ -126,6 +127,14 @@ class TestCauchyIdentity:
         # the raw Cauchy quadrature really does sit incr/(4 pi) above S/2
         assert direct.value == pytest.approx(s / 2 + 0.5, abs=1e-10)
         assert cauchy_identity_residual(phi, z) < 1e-10
+
+    def test_unconverged_side_raises(self):
+        # next to the middle plateau of the Cantor staircase both sides run
+        # all 15 levels and end inconclusive
+        with pytest.raises(NonConvergentError) as info:
+            cauchy_identity_residual(make("cantor"), DiskPoint(0.9999, 0.0))
+        assert info.value.result.status.value == "inconclusive"
+        assert len(info.value.result.levels) == 15
 
 
 class TestDuality:
