@@ -15,6 +15,9 @@ finite at every float angle, since none is an odd multiple of pi.
 Angles are always taken as differences (the kernels are 2*pi-periodic in
 ``theta``); radii are validated because every formula here degenerates on
 the boundary except the cotangent kernel, which gets an explicit guard.
+The disk transforms call the unchecked cores ``_poisson``,
+``_conj_poisson`` and ``_schwarz``: their ``DiskPoint`` has checked the
+radius once, and a check per call costs about half of a short kernel call.
 """
 
 from __future__ import annotations
@@ -65,11 +68,29 @@ def _match(out, x):
     return out
 
 
+def _p(r, tau, tau2, d):
+    """P from the half-angle terms of :func:`_half_angle`."""
+    return (1.0 - r * r) * (1.0 + tau2) / d
+
+
+def _q(r, tau, tau2, d):
+    """Q from the half-angle terms of :func:`_half_angle`."""
+    return 4.0 * r * tau / d
+
+
+# the unchecked cores, for callers whose radius is already known to be in [0, 1)
+def _poisson(r, x):
+    return _p(r, *_half_angle(r, x))
+
+
+def _conj_poisson(r, x):
+    return _q(r, *_half_angle(r, x))
+
+
 def poisson(r, theta):
     """Poisson kernel (1 - r^2)(1 + tau^2) / D'; strictly positive for r < 1."""
     _check_radius(r)
-    _, tau2, d = _half_angle(r, theta)
-    return _match((1.0 - r * r) * (1.0 + tau2) / d, theta)
+    return _match(_poisson(r, theta), theta)
 
 
 def poisson_dtheta(r, theta):
@@ -107,8 +128,7 @@ def conj_poisson(r, theta):
     if np.ndim(r) == 0 and r == 1.0:
         return boundary_cot_kernel(theta, 0.0)
     _check_radius(r)
-    tau, _, d = _half_angle(r, theta)
-    return _match(4.0 * r * tau / d, theta)
+    return _match(_conj_poisson(r, theta), theta)
 
 
 def conj_poisson_dt(r, theta):
@@ -125,10 +145,10 @@ def conj_poisson_dt(r, theta):
 
 def _schwarz(r, x):
     """S = P + iQ at radius r and angle x, filled from the two real kernels."""
-    tau, tau2, d = _half_angle(r, x)
-    s = np.empty(np.shape(d), dtype=complex)
-    s.real = (1.0 - r * r) * (1.0 + tau2) / d
-    s.imag = 4.0 * r * tau / d
+    half = _half_angle(r, x)
+    s = np.empty(np.shape(half[2]), dtype=complex)
+    s.real = _p(r, *half)
+    s.imag = _q(r, *half)
     return _match(s, x)
 
 

@@ -9,11 +9,17 @@ collapses.  With atoms exact and a smooth mesh map the midpoint error is
 O(h^2), so a certified run reports one Richardson step of its last two
 midpoint sums, s_k + (s_k - s_{k-1}) / 3.
 
+The levels nest (see :class:`_NestedLevels`): each level calls the
+integrator f on its 2**(k-1) new grid points alone, so f sees each grid
+point once per ladder.  Like ``g``, f only ever sees 1-D arrays, and it
+must act elementwise on them.
+
 Replica ``rep`` of level k draws its uniforms from its own stream,
 ``default_rng((seed, k, rep))``, so every replica sum is fixed by the seed
-alone.  Levels of at most DRAW_CACHE_CELLS cells take those draws from a
-bounded, thread-safe, process-wide cache of read-only arrays.  The
-replicas are evaluated as one block of rows: one ``g`` call on the
+alone.  Each thread reuses one generator and restores the stream's cached
+start state into it.  Levels of at most DRAW_CACHE_CELLS cells take their
+draws from a bounded, thread-safe, process-wide cache of read-only arrays.
+The replicas are evaluated as one block of rows: one ``g`` call on the
 flattened tags of at most CHUNK_POINTS at a time, then one row reduction.
 ``g`` only ever sees 1-D arrays, and it must act elementwise on them.
 
@@ -51,6 +57,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+import threading
 from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
@@ -143,35 +150,105 @@ def _graded_preimage(t, center, lam):
     return 2.0 * m + math.asinh(math.tan((t - center - TWO_PI * m) / 4.0) * math.sinh(lam)) / lam
 
 
-def _level_points(a, b, n, grading, insert):
-    """Level partition of [a, b] with the jump locations ``insert`` merged in.
+def _grid_map(a, b, grading):
+    """Ends (p, q) of the uniform preimage of [a, b] and the map from it onto [a, b].
 
-    With ``grading = (center, distance)`` it is the image under
-    :func:`_graded_map` of n + 1 uniform points spanning the preimage of
-    [a, b]: cells of about ``distance`` at the center that grow in proportion
-    to their distance from it, which evens out the midpoint error of the
-    kernels' 1/(e^{it} - z).  Both ends are pinned to a and b exactly, so an
-    atom on an end is never lost to rounding.
+    A level's grid of n cells is the image of ``np.linspace(p, q, n + 1)``.
+    With ``grading = (center, distance)`` the map is :func:`_graded_map`:
+    cells of about ``distance`` at the center that grow in proportion to
+    their distance from it, which evens out the midpoint error of the
+    kernels' 1/(e^{it} - z).  Without grading it is the identity.
     """
     if grading is None:
-        pts = np.linspace(a, b, n + 1)
+        return a, b, lambda v: v
+    center, distance = grading
+    lam = math.asinh(4.0 / distance)
+    return (_graded_preimage(a, center, lam), _graded_preimage(b, center, lam),
+            functools.partial(_graded_map, center=center, lam=lam))
+
+
+def _merged(grid, atoms, a, b):
+    """``grid`` with ``atoms`` merged in and both ends pinned to a and b exactly.
+
+    A point within MERGE_TOL of the one before it in sorted order is
+    dropped; pinning the ends keeps an atom on an end from being lost to
+    rounding.  Returns the points and, when there are atoms, the index of
+    each in ``concatenate([grid, atoms])`` (else None: the points are a copy
+    of ``grid``).
+    """
+    if not atoms.size:
+        pts = grid.copy()
+        take = None
     else:
-        center, distance = grading
-        lam = math.asinh(4.0 / distance)
-        v = np.linspace(_graded_preimage(a, center, lam), _graded_preimage(b, center, lam), n + 1)
-        pts = _graded_map(v, center, lam)
-    arr = np.asarray(insert, dtype=float)
-    arr = arr[(arr > a) & (arr < b)]
-    if arr.size:
-        pts = np.concatenate([pts, arr])
-        pts.sort(kind="mergesort")
+        pts = np.concatenate([grid, atoms])
+        take = np.argsort(pts, kind="stable")
+        pts = pts[take]
         keep = np.empty(pts.size, dtype=bool)
         keep[0] = True
         keep[1:] = np.diff(pts) > MERGE_TOL
-        pts = pts[keep]
+        pts, take = pts[keep], take[keep]
     pts[0] = a
     pts[-1] = b
-    return pts
+    return pts, take
+
+
+def _inside(points, a, b):
+    arr = np.asarray(points, dtype=float)
+    return arr[(arr > a) & (arr < b)]
+
+
+def _level_points(a, b, n, grading, insert):
+    """Level partition of [a, b] into n grid cells with the jump locations ``insert`` merged in.
+
+    Built from scratch; :class:`_NestedLevels` gives the same points level by level.
+    """
+    p, q, to_t = _grid_map(a, b, grading)
+    return _merged(to_t(np.linspace(p, q, n + 1)), _inside(insert, a, b), a, b)[0]
+
+
+class _NestedLevels:
+    """The levels of one ladder over [a, b] and f on them, each built from the one before.
+
+    It holds the unmerged grid of the finest level built so far and f on
+    it.  ``np.linspace(p, q, 2n + 1)[::2]`` is ``np.linspace(p, q, n + 1)``
+    bit for bit, and the grid map and f act elementwise, so the next level's
+    even points and their f values are the current ones: :meth:`refine`
+    maps and calls f on the new odd points only.  Merging at MERGE_TOL and
+    end pinning run on a level's whole grid every time, since chains of
+    near points merge differently once new points fall between them.  f at
+    the atoms and both ends comes from the first level's single f call.
+    """
+
+    def __init__(self, f, a, b, grading, jump_pts, snap_pts):
+        self.f, self.a, self.b, self.snap_pts = f, a, b, snap_pts
+        self.p, self.q, self.to_t = _grid_map(a, b, grading)
+        self.atoms = _inside(jump_pts, a, b)
+        self.grid = self.to_t(np.linspace(self.p, self.q, 2 ** K_MIN + 1))
+        n = self.grid.size
+        f_all = np.asarray(f(np.concatenate([self.grid, self.atoms, [a, b]])), dtype=float)
+        self.f_grid, self.f_atoms, (self.f_a, self.f_b) = np.split(f_all, [n, n + self.atoms.size])
+
+    def refine(self):
+        """Build the next level's grid, calling f on its new points only."""
+        n = self.grid.size - 1
+        # a contiguous copy, as a whole grid would be, for the map's ufuncs
+        new = self.to_t(np.linspace(self.p, self.q, 2 * n + 1)[1::2].copy())
+        grid, f_grid = np.empty(2 * n + 1), np.empty(2 * n + 1)
+        grid[::2], grid[1::2] = self.grid, new
+        f_grid[::2], f_grid[1::2] = self.f_grid, np.asarray(self.f(new), dtype=float)
+        self.grid, self.f_grid = grid, f_grid
+
+    def level(self, k):
+        """``(pts, widths, df, snap_idx)`` of level k, at most the finest level built."""
+        # level k's grid is every step-th point of the finest grid
+        step = (self.grid.size - 1) >> k
+        pts, take = _merged(self.grid[::step], self.atoms, self.a, self.b)
+        if take is None:
+            fv = self.f_grid[::step].copy()
+        else:
+            fv = np.concatenate([self.f_grid[::step], self.f_atoms])[take]
+        fv[0], fv[-1] = self.f_a, self.f_b
+        return pts, np.diff(pts), np.diff(fv), _merged_indices(pts, self.snap_pts)
 
 
 def _atoms(h, a, b):
@@ -204,11 +281,26 @@ def _snapped(tags, pts, idx):
     return tags
 
 
+# one reused generator per thread, restored to a replica's start state before each row
+_thread_rng = threading.local()
+
+
+# the start states of every replica on every level, for four seeds
+@functools.lru_cache(maxsize=4 * REPLICAS * (K_CAP - K_MIN + 1))
+def _start_state(seed, k, rep):
+    """The bit generator state ``default_rng((seed, k, rep))`` starts from."""
+    return np.random.PCG64((seed, k, rep)).state
+
+
 def _draws(seed, k, reps, n):
     """Uniforms of replicas ``reps`` on level k: row rep is ``default_rng((seed, k, rep)).random(n)``."""
+    rng = getattr(_thread_rng, "rng", None)
+    if rng is None:
+        rng = _thread_rng.rng = np.random.Generator(np.random.PCG64(0))
     u = np.empty((len(reps), n))
     for row, rep in zip(u, reps):
-        np.random.default_rng((seed, k, rep)).random(out=row)
+        rng.bit_generator.state = _start_state(seed, k, rep)
+        rng.random(out=row)
     return u
 
 
@@ -272,7 +364,10 @@ def rs_integral(
     """Integrate ``g`` against ``d f`` over ``[a, b]`` by dyadic refinement.
 
     ``f`` may be a :class:`BoundaryFunction` (its declared atoms are then
-    handled exactly) or any callable.  When ``g`` is a
+    handled exactly) or any callable; like ``g`` it must act elementwise on
+    1-D arrays.  The levels nest, so f is called once per level: on the
+    first level's grid, the atoms and both ends, then on each level's new
+    grid points only.  When ``g`` is a
     :class:`BoundaryFunction` too, its atoms are discontinuities of the
     integrand and never receive a snapped tag.  ``grading = (center,
     distance)`` concentrates partition points around an angle where the
@@ -303,9 +398,7 @@ def rs_integral(
     shared = [j for j in jump_pts if any(abs(j - y) <= ATOM_GUARD for y in g_atoms)]
     snap_pts = [j for j in jump_pts if j not in shared]
 
-    def level_at(k):
-        pts = _level_points(a, b, 2 ** k, grading, jump_pts)
-        return pts, np.diff(pts), np.diff(np.asarray(f(pts), dtype=float)), _merged_indices(pts, snap_pts)
+    ladder = _NestedLevels(f, a, b, grading, jump_pts, snap_pts)
 
     def signed(s):
         return sign * (complex(s) if is_complex else float(s))
@@ -320,7 +413,9 @@ def rs_integral(
     is_complex = False
 
     for k in range(K_MIN, opts.k_max + 1):
-        level = level_at(k)
+        if k > K_MIN:
+            ladder.refine()
+        level = ladder.level(k)
         pts, widths, df, snap_idx = level
         # the midpoint values live to the end of the level; freeing them at
         # once lets the allocator shrink and re-fault the heap on every replica
@@ -350,7 +445,7 @@ def rs_integral(
             # own level
             for j in range(len(spreads) - GROWTH_STEPS, len(spreads)):
                 if spreads[j] is None:
-                    spreads[j] = _replica_spread(g, level_at(K_MIN + j), opts.seed, K_MIN + j, *heads[j])
+                    spreads[j] = _replica_spread(g, ladder.level(K_MIN + j), opts.seed, K_MIN + j, *heads[j])
                     if math.isnan(spreads[j]):
                         return RSResult(levels[j][1], levels[:j + 1], math.inf, RSStatus.INCONCLUSIVE)
         spread = None

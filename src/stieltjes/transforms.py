@@ -20,7 +20,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .core import TWO_PI, BoundaryFunction, DiskPoint, DomainError, RSResult
-from .kernels import _schwarz, conj_poisson, poisson, poisson_dtheta
+from .kernels import _conj_poisson, _poisson, _schwarz, poisson_dtheta
 from .quadrature import QuadratureOptions, require_converged, rs_integral
 
 __all__ = [
@@ -65,10 +65,11 @@ def _scaled(res: RSResult, factor: float) -> RSResult:
 
 
 # the four disk kernels: each maps a disk point to its integrand in t, all
-# at radius z.r and angle z.theta - t (DiskPoint has checked the radius)
+# at radius z.r and angle z.theta - t (DiskPoint has checked the radius, so
+# they call the kernels' unchecked cores)
 KERNELS = {
-    "U": lambda z: (lambda t: poisson(z.r, z.theta - t)),
-    "V": lambda z: (lambda t: conj_poisson(z.r, z.theta - t)),
+    "U": lambda z: (lambda t: _poisson(z.r, z.theta - t)),
+    "V": lambda z: (lambda t: _conj_poisson(z.r, z.theta - t)),
     "S": lambda z: (lambda t: _schwarz(z.r, z.theta - t)),
     "C": lambda z: (lambda t: (_schwarz(z.r, z.theta - t) + 1.0) / 2.0),
 }

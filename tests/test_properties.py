@@ -28,7 +28,15 @@ from stieltjes import (
     rs_integral,
 )
 from stieltjes.core import ATOM_GUARD, _cantor_staircase
-from stieltjes.quadrature import K_MIN, _graded_map, _graded_preimage
+from stieltjes.quadrature import (
+    K_MIN,
+    MERGE_TOL,
+    _NestedLevels,
+    _graded_map,
+    _graded_preimage,
+    _level_points,
+    _merged_indices,
+)
 from stieltjes.transforms import KERNELS
 
 from oracles import (
@@ -394,3 +402,82 @@ def test_lazy_replicas_give_the_eager_ladder_bit_for_bit(run):
     want = eager_rs_integral(g, f, a, b, opts, grading=grading)
     assert (repr(got.value), repr(got.est_error), got.status, repr(got.levels)) == (
         repr(want.value), repr(want.est_error), want.status, repr(want.levels))
+
+
+@st.composite
+def _nested_case(draw):
+    """A window, an optional grading, atoms near grid points, an elementwise f and a depth k."""
+    k = draw(st.integers(min_value=K_MIN, max_value=18))
+    kind = draw(st.sampled_from(["period", "window", "pv"]))
+    center = draw(st.floats(min_value=-math.pi, max_value=math.pi))
+    if kind == "period":
+        a, b = -math.pi, math.pi
+    elif kind == "window":
+        a = draw(st.floats(min_value=-4.0, max_value=4.0))
+        b = a + draw(st.floats(min_value=1e-3, max_value=7.0))
+    else:
+        # one side of a principal-value truncation at center
+        delta = 2.0 ** -draw(st.floats(min_value=1.0, max_value=40.0))
+        a, b = (center + delta, center + math.pi) if draw(st.booleans()) else (center - math.pi, center - delta)
+    grading = None
+    if draw(st.booleans()):
+        grading = (center, 2.0 ** -draw(st.floats(min_value=0.0, max_value=50.0)))
+    # chains of atoms within a few MERGE_TOL of grid points of the finest level
+    grid = _level_points(a, b, 2 ** k, grading, [])
+    atoms = []
+    for i in draw(st.lists(st.integers(min_value=0, max_value=2 ** k), max_size=4)):
+        offsets = draw(st.lists(st.floats(min_value=-2.0, max_value=2.0), min_size=1, max_size=3))
+        atoms += [grid[i] + o * MERGE_TOL for o in offsets]
+    atoms += draw(st.lists(st.floats(min_value=a, max_value=b), max_size=3))
+    atoms += draw(st.lists(st.sampled_from([a, b]), max_size=2))
+    snap = [t for t, s in zip(atoms, draw(st.lists(st.booleans(), min_size=len(atoms), max_size=len(atoms)))) if s]
+    f = draw(st.sampled_from([np.sin, make("cantor"), make("cbv_demo"), make("multi_step")]))
+    return f, a, b, grading, atoms, snap, k
+
+
+def _same_bits(x, y):
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    return x.shape == y.shape and np.array_equal(x.view(np.int64), y.view(np.int64))
+
+
+@fixed(40)
+# distance 2**-50 at the centre of the period: thousands of cells of width
+# 0 or under MERGE_TOL, which an atom anywhere makes merge in chains
+@example((make("cantor"), -math.pi, math.pi, (0.7, 2.0 ** -50), [0.7, 0.7 + 0.5 * MERGE_TOL, 2.0], [2.0], 18))
+@example((np.sin, 0.3, 0.3 + math.pi, (0.3, 2.0 ** -45), [0.3 + 1e-14, math.pi], [], 16))
+# atoms on both ends only
+@example((make("cbv_demo"), -math.pi, math.pi, None, [-math.pi, math.pi], [-math.pi], K_MIN))
+@given(_nested_case())
+def test_nested_levels_equal_the_levels_built_from_scratch(case):
+    f, a, b, grading, atoms, snap, k = case
+    nested = _NestedLevels(f, a, b, grading, atoms, snap)
+
+    def check(j):
+        pts, widths, df, snap_idx = nested.level(j)
+        want = _level_points(a, b, 2 ** j, grading, atoms)
+        assert _same_bits(pts, want)
+        assert _same_bits(widths, np.diff(want))
+        assert _same_bits(df, np.diff(np.asarray(f(want), dtype=float)))
+        assert snap_idx == _merged_indices(want, snap)
+
+    # each level as the ladder reads it right after building it ...
+    check(K_MIN)
+    for j in range(K_MIN + 1, k + 1):
+        nested.refine()
+        check(j)
+    # ... and again from the finest grid, as the divergence rule re-runs it
+    for j in range(K_MIN, k):
+        check(j)
+
+
+@fixed(25)
+@example(-math.pi, math.pi, 2 ** 22)
+@example(-2.9673, 3.0125, 2 ** 21)
+@example(0.0, 0.0, 2 ** 10)
+@example(5.0, -1e-300, 3 ** 9)
+@given(st.floats(min_value=-1e6, max_value=1e6), st.floats(min_value=-1e6, max_value=1e6),
+       st.integers(min_value=1, max_value=2 ** 22))
+def test_linspace_halves_nest(p, q, n):
+    # the nested levels rest on this: a numpy whose linspace breaks it must
+    # fail here, not move values
+    assert _same_bits(np.linspace(p, q, 2 * n + 1)[::2], np.linspace(p, q, n + 1))

@@ -21,7 +21,7 @@ from stieltjes import (
 )
 from stieltjes.accel import aitken_step, aitken_tail
 from stieltjes import quadrature
-from stieltjes.quadrature import MERGE_TOL, REPLICAS, _cached_draws, _level_points
+from stieltjes.quadrature import K_MIN, MERGE_TOL, REPLICAS, _cached_draws, _draws, _level_points, _start_state
 from stieltjes.transforms import disk_transform
 
 from oracles import rs_brute, rs_tagged_sum
@@ -445,6 +445,38 @@ class TestReplicaDraws:
         wide = {k: n for k, n in drawn.items() if 2 ** k > quadrature.DRAW_CACHE_CELLS}
         assert wide == {15: 1, 16: REPLICAS}
 
+    def test_rows_are_the_seeded_streams_on_interleaved_threads(self):
+        # seeds no other test uses, so the threads fill the state cache themselves
+        jobs = [(seed, k, n) for seed in (70101, 70102) for k, n in ((5, 3), (11, 40), (17, 7))]
+        want = {(seed, k): np.array([np.random.default_rng((seed, k, rep)).random(n) for rep in range(REPLICAS)])
+                for seed, k, n in jobs}
+
+        def run(job):
+            seed, k, n = job
+            # every row alone, then pairs of rows, then the whole block
+            blocks = [range(rep, rep + 1) for rep in range(REPLICAS)] + [range(r0, r0 + 2) for r0 in (0, 3, 6)]
+            return [(reps, _draws(seed, k, reps, n)) for _ in range(5) for reps in blocks + [range(REPLICAS)]]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=2) as pool:
+                results = list(pool.map(run, jobs * 2, timeout=120))
+        finally:
+            sys.setswitchinterval(interval)
+        for (seed, k, n), rows in zip(jobs * 2, results):
+            for reps, u in rows:
+                assert np.array_equal(u, want[seed, k][reps.start:reps.stop])
+
+    def test_state_cache_stays_bounded(self):
+        for seed in range(8):
+            for k in range(K_MIN, quadrature.K_CAP + 1):
+                _draws(seed, k, range(REPLICAS), 1)
+        info = _start_state.cache_info()
+        assert info.maxsize is not None and info.currsize == info.maxsize
+        # a state evicted and restored again still starts the seeded stream
+        assert np.array_equal(_draws(0, K_MIN, range(2, 3), 5)[0], np.random.default_rng((0, K_MIN, 2)).random(5))
+
     def test_cached_rows_are_the_seeded_streams_and_read_only(self):
         u = _cached_draws(7, 5, 33)
         assert u.shape == (REPLICAS, 33)
@@ -480,3 +512,45 @@ class TestReplicaDraws:
         finally:
             sys.setswitchinterval(interval)
         assert threaded == [run(job) for job in jobs]
+
+
+class TestNestedLevels:
+    def _f_sizes(self, monkeypatch, phi):
+        sizes = []
+        call = BoundaryFunction.__call__
+
+        def counted(self, t):
+            if self is phi:
+                sizes.append(np.size(t))
+            return call(self, t)
+
+        monkeypatch.setattr(BoundaryFunction, "__call__", counted)
+        return sizes
+
+    @staticmethod
+    def _one_call_per_level(levels, atoms):
+        # the first level's grid, atoms and both ends, then each level's new half
+        return [2 ** K_MIN + 1 + atoms + 2] + [2 ** (k - 1) for k in range(K_MIN + 1, K_MIN + levels)]
+
+    @pytest.mark.parametrize("grading", [None, (0.5, 1e-3)])
+    def test_f_sees_each_level_s_new_points_once(self, monkeypatch, grading):
+        # atoms at -1 and 0.5 inside the window and on both of its ends
+        phi = make("cbv_demo")
+        sizes = self._f_sizes(monkeypatch, phi)
+        res = rs_integral(np.cos, phi, -math.pi, math.pi, QuadratureOptions(rel_tol=1e-15, abs_tol=0.0, k_max=10),
+                          grading=grading)
+        assert len(res.levels) == 7
+        assert sizes == self._one_call_per_level(7, 2)
+
+    def test_rerun_levels_call_no_f(self):
+        # the divergence rule of the spikes run evaluates three earlier
+        # levels again, from the finest grid and its f values
+        sizes = []
+
+        def identity(t):
+            sizes.append(np.size(t))
+            return np.asarray(t, dtype=float)
+
+        res = rs_integral(make("spikes"), identity, 0.0, 1.0)
+        assert res.status is RSStatus.DIVERGED
+        assert sizes == self._one_call_per_level(len(res.levels), 0)
