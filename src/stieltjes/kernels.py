@@ -15,9 +15,16 @@ finite at every float angle, since none is an odd multiple of pi.
 Angles are always taken as differences (the kernels are 2*pi-periodic in
 ``theta``); radii are validated because every formula here degenerates on
 the boundary except the cotangent kernel, which gets an explicit guard.
-The disk transforms call the unchecked cores ``_poisson``,
-``_conj_poisson`` and ``_schwarz``: their ``DiskPoint`` has checked the
-radius once, and a check per call costs about half of a short kernel call.
+
+One term builder, :func:`_half_angle`, writes tau over an angle array the
+caller owns, and the unchecked cores ``_poisson``, ``_conj_poisson``,
+``_schwarz`` and ``_cauchy`` write their kernel over the builder's arrays,
+so a core call on n angles holds at most four arrays of n doubles.  The
+disk transforms call the cores on ``_angles(theta, t)``, the difference
+array of their own: their ``DiskPoint`` has checked the radius once, and a
+check per call costs about half of a short kernel call.  The public kernels
+check the radius and hand the cores a copy, so no kernel writes into its
+argument.
 """
 
 from __future__ import annotations
@@ -55,11 +62,39 @@ def _check_radius(r):
         raise DomainError(f"radius {r} outside the open unit disk")
 
 
-def _half_angle(r, x):
-    """tau = tan(x / 2), tau^2 and D'(r, tau)."""
-    tau = np.tan(0.5 * np.asarray(x, dtype=float))
-    tau2 = tau * tau
-    return tau, tau2, (1.0 - r) ** 2 + (1.0 + r) ** 2 * tau2
+def _angles(theta, t):
+    """theta - t in a float array of its own (0-d for scalars), for the in-place steps to write over."""
+    x = np.subtract(theta, t, dtype=float)
+    return x if x.ndim else np.asarray(x)
+
+
+def _copy(r, theta):
+    """A float copy of theta, broadcast against an array r, for the in-place steps to write over."""
+    if np.ndim(r):
+        theta = np.broadcast_arrays(theta, r)[0]
+    return np.array(theta, dtype=float)
+
+
+def _half_angle(r, x, tau2=None):
+    """Write tau = tan(x / 2) over the float array x and tau^2 into ``tau2``; return D'(r, tau).
+
+    ``tau2`` is x itself where tau is spent, or an array of x's shape; with
+    None, D' is written over a new tau^2 array.
+    """
+    x *= 0.5
+    np.tan(x, out=x)
+    if tau2 is None:
+        d = np.multiply(x, x)
+        d *= (1.0 + r) ** 2
+    else:
+        d = np.multiply(np.multiply(x, x, out=tau2), (1.0 + r) ** 2)
+    d += (1.0 - r) ** 2
+    return d
+
+
+def _value(a):
+    """``a``, or its element as a numpy scalar when ``a`` is 0-d, as a ufunc returns it."""
+    return a if a.ndim else a[()]
 
 
 def _match(out, x):
@@ -68,29 +103,50 @@ def _match(out, x):
     return out
 
 
-def _p(r, tau, tau2, d):
-    """P from the half-angle terms of :func:`_half_angle`."""
-    return (1.0 - r * r) * (1.0 + tau2) / d
+def _p_over(r, tau2, d):
+    """P = (1 - r^2)(1 + tau^2) / D', written over ``tau2``."""
+    tau2 += 1.0
+    tau2 *= 1.0 - r * r
+    tau2 /= d
+    return tau2
 
 
-def _q(r, tau, tau2, d):
-    """Q from the half-angle terms of :func:`_half_angle`."""
-    return 4.0 * r * tau / d
-
-
-# the unchecked cores, for callers whose radius is already known to be in [0, 1)
+# the unchecked cores, for callers whose radius is already known to be in
+# [0, 1); each writes over the angle array x it is handed
 def _poisson(r, x):
-    return _p(r, *_half_angle(r, x))
+    return _value(_p_over(r, x, _half_angle(r, x, x)))
 
 
 def _conj_poisson(r, x):
-    return _q(r, *_half_angle(r, x))
+    d = _half_angle(r, x)
+    x *= 4.0 * r
+    x /= d
+    return _value(x)
+
+
+def _schwarz(r, x):
+    """S = P + iQ at radius r and angle x, each part written straight into S."""
+    s = np.empty(x.shape, dtype=complex)
+    re, im = s.real, s.imag
+    d = _half_angle(r, x, re)
+    _p_over(r, re, d)
+    x *= 4.0 * r
+    np.divide(x, d, out=im)
+    return _value(s)
+
+
+def _cauchy(r, x):
+    """C = (S + 1) / 2, written over S."""
+    s = _schwarz(r, x)
+    s += 1.0
+    s /= 2.0
+    return s
 
 
 def poisson(r, theta):
     """Poisson kernel (1 - r^2)(1 + tau^2) / D'; strictly positive for r < 1."""
     _check_radius(r)
-    return _match(_poisson(r, theta), theta)
+    return _match(_poisson(r, _copy(r, theta)), theta)
 
 
 def poisson_dtheta(r, theta):
@@ -100,7 +156,9 @@ def poisson_dtheta(r, theta):
     -2 r (1 - r^2) sin(theta) / (1 - 2 r cos(theta) + r^2)^2; odd in theta.
     """
     _check_radius(r)
-    tau, tau2, d = _half_angle(r, theta)
+    tau = _copy(r, theta)
+    tau2 = np.empty_like(tau)
+    d = _half_angle(r, tau, tau2)
     return _match(-4.0 * r * (1.0 - r * r) * tau * (1.0 + tau2) / (d * d), theta)
 
 
@@ -110,12 +168,13 @@ def boundary_cot_kernel(tau, t):
     Raises when the difference falls inside the pole guard at any whole
     turn; the principal-value machinery must exclude the diagonal itself.
     """
-    x = np.asarray(tau, dtype=float) - np.asarray(t, dtype=float)
+    x = _angles(tau, t)
     # tan(x / 2) is 2*pi-periodic and about half the reduced angle near a pole
-    tan_half = np.tan(0.5 * x)
-    if np.any(np.abs(tan_half) < 0.5 * COT_GUARD):
+    x *= 0.5
+    np.tan(x, out=x)
+    if np.any(np.abs(x) < 0.5 * COT_GUARD):
         raise SingularityError("cotangent kernel evaluated at its pole")
-    return _match(1.0 / tan_half, x)
+    return _match(np.divide(1.0, x, out=x), x)
 
 
 def conj_poisson(r, theta):
@@ -128,7 +187,7 @@ def conj_poisson(r, theta):
     if np.ndim(r) == 0 and r == 1.0:
         return boundary_cot_kernel(theta, 0.0)
     _check_radius(r)
-    return _match(_conj_poisson(r, theta), theta)
+    return _match(_conj_poisson(r, _copy(r, theta)), theta)
 
 
 def conj_poisson_dt(r, theta):
@@ -139,17 +198,9 @@ def conj_poisson_dt(r, theta):
     where the kernel is still rising toward its peak.
     """
     _check_radius(r)
-    _, tau2, d = _half_angle(r, theta)
+    tau2 = _copy(r, theta)
+    d = _half_angle(r, tau2, tau2)
     return _match(2.0 * r * ((1.0 - r) ** 2 - (1.0 + r) ** 2 * tau2) * (1.0 + tau2) / (d * d), theta)
-
-
-def _schwarz(r, x):
-    """S = P + iQ at radius r and angle x, filled from the two real kernels."""
-    half = _half_angle(r, x)
-    s = np.empty(np.shape(half[2]), dtype=complex)
-    s.real = _p(r, *half)
-    s.imag = _q(r, *half)
-    return _match(s, x)
 
 
 def analytic_kernel(z, t):
@@ -160,7 +211,7 @@ def analytic_kernel(z, t):
     """
     if not abs(z) < 1.0:  # refuses nan and inf too
         raise DomainError(f"disk kernels need |z| < 1, got {z!r}")
-    return _schwarz(abs(z), cmath.phase(z) - np.asarray(t, dtype=float))
+    return _match(_schwarz(abs(z), _angles(cmath.phase(z), t)), t)
 
 
 def cauchy_kernel(z, t):

@@ -23,6 +23,13 @@ The replicas are evaluated as one block of rows: one ``g`` call on the
 flattened tags of at most CHUNK_POINTS at a time, then one row reduction.
 ``g`` only ever sees 1-D arrays, and it must act elementwise on them.
 
+The ladder owns every array it hands to g and f, and reuses it once the
+call has returned: where g's values are float64 like the tags, the
+products g * df of a midpoint, probe or replica sum are written over the
+spent tags.  So g and
+f must neither write into their argument nor keep it after they return;
+returning it, or a value computed from it, is fine.
+
 A level runs its block only where the spread can matter: on the first
 level, on the last (its spread enters an inconclusive est_error), on a
 level whose difference is within tolerance, and where the level
@@ -140,9 +147,25 @@ class QuadratureOptions:
 
 
 def _graded_map(v, center, lam):
-    """t = center + 4 atan(sinh(lam w) / sinh lam) with w = v - 2m; each step of 2 in v adds a turn."""
-    m = np.round(v / 2.0)
-    return center + TWO_PI * m + 4.0 * np.arctan(np.sinh(lam * (v - 2.0 * m)) / math.sinh(lam))
+    """t = center + 4 atan(sinh(lam w) / sinh lam) with w = v - 2m; each step of 2 in v adds a turn.
+
+    Computed on two arrays of its own, leaving v as it is.
+    """
+    m = np.asarray(np.divide(v, 2.0))
+    # np.round's own ufunc at 0 decimals, without its Python wrapper
+    np.rint(m, out=m)
+    t = np.multiply(m, TWO_PI)
+    t += center
+    # w = v - 2m over m
+    m *= 2.0
+    w = np.subtract(v, m, out=m)
+    w *= lam
+    np.sinh(w, out=w)
+    w /= math.sinh(lam)
+    np.arctan(w, out=w)
+    w *= 4.0
+    t += w
+    return t
 
 
 def _graded_preimage(t, center, lam):
@@ -328,7 +351,11 @@ def _replica_spread(g, level, seed, k, s_mid, spread, cutoff=math.inf):
     rows = max(1, CHUNK_POINTS // n)
     for r0 in range(0, REPLICAS, rows):
         reps = range(r0, min(r0 + rows, REPLICAS))
-        tags = (_draws(seed, k, reps, n) if cached is None else cached[r0:reps.stop]) * widths
+        if cached is None:
+            tags = _draws(seed, k, reps, n)
+            tags *= widths
+        else:
+            tags = cached[r0:reps.stop] * widths
         tags += pts[:-1]
         for s in _row_sums(g, _snapped(tags, pts, snap_idx), df):
             if not cmath.isfinite(s):
@@ -341,15 +368,28 @@ def _replica_spread(g, level, seed, k, s_mid, spread, cutoff=math.inf):
     return spread
 
 
+def _products(gv, df, tags):
+    """gv * df, written over the spent ``tags`` when g's values share their dtype."""
+    return np.multiply(gv, df, out=tags if gv.dtype == tags.dtype else None)
+
+
+def _midpoints(pts):
+    """The midpoint of each cell, in a new array the ladder owns."""
+    mid = pts[:-1] + pts[1:]
+    mid *= 0.5
+    return mid
+
+
 def _row_sums(g, tags, df):
     """The tagged sum of each row of ``tags``, from one ``g`` call on the flattened rows.
 
-    A helper so that the g values die before the next chunk is drawn.
+    The products are written over ``tags`` for a float64 g.  A helper so
+    that the g values die before the next chunk is drawn.
     """
     gv = np.asarray(g(tags.reshape(-1)))
     # a g that returns a scalar still stands for a value at every tag
     gv = gv.reshape(tags.shape) if gv.size == tags.size else np.broadcast_to(gv, tags.shape)
-    return (gv * df).sum(axis=1)
+    return _products(gv, df, tags).sum(axis=1)
 
 
 def rs_integral(
@@ -381,6 +421,10 @@ def rs_integral(
     Replicas run only on the levels whose spread can decide the outcome (see
     the module docstring), so a non-finite replica sum on a level that
     skipped or cut short its block goes unseen.
+
+    g and f must not write into their argument, nor keep it after they
+    return: the ladder writes the products of a float64 g over the tags it
+    passed once g has returned.
     """
     opts = opts or QuadratureOptions()
     if grading is not None and not (math.isfinite(grading[1]) and grading[1] > 0.0):
@@ -417,15 +461,17 @@ def rs_integral(
             ladder.refine()
         level = ladder.level(k)
         pts, widths, df, snap_idx = level
-        # the midpoint values live to the end of the level; freeing them at
-        # once lets the allocator shrink and re-fault the heap on every replica
-        g_mid = np.asarray(g(_snapped(0.5 * (pts[:-1] + pts[1:]), pts, snap_idx)))
-        sums = [(g_mid * df).sum()]
+        # g's values and the products written over the midpoint tags stay
+        # bound to the end of the level: freed at once, they would let the
+        # allocator trim the heap and fault it in again for the replica block
+        mid = _snapped(_midpoints(pts), pts, snap_idx)
+        g_mid = np.asarray(g(mid))
+        sums = [_products(g_mid, df, mid).sum()]
         if shared and cmath.isfinite(sums[-1]):
             # probe tags on the shared discontinuities: if the integral is
             # to exist at all, even these must agree with the rest
-            probe_idx = _merged_indices(pts, jump_pts)
-            sums.append((np.asarray(g(_snapped(0.5 * (pts[:-1] + pts[1:]), pts, probe_idx))) * df).sum())
+            probe = _snapped(_midpoints(pts), pts, _merged_indices(pts, jump_pts))
+            sums.append(_products(np.asarray(g(probe)), df, probe).sum())
         s_mid = sums[0]
         is_complex = is_complex or np.iscomplexobj(g_mid)
         value = signed(s_mid)

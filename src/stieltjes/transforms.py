@@ -20,7 +20,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .core import TWO_PI, BoundaryFunction, DiskPoint, DomainError, RSResult
-from .kernels import _conj_poisson, _poisson, _schwarz, poisson_dtheta
+from .kernels import _angles, _cauchy, _conj_poisson, _poisson, _schwarz, poisson_dtheta
 from .quadrature import QuadratureOptions, require_converged, rs_integral
 
 __all__ = [
@@ -66,12 +66,12 @@ def _scaled(res: RSResult, factor: float) -> RSResult:
 
 # the four disk kernels: each maps a disk point to its integrand in t, all
 # at radius z.r and angle z.theta - t (DiskPoint has checked the radius, so
-# they call the kernels' unchecked cores)
+# they call the kernels' unchecked cores, which write over the difference)
 KERNELS = {
-    "U": lambda z: (lambda t: _poisson(z.r, z.theta - t)),
-    "V": lambda z: (lambda t: _conj_poisson(z.r, z.theta - t)),
-    "S": lambda z: (lambda t: _schwarz(z.r, z.theta - t)),
-    "C": lambda z: (lambda t: (_schwarz(z.r, z.theta - t) + 1.0) / 2.0),
+    "U": lambda z: (lambda t: _poisson(z.r, _angles(z.theta, t))),
+    "V": lambda z: (lambda t: _conj_poisson(z.r, _angles(z.theta, t))),
+    "S": lambda z: (lambda t: _schwarz(z.r, _angles(z.theta, t))),
+    "C": lambda z: (lambda t: _cauchy(z.r, _angles(z.theta, t))),
 }
 
 

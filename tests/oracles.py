@@ -140,6 +140,19 @@ def cauchy_exp(z, t):
     return zeta / (zeta - z)
 
 
+# the one-expression forms of the grid map and the cotangent kernel, each
+# step on a fresh temporary
+
+
+def graded_map_expression(v, center, lam):
+    m = np.round(v / 2.0)
+    return center + 2 * math.pi * m + 4.0 * np.arctan(np.sinh(lam * (v - 2.0 * m)) / math.sinh(lam))
+
+
+def cot_half_expression(tau, t):
+    return 1.0 / np.tan(0.5 * (np.asarray(tau, dtype=float) - np.asarray(t, dtype=float)))
+
+
 # the refinement ladder as it was before lazy replicas: every level
 # evaluates all REPLICAS replica sums, up to the first non-finite one
 

@@ -28,6 +28,7 @@ from stieltjes import (
     rs_integral,
 )
 from stieltjes.core import ATOM_GUARD, _cantor_staircase
+from stieltjes.kernels import COT_GUARD, boundary_cot_kernel
 from stieltjes.quadrature import (
     K_MIN,
     MERGE_TOL,
@@ -44,8 +45,10 @@ from oracles import (
     cantor_recursive,
     cauchy_exp,
     conj_poisson_sin,
+    cot_half_expression,
     den_sin,
     eager_rs_integral,
+    graded_map_expression,
     poisson_reference,
     poisson_sin,
 )
@@ -481,3 +484,104 @@ def test_linspace_halves_nest(p, q, n):
     # the nested levels rest on this: a numpy whose linspace breaks it must
     # fail here, not move values
     assert _same_bits(np.linspace(p, q, 2 * n + 1)[::2], np.linspace(p, q, n + 1))
+
+
+# the in-place kernels, grid map and ladder
+
+
+def _bits(a):
+    a = np.asarray(a)
+    return a.dtype, a.shape, a.tobytes()
+
+
+def _tag_forms(ts):
+    """A 1-D array of the tags and three 0-d forms of the first: 0-d array, numpy and Python scalar."""
+    return np.array(ts), np.asarray(ts[0]), np.float64(ts[0]), ts[0]
+
+
+@fixed(150)
+@example(0.0, 0.4, [-math.pi, 0.0, 0.4, math.pi])
+@example(1.0 - 2.0 ** -40, 3.0, [3.0, 3.0 + 1e-12, -math.pi, 3.0 - TWO_PI])
+@given(
+    r=st.floats(min_value=0.0, max_value=0.9999),
+    theta=st.floats(min_value=-math.pi, max_value=math.pi),
+    ts=st.lists(st.floats(min_value=-TWO_PI, max_value=TWO_PI), min_size=1, max_size=64),
+)
+def test_kernel_rows_equal_the_public_kernels_bit_for_bit(r, theta, ts):
+    w = r * complex(math.cos(theta), math.sin(theta))
+    assume(abs(w) < 1.0)
+    # the rows read z.r and z.theta, the analytic kernel |w| and arg w: the same floats
+    z = DiskPoint.from_complex(w)
+    for t in _tag_forms(ts):
+        t_before = _bits(t)
+        x = np.subtract(z.theta, t)
+        x_before = _bits(x)
+        want = {"U": poisson(z.r, x), "V": conj_poisson(z.r, x),
+                "S": analytic_kernel(w, t), "C": (analytic_kernel(w, t) + 1) / 2}
+        assert _bits(x) == x_before
+        for which, row in KERNELS.items():
+            assert _bits(row(z)(t)) == _bits(want[which]), which
+        assert _bits(t) == t_before
+
+
+@fixed(150)
+@given(
+    center=st.floats(min_value=-math.pi, max_value=math.pi),
+    distance=st.floats(min_value=1e-9, max_value=1.0),
+    vs=st.lists(st.floats(min_value=-4.0, max_value=4.0), min_size=1, max_size=64),
+)
+def test_graded_map_and_cot_kernel_equal_their_expressions_bit_for_bit(center, distance, vs):
+    lam = math.asinh(4.0 / distance)
+    for v in _tag_forms(vs):
+        before = _bits(v)
+        assert _bits(_graded_map(v, center, lam)) == _bits(graded_map_expression(v, center, lam))
+        assert _bits(v) == before
+        assume(np.all(np.abs(np.tan(0.5 * (center - np.asarray(v)))) >= 0.5 * COT_GUARD))
+        # scalar in, Python float out; the expression gives a numpy scalar of the same bits
+        assert _bits(boundary_cot_kernel(center, v)) == _bits(cot_half_expression(center, v))
+        assert _bits(v) == before
+
+
+class _AtomicIntegrand(BoundaryFunction):
+    """An integrand that declares jump locations, so it shares the integrator's atoms, and returns ``fn(t)`` as is."""
+
+    def __call__(self, t):
+        return self.fn(t)
+
+
+def _read_only_cos(t):
+    v = np.cos(t)
+    v.flags.writeable = False
+    return v
+
+
+# integrands the ladder must not be fooled by when it writes its products
+# over the tags: one that returns its argument, a Python scalar, a read-only
+# array, complex values
+_OWNERSHIP_INTEGRANDS = {
+    "argument": lambda t: t,
+    "python_scalar": lambda t: 0.75,
+    "read_only": _read_only_cos,
+    "complex": lambda t: np.exp(1j * t),
+}
+
+
+@pytest.mark.parametrize("shared", [False, True])
+@pytest.mark.parametrize("kind", sorted(_OWNERSHIP_INTEGRANDS))
+@fixed(8)
+@given(
+    name=st.sampled_from(["cbv_demo", "multi_step"]),
+    seed=st.integers(min_value=0, max_value=4),
+    rel_tol=st.floats(min_value=-10.0, max_value=-3.0).map(lambda e: 10.0 ** e),
+    k_max=st.integers(min_value=K_MIN, max_value=12),
+)
+def test_ladder_may_overwrite_the_tags_it_owns(kind, shared, name, seed, rel_tol, k_max):
+    f = make(name)
+    g = _OWNERSHIP_INTEGRANDS[kind]
+    if shared:
+        g = _AtomicIntegrand(kind, "step", fn=g, jumps=f.jumps)
+    opts = QuadratureOptions(k_max=k_max, rel_tol=rel_tol, abs_tol=1e-12, seed=seed)
+    got = rs_integral(g, f, -math.pi, math.pi, opts)
+    want = eager_rs_integral(g, f, -math.pi, math.pi, opts)
+    assert (repr(got.value), repr(got.est_error), got.status, repr(got.levels)) == (
+        repr(want.value), repr(want.est_error), want.status, repr(want.levels))
