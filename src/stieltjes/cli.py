@@ -13,8 +13,10 @@ digits) or, with --format structured, a single JSON document carrying the
 same fields.  Output is deterministic for a fixed seed: records are ordered
 by grid index no matter how many workers run, and nothing timestamps.
 
-Exit codes: 0 ok, 1 usage or spec error, 2 divergence, 3 inconclusive or a
-failed limit grade, 4 evaluation at a declared jump.
+Exit codes: 0 ok, 1 usage or spec error or an unwritable --out, 2
+divergence, 3 inconclusive, 4 evaluation at a declared jump.  A report's
+code is the worst status of everything its subcommand ran; a limit report
+that did not pass counts as inconclusive.
 """
 
 from __future__ import annotations
@@ -121,10 +123,9 @@ def parse_function_spec(spec: str):
 
 
 def _fmt(x) -> str:
+    # every int the reports carry (a level count, a 0/1 flag) prints as itself
     if isinstance(x, str):
         return x
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
     return f"{float(x):.12g}"
 
 
@@ -146,27 +147,25 @@ def _write_report(path: Optional[str], header, rows, structured: bool):
         sys.stdout.write(text)
 
 
-def _default_tol(args_tol: Optional[float]) -> float:
-    if args_tol is not None:
-        return args_tol
-    env = os.environ.get("STIELTJES_TOL")
-    if env:
+def _opts(args) -> QuadratureOptions:
+    """Options from --tol, else the STIELTJES_TOL environment variable, else 1e-6."""
+    tol, env = args.tol, os.environ.get("STIELTJES_TOL")
+    if tol is None and env:
         try:
-            return float(env)
+            tol = float(env)
         except ValueError:
             raise SpecError(f"STIELTJES_TOL is not a number: {env!r}")
-    return 1e-6
+    return QuadratureOptions(rel_tol=1e-6 if tol is None else tol, seed=args.seed)
 
 
-def _opts(args) -> QuadratureOptions:
-    return QuadratureOptions(rel_tol=_default_tol(args.tol), seed=args.seed)
+def _boundary(spec: str, message: str) -> BoundaryFunction:
+    phi = parse_function_spec(spec)
+    if not isinstance(phi, BoundaryFunction):
+        raise SpecError(message)
+    return phi
 
 
-def _floats(values) -> list:
-    return [float(v) for v in values]
-
-
-def _cmd_integrate(args) -> int:
+def _cmd_integrate(args):
     g = parse_function_spec(args.g)
     f = parse_function_spec(args.f)
     res = rs_integral(g, f, args.a, args.b, _opts(args))
@@ -174,22 +173,19 @@ def _cmd_integrate(args) -> int:
     header = ["status", "value", "value_im", "est_error", "levels", "deepest_mesh"]
     rows = [[res.status.value, val.real, val.imag, res.est_error,
              len(res.levels), res.levels[-1][0]]]
-    _write_report(args.out, header, rows, args.format == "structured")
-    return _STATUS_EXIT[res.status]
+    return header, rows, [res.status]
 
 
 _TRANSFORMS = {which: partial(disk_transform, which) for which in KERNELS}
 
 
-def _cmd_transform(args) -> int:
-    phi = parse_function_spec(args.phi)
-    if not isinstance(phi, BoundaryFunction):
-        raise SpecError("transforms need a boundary function (zoo: or file:)")
+def _cmd_transform(args):
+    phi = _boundary(args.phi, "transforms need a boundary function (zoo: or file:)")
     if args.jobs < 1:
         raise ValueError("--jobs must be at least 1")
     op = _TRANSFORMS[args.which]
     opts = _opts(args)
-    grid = [(r, th) for r in _floats(args.r) for th in _floats(args.theta)]
+    grid = [(r, th) for r in args.r for th in args.theta]
 
     def run(point):
         r, th = point
@@ -200,34 +196,26 @@ def _cmd_transform(args) -> int:
     with ThreadPoolExecutor(max_workers=args.jobs) as pool:
         rows = list(pool.map(run, grid))
     header = ["r", "theta", "value", "value_im", "est_error", "status"]
-    _write_report(args.out, header, rows, args.format == "structured")
-    worst = max((row[5] for row in rows), key=lambda s: _STATUS_EXIT[RSStatus(s)])
-    return _STATUS_EXIT[RSStatus(worst)]
+    return header, rows, [RSStatus(row[5]) for row in rows]
 
 
-def _cmd_hilbert(args) -> int:
-    phi = parse_function_spec(args.phi)
-    if not isinstance(phi, BoundaryFunction):
-        raise SpecError("the principal-value integral needs a boundary function")
+def _cmd_hilbert(args):
+    phi = _boundary(args.phi, "the principal-value integral needs a boundary function")
     opts = _opts(args)
     header = ["tau", "value", "est_error", "extrapolated"]
     if args.compare_singular_cauchy:
         header += ["consistency_residual", "cauchy_imag"]
-    rows = []
-    statuses = []
-    for tau in _floats(args.tau):
+    rows, statuses = [], []
+    for tau in args.tau:
         if args.compare_singular_cauchy:
             con = singular_cauchy_consistency(phi, tau, opts=opts)
-            h = con.hilbert
+            h, extra = con.hilbert, [con.residual, con.imag_magnitude]
             statuses.append(con.cauchy.status)
-            rows.append([tau, h.value, h.est_error,
-                         int(h.extrapolated), con.residual, con.imag_magnitude])
         else:
-            h = hilbert_stieltjes(phi, tau, opts=opts)
-            rows.append([tau, h.value, h.est_error, int(h.extrapolated)])
+            h, extra = hilbert_stieltjes(phi, tau, opts=opts), []
+        rows.append([tau, h.value, h.est_error, int(h.extrapolated)] + extra)
         statuses.append(h.status)
-    _write_report(args.out, header, rows, args.format == "structured")
-    return max(_STATUS_EXIT[s] for s in statuses)
+    return header, rows, statuses
 
 
 _LIMIT_CHECKS = {
@@ -237,41 +225,35 @@ _LIMIT_CHECKS = {
 }
 
 
-def _cmd_limits(args) -> int:
-    phi = parse_function_spec(args.phi)
-    if not isinstance(phi, BoundaryFunction):
-        raise SpecError("limit checks need a boundary function")
+def _cmd_limits(args):
+    phi = _boundary(args.phi, "limit checks need a boundary function")
     check = _LIMIT_CHECKS[args.which]
-    kwargs = {}
-    if args.apertures is not None:
-        kwargs["apertures"] = _floats(args.apertures)
-    if args.tol is not None:
-        kwargs["tol"] = args.tol
+    # an option left out keeps the check's own default
+    given = {"apertures": args.apertures, "tol": args.tol}
+    kwargs = {k: v for k, v in given.items() if v is not None}
     header = ["target", "field", "approach", "extrapolated", "extrapolated_im",
               "expected", "expected_im", "residual", "grade"]
-    rows = []
-    any_fail = False
-    for target in _floats(args.target):
+    rows, statuses = [], []
+    for target in args.target:
         report = check(phi, target, **kwargs)
-        any_fail = any_fail or not report.passed
+        if not report.passed:
+            statuses.append(RSStatus.INCONCLUSIVE)
         for row in report.rows:
             ext = complex(row.estimate.extrapolated)
             exp = complex(row.expected)
             rows.append([target, row.field, row.approach, ext.real, ext.imag,
                          exp.real, exp.imag, row.residual, row.grade])
-    _write_report(args.out, header, rows, args.format == "structured")
-    return EXIT_INCONCLUSIVE if any_fail else EXIT_OK
+    return header, rows, statuses
 
 
-def _cmd_catalog(args) -> int:
+def _cmd_catalog(args):
     header = ["name", "kind", "atoms", "net_increment", "bound"]
     rows = []
     for phi in zoo.catalog():
         atoms = ";".join(f"{loc:.6g}@{h:.6g}" for loc, h in phi.jumps) or "-"
         bound = phi.bounded_by if phi.bounded_by is not None else float("nan")
         rows.append([phi.name, phi.kind, atoms, phi.period_increment, bound])
-    _write_report(args.out, header, rows, args.format == "structured")
-    return EXIT_OK
+    return header, rows, []
 
 
 def _build_parser() -> _Parser:
@@ -300,15 +282,15 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("transform", help="disk transforms on an r x theta grid")
     p.add_argument("--phi", required=True, help="integrator spec")
     p.add_argument("--which", choices=tuple(_TRANSFORMS), required=True)
-    p.add_argument("--r", nargs="+", required=True)
-    p.add_argument("--theta", nargs="+", required=True)
+    p.add_argument("--r", type=float, nargs="+", required=True)
+    p.add_argument("--theta", type=float, nargs="+", required=True)
     p.add_argument("--jobs", type=int, default=1, help="worker threads (at least 1)")
     quadrature(p)
     p.set_defaults(run=_cmd_transform)
 
     p = sub.add_parser("hilbert", help="principal-value boundary integral")
     p.add_argument("--phi", required=True)
-    p.add_argument("--tau", nargs="+", required=True)
+    p.add_argument("--tau", type=float, nargs="+", required=True)
     p.add_argument("--compare-singular-cauchy", action="store_true")
     quadrature(p)
     p.set_defaults(run=_cmd_hilbert)
@@ -316,8 +298,8 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("limits", help="graded boundary-limit checks")
     p.add_argument("--phi", required=True)
     p.add_argument("--which", choices=tuple(_LIMIT_CHECKS), required=True)
-    p.add_argument("--target", nargs="+", required=True, help="boundary angles")
-    p.add_argument("--apertures", nargs="*", default=None)
+    p.add_argument("--target", type=float, nargs="+", required=True, help="boundary angles")
+    p.add_argument("--apertures", type=float, nargs="*", default=None)
     p.add_argument("--tol", type=float, default=None,
                    help="tolerance that grades the limit residuals "
                         "(default: 1e-3 for U, 2e-3 for V, 3e-3 for SC)")
@@ -334,7 +316,7 @@ def _build_parser() -> _Parser:
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
-        return args.run(args)
+        header, rows, statuses = args.run(args)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_OK
     except (ValueError, NonConvergentError) as exc:
@@ -342,6 +324,13 @@ def main(argv=None) -> int:
         if isinstance(exc, JumpAtEvaluationPoint):
             return EXIT_JUMP
         return EXIT_DIVERGED if isinstance(exc, NonConvergentError) else EXIT_USAGE
+    try:
+        _write_report(args.out, header, rows, args.format == "structured")
+    except OSError as exc:
+        sys.stderr.write(f"stieltjes: cannot write the report: {exc}\n")
+        return EXIT_USAGE
+    # the worst status of everything the subcommand ran
+    return max((_STATUS_EXIT[s] for s in statuses), default=EXIT_OK)
 
 
 def main_entry():

@@ -9,10 +9,16 @@ collapses.  With atoms exact and a smooth mesh map the midpoint error is
 O(h^2), so a certified run reports one Richardson step of its last two
 midpoint sums, s_k + (s_k - s_{k-1}) / 3.
 
-The levels nest (see :class:`_NestedLevels`): each level calls the
-integrator f on its 2**(k-1) new grid points alone, so f sees each grid
-point once per ladder.  Like ``g``, f only ever sees 1-D arrays, and it
-must act elementwise on them.
+The integrand g and the integrator f only ever see 1-D arrays, and they
+must act elementwise on them.  The ladder owns every array it hands them
+and reuses it once the call has returned: where g's values are float64
+like the tags, the products g * df of a midpoint, probe or replica sum are
+written over the spent tags.  So g and f must neither write into their
+argument nor keep it after they return; returning it, or a value computed
+from it, is fine.
+
+The levels nest (see :class:`_NestedLevels`): each level calls f on its
+2**(k-1) new grid points alone, so f sees each grid point once per ladder.
 
 Replica ``rep`` of level k draws its uniforms from its own stream,
 ``default_rng((seed, k, rep))``, so every replica sum is fixed by the seed
@@ -21,14 +27,6 @@ start state into it.  Levels of at most DRAW_CACHE_CELLS cells take their
 draws from a bounded, thread-safe, process-wide cache of read-only arrays.
 The replicas are evaluated as one block of rows: one ``g`` call on the
 flattened tags of at most CHUNK_POINTS at a time, then one row reduction.
-``g`` only ever sees 1-D arrays, and it must act elementwise on them.
-
-The ladder owns every array it hands to g and f, and reuses it once the
-call has returned: where g's values are float64 like the tags, the
-products g * df of a midpoint, probe or replica sum are written over the
-spent tags.  So g and
-f must neither write into their argument nor keep it after they return;
-returning it, or a value computed from it, is fine.
 
 A level runs its block only where the spread can matter: on the first
 level, on the last (its spread enters an inconclusive est_error), on a
@@ -220,15 +218,6 @@ def _inside(points, a, b):
     return arr[(arr > a) & (arr < b)]
 
 
-def _level_points(a, b, n, grading, insert):
-    """Level partition of [a, b] into n grid cells with the jump locations ``insert`` merged in.
-
-    Built from scratch; :class:`_NestedLevels` gives the same points level by level.
-    """
-    p, q, to_t = _grid_map(a, b, grading)
-    return _merged(to_t(np.linspace(p, q, n + 1)), _inside(insert, a, b), a, b)[0]
-
-
 class _NestedLevels:
     """The levels of one ladder over [a, b] and f on them, each built from the one before.
 
@@ -404,31 +393,23 @@ def rs_integral(
     """Integrate ``g`` against ``d f`` over ``[a, b]`` by dyadic refinement.
 
     ``f`` may be a :class:`BoundaryFunction` (its declared atoms are then
-    handled exactly) or any callable; like ``g`` it must act elementwise on
-    1-D arrays.  The levels nest, so f is called once per level: on the
-    first level's grid, the atoms and both ends, then on each level's new
-    grid points only.  When ``g`` is a
+    handled exactly) or any callable.  When ``g`` is a
     :class:`BoundaryFunction` too, its atoms are discontinuities of the
     integrand and never receive a snapped tag.  ``grading = (center,
-    distance)`` concentrates partition points around an angle where the
-    integrand is nearly singular, at the given distance from a pole.
+    distance)``, a finite center and a finite positive distance,
+    concentrates partition points around an angle where the integrand is
+    nearly singular, at the given distance from a pole.  The module
+    docstring states what g and f must do and when the replicas run.
 
     Orientation is respected: ``a > b`` flips the sign.  A level with a
     non-finite sum ends the run ``INCONCLUSIVE`` with est_error inf.  A
     ``CONVERGED`` run reports the Richardson step of its last two midpoint
     sums; any other run reports its deepest midpoint sum.
-
-    Replicas run only on the levels whose spread can decide the outcome (see
-    the module docstring), so a non-finite replica sum on a level that
-    skipped or cut short its block goes unseen.
-
-    g and f must not write into their argument, nor keep it after they
-    return: the ladder writes the products of a float64 g over the tags it
-    passed once g has returned.
     """
     opts = opts or QuadratureOptions()
-    if grading is not None and not (math.isfinite(grading[1]) and grading[1] > 0.0):
-        raise ValueError("grading distance must be finite and positive")
+    if grading is not None and not (np.shape(grading) == (2,) and np.isfinite(grading).all() and grading[1] > 0.0):
+        raise ValueError(f"grading must be a (center, distance) pair with a finite center "
+                         f"and a finite positive distance, got {grading!r}")
     if not (math.isfinite(a) and math.isfinite(b)):
         raise ValueError(f"integration ends must be finite, got [{a}, {b}]")
     sign = 1.0
@@ -444,9 +425,6 @@ def rs_integral(
 
     ladder = _NestedLevels(f, a, b, grading, jump_pts, snap_pts)
 
-    def signed(s):
-        return sign * (complex(s) if is_complex else float(s))
-
     levels = []
     # per level: the midpoint sum and the distance of the probe sum from it
     heads = []
@@ -454,7 +432,6 @@ def rs_integral(
     spreads = []
     diffs = []
     prev_sum = None
-    is_complex = False
 
     for k in range(K_MIN, opts.k_max + 1):
         if k > K_MIN:
@@ -473,8 +450,8 @@ def rs_integral(
             probe = _snapped(_midpoints(pts), pts, _merged_indices(pts, jump_pts))
             sums.append(_products(np.asarray(g(probe)), df, probe).sum())
         s_mid = sums[0]
-        is_complex = is_complex or np.iscomplexobj(g_mid)
-        value = signed(s_mid)
+        # every sum is a numpy scalar of the products' dtype: float or complex
+        value = sign * s_mid.item()
         levels.append((float(widths.max()), value))
         if not cmath.isfinite(sums[-1]):
             return RSResult(value, levels, math.inf, RSStatus.INCONCLUSIVE)
@@ -509,7 +486,7 @@ def rs_integral(
             # halving the mesh quarters the O(h^2) midpoint error: one
             # Richardson step moves the value by diff / 3, inside est_error
             est = float(max(diff, spread))
-            return RSResult(signed(s_mid + (s_mid - prev_sum) / 3.0), levels, est, RSStatus.CONVERGED)
+            return RSResult(sign * (s_mid + (s_mid - prev_sum) / 3.0).item(), levels, est, RSStatus.CONVERGED)
 
         if growing and spread > SPREAD_FLOOR_FACTOR * opts.abs_tol and _grows(spreads):
             return RSResult(value, levels, float(spread), RSStatus.DIVERGED)

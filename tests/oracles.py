@@ -5,7 +5,8 @@ plain tagged sums, dense-grid quadrature, a recursive Cantor evaluator, and
 textbook finite differences.  When a test compares the library against one
 of these, the two sides share no code.  The one exception is
 ``eager_rs_integral``, which must match ``rs_integral`` bit for bit: it
-shares the package's level helpers and keeps only its own level loop.
+shares the package's level helpers and keeps only its own level loop, on
+the from-scratch partitions of ``_level_points``.
 """
 
 import cmath
@@ -24,8 +25,10 @@ from stieltjes.quadrature import (
     _atoms,
     _cached_draws,
     _draws,
+    _grid_map,
     _grows,
-    _level_points,
+    _inside,
+    _merged,
     _merged_indices,
     _row_sums,
     _snapped,
@@ -176,6 +179,15 @@ def _replica_sums(g, pts, widths, df, snap_idx, seed, k):
             if not cmath.isfinite(s):
                 return sums
     return sums
+
+
+def _level_points(a, b, n, grading, insert):
+    """Level partition of [a, b] into n grid cells with the jump locations ``insert`` merged in.
+
+    Built from scratch; ``quadrature._NestedLevels`` gives the same points level by level.
+    """
+    p, q, to_t = _grid_map(a, b, grading)
+    return _merged(to_t(np.linspace(p, q, n + 1)), _inside(insert, a, b), a, b)[0]
 
 
 def eager_rs_integral(g, f, a, b, opts=None, *, grading=None):

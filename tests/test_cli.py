@@ -491,6 +491,38 @@ class TestCatalog:
         assert {r["name"] for r in doc["records"]} >= {"sin", "cantor", "spikes"}
 
 
+REPORTS = {
+    "integrate": ["integrate", "--g", "poly:t", "--f", "poly:t2", "--a", "0", "--b", "1"],
+    "transform": ["transform", "--phi", "zoo:step2pi:0.0", "--which", "S",
+                  "--r", "0.3", "--theta", "0.0", "1.0"],
+    "hilbert": ["hilbert", "--phi", "zoo:step2pi:0.0", "--tau", "2.0",
+                "--tol", "1e-4", "--compare-singular-cauchy"],
+    "limits": ["limits", "--phi", "zoo:step2pi:0.0", "--which", "U",
+               "--target", str(math.pi), "--apertures", "0.3"],
+    "catalog": ["catalog"],
+}
+
+
+class TestReports:
+    @pytest.mark.parametrize("argv", list(REPORTS.values()), ids=list(REPORTS))
+    def test_structured_report_matches_csv(self, capsys, argv):
+        code, header, records = run_csv(capsys, argv)
+        assert main(argv + ["--format", "structured"]) == code
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["fields"] == header
+        assert len(doc["records"]) == len(records) > 0
+        for rec, row in zip(doc["records"], records):
+            # the CSV carries floats at 12 significant digits
+            assert {k: v if isinstance(v, str) else f"{v:.12g}" for k, v in rec.items()} == row
+
+    def test_unwritable_out_exits_one(self, capsys, tmp_path):
+        code = main(["catalog", "--out", str(tmp_path / "missing" / "report.csv")])
+        assert code == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("stieltjes: ")
+
+
 class TestUsage:
     @pytest.mark.parametrize("argv", [
         ["catalog", "--seed", "1"],

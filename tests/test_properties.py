@@ -35,12 +35,12 @@ from stieltjes.quadrature import (
     _NestedLevels,
     _graded_map,
     _graded_preimage,
-    _level_points,
     _merged_indices,
 )
 from stieltjes.transforms import KERNELS
 
 from oracles import (
+    _level_points,
     analytic_exp,
     cantor_recursive,
     cauchy_exp,

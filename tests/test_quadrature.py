@@ -21,10 +21,10 @@ from stieltjes import (
 )
 from stieltjes.accel import aitken_step, aitken_tail
 from stieltjes import quadrature
-from stieltjes.quadrature import K_MIN, MERGE_TOL, REPLICAS, _cached_draws, _draws, _level_points, _start_state
+from stieltjes.quadrature import K_MIN, MERGE_TOL, REPLICAS, _cached_draws, _draws, _start_state
 from stieltjes.transforms import disk_transform
 
-from oracles import rs_brute, rs_tagged_sum
+from oracles import _level_points, rs_brute, rs_tagged_sum
 
 TWO_PI = 2 * math.pi
 
@@ -285,6 +285,21 @@ class TestGrading:
     def test_rejects_bad_distance(self, distance):
         with pytest.raises(ValueError):
             rs_integral(lambda t: t, lambda t: t, 0.0, 1.0, grading=(0.5, distance))
+
+    @pytest.mark.parametrize(
+        "grading", [(math.nan, 0.1), (math.inf, 0.1), (0.3,), (0.3, 0.1, 0.2), 0.3],
+        ids=["nan_center", "inf_center", "one_entry", "three_entries", "scalar"],
+    )
+    def test_rejects_bad_grading_before_f_is_called(self, grading):
+        seen = []
+
+        def f(t):
+            seen.append(t)
+            return t
+
+        with pytest.raises(ValueError, match="grading"):
+            rs_integral(lambda t: t, f, 0.0, 1.0, grading=grading)
+        assert seen == []
 
     def test_options_reject_too_few_levels(self):
         with pytest.raises(ValueError):
