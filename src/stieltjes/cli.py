@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -129,13 +130,20 @@ def _fmt(x) -> str:
     return f"{float(x):.12g}"
 
 
+def _json_value(v):
+    # JSON has no nan or inf: a non-finite float is written as the CSV writes it
+    if isinstance(v, str):
+        return v
+    v = float(v)
+    return v if math.isfinite(v) else _fmt(v)
+
+
 def _write_report(path: Optional[str], header, rows, structured: bool):
     if structured:
         doc = {"fields": list(header), "records": [
-            {k: (v if isinstance(v, str) else float(v)) for k, v in zip(header, row)}
-            for row in rows
+            {k: _json_value(v) for k, v in zip(header, row)} for row in rows
         ]}
-        text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
     else:
         lines = [",".join(header)]
         lines += [",".join(_fmt(v) for v in row) for row in rows]

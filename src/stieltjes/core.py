@@ -52,16 +52,29 @@ class DomainError(ValueError):
 def reduce_angle(t):
     """Reduce angles to ``(-pi, pi]`` with one subtraction of a 2*pi multiple.
 
-    Accepts scalars or arrays; the return type mirrors the input.
+    Accepts scalars or arrays; the return type mirrors the input.  Angles
+    that are all in the window already come back as ``arr + 0.0``, bit for
+    bit what the full reduction gives them (-0.0 included, which both turn
+    into +0.0).
     """
     arr = np.atleast_1d(np.asarray(t, dtype=float))
+    # nan fails both comparisons, so it takes the full reduction
+    if arr.size and arr.min() > -math.pi and arr.max() <= math.pi:
+        out = arr + 0.0
+    else:
+        out = _reduced(arr)
+    if np.isscalar(t) or getattr(t, "ndim", 1) == 0:
+        return float(out[0])
+    return out
+
+
+def _reduced(arr):
+    """The full reduction of a float array to ``(-pi, pi]``, in a new array."""
     out = arr - TWO_PI * np.ceil((arr - math.pi) / TWO_PI)
     # The rounded quotient can land an angle a hair outside (-pi, pi] on
     # either side; both folds are exact, so a reduced angle stays put.
     out[out <= -math.pi] += TWO_PI
     out[out > math.pi] -= TWO_PI
-    if np.isscalar(t) or getattr(t, "ndim", 1) == 0:
-        return float(out[0])
     return out
 
 

@@ -23,10 +23,12 @@ The levels nest (see :class:`_NestedLevels`): each level calls f on its
 Replica ``rep`` of level k draws its uniforms from its own stream,
 ``default_rng((seed, k, rep))``, so every replica sum is fixed by the seed
 alone.  Each thread reuses one generator and restores the stream's cached
-start state into it.  Levels of at most DRAW_CACHE_CELLS cells take their
-draws from a bounded, thread-safe, process-wide cache of read-only arrays.
-The replicas are evaluated as one block of rows: one ``g`` call on the
-flattened tags of at most CHUNK_POINTS at a time, then one row reduction.
+start state into it.  The replicas are evaluated as one block of rows: one
+``g`` call on the flattened tags of at most CHUNK_POINTS at a time, then one
+row reduction.  A level narrow enough that its chunks hold whole rows, at
+most DRAW_CACHE_CELLS = CHUNK_POINTS cells, takes its draws from a bounded,
+thread-safe, process-wide cache of read-only arrays; a wider level draws
+each row afresh.
 
 A level runs its block only where the spread can matter: on the first
 level, on the last (its spread enters an inconclusive est_error), on a
@@ -89,10 +91,11 @@ K_CAP = 22
 REPLICAS = 8
 # replica tags per g call; a level this wide or wider makes one call per replica
 CHUNK_POINTS = 2 ** 15
-# levels of at most this many cells take their replica draws from a cache
-# of at most DRAW_CACHE_BYTES
-DRAW_CACHE_CELLS = 2 ** 10
-DRAW_CACHE_BYTES = 2 * 2 ** 20
+# levels of at most this many cells, those whose chunks hold whole rows,
+# take their replica draws from a cache of at most DRAW_CACHE_BYTES: 32
+# entries of at most 2 MB
+DRAW_CACHE_CELLS = CHUNK_POINTS
+DRAW_CACHE_BYTES = 64 * 2 ** 20
 # divergence: GROWTH_STEPS consecutive growth ratios of at least
 # GROWTH_FACTOR in both spread and level difference, with the last spread
 # above SPREAD_FLOOR_FACTOR * abs_tol
@@ -319,7 +322,7 @@ def _draws(seed, k, reps, n):
 # every entry holds at most REPLICAS * DRAW_CACHE_CELLS doubles
 @functools.lru_cache(maxsize=DRAW_CACHE_BYTES // (8 * REPLICAS * DRAW_CACHE_CELLS))
 def _cached_draws(seed, k, n):
-    """All REPLICAS rows of ``_draws`` for a small level, read-only, from a bounded process-wide cache."""
+    """All REPLICAS rows of ``_draws`` for level k, read-only, from a bounded process-wide cache."""
     u = _draws(seed, k, range(REPLICAS), n)
     u.flags.writeable = False
     return u

@@ -515,6 +515,16 @@ class TestReports:
             # the CSV carries floats at 12 significant digits
             assert {k: v if isinstance(v, str) else f"{v:.12g}" for k, v in rec.items()} == row
 
+    def test_structured_report_is_strict_json(self, capsys):
+        def refuse(token):
+            raise ValueError(f"non-JSON token {token}")
+
+        assert main(["catalog", "--format", "structured"]) == EXIT_OK
+        doc = json.loads(capsys.readouterr().out, parse_constant=refuse)
+        spikes = next(rec for rec in doc["records"] if rec["name"] == "spikes")
+        # the CSV's own spelling of a non-finite float
+        assert spikes["bound"] == "nan"
+
     def test_unwritable_out_exits_one(self, capsys, tmp_path):
         code = main(["catalog", "--out", str(tmp_path / "missing" / "report.csv")])
         assert code == EXIT_USAGE

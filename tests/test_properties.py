@@ -27,7 +27,7 @@ from stieltjes import (
     reduce_angle,
     rs_integral,
 )
-from stieltjes.core import ATOM_GUARD, _cantor_staircase
+from stieltjes.core import ATOM_GUARD, _cantor_staircase, _reduced
 from stieltjes.kernels import COT_GUARD, boundary_cot_kernel
 from stieltjes.quadrature import (
     K_MIN,
@@ -74,6 +74,23 @@ def test_reduce_angle_lands_in_principal_window(x):
     assert reduce_angle(y) == y
     turns = (x - y) / TWO_PI
     assert abs(turns - round(turns)) <= 1e-9
+
+
+@fixed(300)
+@example([-0.0])
+@example([math.pi, float(np.nextafter(-math.pi, 0.0)), float(np.nextafter(math.pi, 0.0))])
+@example([-math.pi])
+@example([math.nan, 0.5])
+@example([])
+# lists wholly inside the window take the fast path, the others the full one
+@given(st.one_of(st.lists(st.floats(min_value=-math.pi, max_value=math.pi), max_size=20),
+                 st.lists(st.floats(), max_size=20)))
+def test_reduce_angle_fast_path_is_the_full_reduction_bit_for_bit(xs):
+    arr = np.array(xs, dtype=float)
+    with np.errstate(invalid="ignore"):
+        want = _reduced(arr)
+        got = reduce_angle(arr)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 @fixed(200)

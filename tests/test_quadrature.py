@@ -21,7 +21,7 @@ from stieltjes import (
 )
 from stieltjes.accel import aitken_step, aitken_tail
 from stieltjes import quadrature
-from stieltjes.quadrature import K_MIN, MERGE_TOL, REPLICAS, _cached_draws, _draws, _start_state
+from stieltjes.quadrature import CHUNK_POINTS, K_MIN, MERGE_TOL, REPLICAS, _cached_draws, _draws, _start_state
 from stieltjes.transforms import disk_transform
 
 from oracles import _level_points, rs_brute, rs_tagged_sum
@@ -400,6 +400,19 @@ def _counting(g, calls):
     return counted
 
 
+def _counting_draws(monkeypatch):
+    """Record ``(k, len(reps), n)`` of every ``_draws`` call from here on."""
+    drawn = []
+    draws = quadrature._draws
+
+    def counted(seed, k, reps, n):
+        drawn.append((k, len(reps), n))
+        return draws(seed, k, reps, n)
+
+    monkeypatch.setattr(quadrature, "_draws", counted)
+    return drawn
+
+
 class TestReplicaDraws:
     def test_scalar_integrand_broadcasts(self):
         res = rs_integral(lambda t: 2.0, np.sin, 0.0, 1.0)
@@ -442,23 +455,22 @@ class TestReplicaDraws:
         assert len(calls) == 12 + 1 + REPLICAS
         assert set(calls) == {1}
 
-    def test_passed_level_stops_at_its_first_wide_chunk(self, monkeypatch):
-        drawn = {}
-        draws = quadrature._draws
+    def test_passed_level_stops_at_its_first_wide_chunk(self):
+        sizes = []
 
-        def counted(seed, k, reps, n):
-            drawn[k] = drawn.get(k, 0) + len(reps)
-            return draws(seed, k, reps, n)
+        def g(t):
+            sizes.append(t.size)
+            return np.cos(t)
 
-        monkeypatch.setattr(quadrature, "_draws", counted)
-        res = rs_integral(np.cos, np.sin, 0.0, 1.0, QuadratureOptions(rel_tol=1e-10, abs_tol=0.0, k_max=16))
+        res = rs_integral(g, np.sin, 0.0, 1.0, QuadratureOptions(rel_tol=1e-10, abs_tol=0.0, k_max=16))
         # level 15 (2**15 cells, one replica per chunk) passes its difference
         # but not its first replica, so its block stops there; level 16 is the
         # last and runs all of its own
         (_, s14), (_, s15) = res.levels[-3:-1]
         assert abs(s15 - s14) <= 1e-10 * abs(s15)
-        wide = {k: n for k, n in drawn.items() if 2 ** k > quadrature.DRAW_CACHE_CELLS}
-        assert wide == {15: 1, 16: REPLICAS}
+        # one midpoint call per level; the first level's block is one chunk
+        assert sizes == ([2 ** K_MIN, REPLICAS * 2 ** K_MIN] + [2 ** k for k in range(K_MIN + 1, 15)]
+                         + [2 ** 15] * 2 + [2 ** 16] * (1 + REPLICAS))
 
     def test_rows_are_the_seeded_streams_on_interleaved_threads(self):
         # seeds no other test uses, so the threads fill the state cache themselves
@@ -508,6 +520,31 @@ class TestReplicaDraws:
         assert info.currsize == info.maxsize
         largest = _cached_draws(8, 10, quadrature.DRAW_CACHE_CELLS).nbytes
         assert info.maxsize * largest <= quadrature.DRAW_CACHE_BYTES
+
+    def test_widest_cached_rows_are_the_seeded_streams_and_read_only(self):
+        u = _cached_draws(11, 15, CHUNK_POINTS)
+        assert u.shape == (REPLICAS, CHUNK_POINTS)
+        for rep in range(REPLICAS):
+            assert np.array_equal(u[rep], np.random.default_rng((11, 15, rep)).random(CHUNK_POINTS))
+        assert not u.flags.writeable
+
+    def test_level_past_the_cache_draws_afresh(self, monkeypatch):
+        drawn = _counting_draws(monkeypatch)
+        # the sawtooth's atom at pi falls between grid points: level 15 has
+        # CHUNK_POINTS + 1 cells, so each replica is a chunk of its own
+        rs_integral(np.cos, make("sawtooth"), 0.0, 4.0,
+                    QuadratureOptions(rel_tol=1e-15, abs_tol=0.0, k_max=15, seed=70103))
+        assert [d for d in drawn if d[0] == 15] == [(15, 1, CHUNK_POINTS + 1)] * REPLICAS
+
+    def test_repeated_ladder_draws_nothing(self, monkeypatch):
+        # a seed no other test uses, so the first run fills the cache itself
+        opts = QuadratureOptions(rel_tol=1e-15, abs_tol=0.0, k_max=15, seed=70104)
+        first = rs_integral(np.cos, np.sin, 0.0, 1.0, opts)
+        drawn = _counting_draws(monkeypatch)
+        again = rs_integral(np.cos, np.sin, 0.0, 1.0, opts)
+        assert drawn == []
+        assert len(first.levels) == 12
+        assert repr(again) == repr(first)
 
     def test_threads_get_the_serial_values(self):
         # a seed no other test uses, so the threads fill the cache themselves
