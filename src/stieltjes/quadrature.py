@@ -22,13 +22,12 @@ The levels nest (see :class:`_NestedLevels`): each level calls f on its
 
 Replica ``rep`` of level k draws its uniforms from its own stream,
 ``default_rng((seed, k, rep))``, so every replica sum is fixed by the seed
-alone.  Each thread reuses one generator and restores the stream's cached
-start state into it.  The replicas are evaluated as one block of rows: one
-``g`` call on the flattened tags of at most CHUNK_POINTS at a time, then one
-row reduction.  A level narrow enough that its chunks hold whole rows, at
-most DRAW_CACHE_CELLS = CHUNK_POINTS cells, takes its draws from a bounded,
-thread-safe, process-wide cache of read-only arrays; a wider level draws
-each row afresh.
+alone.  The replicas are evaluated as one block of rows: one ``g`` call on
+the flattened tags of at most CHUNK_POINTS at a time, then one row
+reduction.  A level narrow enough that its chunks hold whole rows, at most
+CHUNK_POINTS cells, takes its draws from a bounded, thread-safe,
+process-wide cache of read-only arrays; a wider level draws each row
+afresh.
 
 A level runs its block only where the spread can matter: on the first
 level, on the last (its spread enters an inconclusive est_error), on a
@@ -64,7 +63,6 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-import threading
 from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
@@ -91,10 +89,9 @@ K_CAP = 22
 REPLICAS = 8
 # replica tags per g call; a level this wide or wider makes one call per replica
 CHUNK_POINTS = 2 ** 15
-# levels of at most this many cells, those whose chunks hold whole rows,
+# levels of at most CHUNK_POINTS cells, those whose chunks hold whole rows,
 # take their replica draws from a cache of at most DRAW_CACHE_BYTES: 32
 # entries of at most 2 MB
-DRAW_CACHE_CELLS = CHUNK_POINTS
 DRAW_CACHE_BYTES = 64 * 2 ** 20
 # divergence: GROWTH_STEPS consecutive growth ratios of at least
 # GROWTH_FACTOR in both spread and level difference, with the last spread
@@ -296,31 +293,16 @@ def _snapped(tags, pts, idx):
     return tags
 
 
-# one reused generator per thread, restored to a replica's start state before each row
-_thread_rng = threading.local()
-
-
-# the start states of every replica on every level, for four seeds
-@functools.lru_cache(maxsize=4 * REPLICAS * (K_CAP - K_MIN + 1))
-def _start_state(seed, k, rep):
-    """The bit generator state ``default_rng((seed, k, rep))`` starts from."""
-    return np.random.PCG64((seed, k, rep)).state
-
-
 def _draws(seed, k, reps, n):
     """Uniforms of replicas ``reps`` on level k: row rep is ``default_rng((seed, k, rep)).random(n)``."""
-    rng = getattr(_thread_rng, "rng", None)
-    if rng is None:
-        rng = _thread_rng.rng = np.random.Generator(np.random.PCG64(0))
     u = np.empty((len(reps), n))
     for row, rep in zip(u, reps):
-        rng.bit_generator.state = _start_state(seed, k, rep)
-        rng.random(out=row)
+        np.random.default_rng((seed, k, rep)).random(out=row)
     return u
 
 
-# every entry holds at most REPLICAS * DRAW_CACHE_CELLS doubles
-@functools.lru_cache(maxsize=DRAW_CACHE_BYTES // (8 * REPLICAS * DRAW_CACHE_CELLS))
+# every entry holds at most REPLICAS * CHUNK_POINTS doubles
+@functools.lru_cache(maxsize=DRAW_CACHE_BYTES // (8 * REPLICAS * CHUNK_POINTS))
 def _cached_draws(seed, k, n):
     """All REPLICAS rows of ``_draws`` for level k, read-only, from a bounded process-wide cache."""
     u = _draws(seed, k, range(REPLICAS), n)
@@ -339,7 +321,7 @@ def _replica_spread(g, level, seed, k, s_mid, spread, cutoff=math.inf):
     """
     pts, widths, df, snap_idx = level
     n = widths.size
-    cached = _cached_draws(seed, k, n) if n <= DRAW_CACHE_CELLS else None
+    cached = _cached_draws(seed, k, n) if n <= CHUNK_POINTS else None
     rows = max(1, CHUNK_POINTS // n)
     for r0 in range(0, REPLICAS, rows):
         reps = range(r0, min(r0 + rows, REPLICAS))

@@ -28,7 +28,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .accel import TAIL_WINDOW, aitken_tail
-from .core import TWO_PI, BoundaryFunction, DiskPoint, RSStatus
+from .core import TWO_PI, BoundaryFunction, DiskPoint, RSStatus, reduce_angle
 from .kernels import boundary_cot_kernel
 from .quadrature import NonConvergentError, QuadratureOptions, rs_integral
 from .transforms import TRANSFORM_OPTS, conj_poisson_stieltjes
@@ -138,6 +138,9 @@ def hilbert_stieltjes(
     returned value extrapolates the eps -> 0 tail.
     """
     _check_not_at_jump(phi, tau)
+    if not -math.pi < tau <= math.pi:
+        # far from the window, the exclusion's ends round onto one double
+        tau = reduce_angle(tau)
     schedule = _checked_schedule(eps_schedule, upper=math.pi)
     g = lambda t: boundary_cot_kernel(tau, t)
     return _pv_limit(phi, g, tau, schedule, opts or TRANSFORM_OPTS, lambda eps: eps)

@@ -17,7 +17,6 @@ import numpy as np
 from stieltjes.core import ATOM_GUARD, RSResult, RSStatus
 from stieltjes.quadrature import (
     CHUNK_POINTS,
-    DRAW_CACHE_CELLS,
     K_MIN,
     REPLICAS,
     SPREAD_FLOOR_FACTOR,
@@ -167,7 +166,7 @@ def _replica_sums(g, pts, widths, df, snap_idx, seed, k):
     and one ``g`` call on the flattened block each.
     """
     n = widths.size
-    cached = _cached_draws(seed, k, n) if n <= DRAW_CACHE_CELLS else None
+    cached = _cached_draws(seed, k, n) if n <= CHUNK_POINTS else None
     rows = max(1, CHUNK_POINTS // n)
     sums = []
     for r0 in range(0, REPLICAS, rows):

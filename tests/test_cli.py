@@ -20,7 +20,7 @@ from stieltjes.cli import (
     main,
     parse_function_spec,
 )
-from stieltjes.core import BoundaryFunction
+from stieltjes.core import BoundaryFunction, reduce_angle
 from stieltjes.zoo import NAMES
 
 
@@ -291,6 +291,14 @@ class TestTransform:
         assert main(base + ["--out", str(pb)]) == EXIT_OK
         assert pa.read_bytes() == pb.read_bytes()
 
+    def test_far_theta_runs_at_the_reduced_angle(self, capsys):
+        argv = ["transform", "--phi", "zoo:sin", "--which", "U", "--r", "0.9", "--theta"]
+        code, _, far = run_csv(capsys, argv + ["1e17"])
+        _, _, near = run_csv(capsys, argv + [repr(reduce_angle(1e17))])
+        assert code == EXIT_OK
+        assert [far[0][c] for c in ("value", "est_error")] == [near[0][c] for c in ("value", "est_error")]
+        assert float(far[0]["value"]) == pytest.approx(0.9, abs=1e-6)
+
     def test_needs_boundary_function(self, capsys):
         code = main(["transform", "--phi", "poly:t", "--which", "U",
                      "--r", "0.5", "--theta", "0.0"])
@@ -353,6 +361,16 @@ class TestHilbert:
         assert len(records) == 2
         assert float(records[0]["value"]) == pytest.approx(math.sin(0.7), abs=1e-3)
         assert float(records[1]["value"]) == pytest.approx(math.sin(1.3), abs=1e-3)
+
+    @pytest.mark.parametrize("tau", ["1e16", "1e17"])
+    def test_far_tau_runs_at_the_reduced_angle(self, capsys, tau):
+        # unreduced, 1e16 ended in the kernel's pole error and 1e17 in a zero
+        code, _, far = run_csv(capsys, ["hilbert", "--phi", "zoo:sin", "--tau", tau])
+        _, _, near = run_csv(capsys, ["hilbert", "--phi", "zoo:sin", "--tau", repr(reduce_angle(float(tau)))])
+        assert code == EXIT_OK
+        cols = ("value", "est_error", "extrapolated")
+        assert [far[0][c] for c in cols] == [near[0][c] for c in cols]
+        assert float(far[0]["est_error"]) > 0.0
 
     def test_plain_callable_exits_one(self, capsys):
         code = main(["hilbert", "--phi", "poly:t", "--tau", "0.5"])

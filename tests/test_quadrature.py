@@ -21,7 +21,7 @@ from stieltjes import (
 )
 from stieltjes.accel import aitken_step, aitken_tail
 from stieltjes import quadrature
-from stieltjes.quadrature import CHUNK_POINTS, K_MIN, MERGE_TOL, REPLICAS, _cached_draws, _draws, _start_state
+from stieltjes.quadrature import CHUNK_POINTS, K_MIN, MERGE_TOL, REPLICAS, _cached_draws, _draws
 from stieltjes.transforms import disk_transform
 
 from oracles import _level_points, rs_brute, rs_tagged_sum
@@ -495,15 +495,6 @@ class TestReplicaDraws:
             for reps, u in rows:
                 assert np.array_equal(u, want[seed, k][reps.start:reps.stop])
 
-    def test_state_cache_stays_bounded(self):
-        for seed in range(8):
-            for k in range(K_MIN, quadrature.K_CAP + 1):
-                _draws(seed, k, range(REPLICAS), 1)
-        info = _start_state.cache_info()
-        assert info.maxsize is not None and info.currsize == info.maxsize
-        # a state evicted and restored again still starts the seeded stream
-        assert np.array_equal(_draws(0, K_MIN, range(2, 3), 5)[0], np.random.default_rng((0, K_MIN, 2)).random(5))
-
     def test_cached_rows_are_the_seeded_streams_and_read_only(self):
         u = _cached_draws(7, 5, 33)
         assert u.shape == (REPLICAS, 33)
@@ -514,11 +505,13 @@ class TestReplicaDraws:
         assert _cached_draws(7, 5, 33) is u
 
     def test_cache_stays_bounded(self):
-        for n in range(16, quadrature.DRAW_CACHE_CELLS + 1, 8):
+        # three entries more than the cache holds, all at the widest sizes
+        maxsize = _cached_draws.cache_info().maxsize
+        for n in range(CHUNK_POINTS - maxsize - 2, CHUNK_POINTS + 1):
             _cached_draws(8, 10, n)
         info = _cached_draws.cache_info()
         assert info.currsize == info.maxsize
-        largest = _cached_draws(8, 10, quadrature.DRAW_CACHE_CELLS).nbytes
+        largest = _cached_draws(8, 10, CHUNK_POINTS).nbytes
         assert info.maxsize * largest <= quadrature.DRAW_CACHE_BYTES
 
     def test_widest_cached_rows_are_the_seeded_streams_and_read_only(self):

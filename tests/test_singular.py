@@ -16,7 +16,9 @@ from stieltjes import (
     singular_cauchy_stieltjes,
     truncated_conjugate_integral,
 )
+from stieltjes import singular
 from stieltjes.accel import TAIL_WINDOW
+from stieltjes.core import reduce_angle
 from stieltjes.singular import DEFAULT_EPS_SCHEDULE
 
 from oracles import pv_cot_density
@@ -97,6 +99,26 @@ class TestHilbertInterface:
         with pytest.raises(ValueError, match="not finite") as info:
             hilbert_stieltjes(make("sin"), tau)
         assert not isinstance(info.value, JumpAtEvaluationPoint)
+
+    @pytest.mark.parametrize("tau", [5e15, 1e16, 1e17])
+    def test_far_angle_runs_at_the_reduced_angle(self, tau):
+        # unreduced, the exclusion's ends round onto one double: 5e15 and
+        # 1e16 hit the kernel's pole, 1e17 gave empty windows and a zero
+        h = hilbert_stieltjes(make("sin"), tau)
+        assert repr(h) == repr(hilbert_stieltjes(make("sin"), reduce_angle(tau)))
+        assert (h.value, h.est_error) != (0.0, 0.0)
+
+    def test_angle_in_the_window_passes_through(self, monkeypatch):
+        centers = []
+        rs_integral = singular.rs_integral
+
+        def recorded(*args, grading, **kwargs):
+            centers.append(grading[0])
+            return rs_integral(*args, grading=grading, **kwargs)
+
+        monkeypatch.setattr(singular, "rs_integral", recorded)
+        hilbert_stieltjes(make("sin"), -0.0, eps_schedule=(0.5,))
+        assert [repr(c) for c in centers] == ["-0.0", "-0.0"]
 
     def test_schedule_must_decrease(self):
         with pytest.raises(ValueError):

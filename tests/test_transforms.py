@@ -19,6 +19,8 @@ from stieltjes import (
     poisson_stieltjes,
     schwartz_stieltjes,
 )
+from stieltjes import transforms
+from stieltjes.core import reduce_angle
 from stieltjes.transforms import KERNELS
 
 TWO_PI = 2 * math.pi
@@ -232,3 +234,26 @@ class TestRefusals:
     def test_boundary_point_refused(self):
         with pytest.raises(DomainError):
             poisson_stieltjes(make("sin"), DiskPoint(0.3, 0.0).from_complex(1.0))
+
+
+class TestAngleReduction:
+    def test_far_angle_runs_at_the_reduced_angle(self):
+        # at theta = 1e17 the grading's preimage ends round onto one double,
+        # so unreduced every level was one cell over the whole turn
+        far = poisson_stieltjes(make("sin"), DiskPoint(0.9, 1e17))
+        assert repr(far) == repr(poisson_stieltjes(make("sin"), DiskPoint(0.9, reduce_angle(1e17))))
+        assert (far.value, far.est_error) != (0.0, 0.0)
+        assert far.value == pytest.approx(0.9, abs=1e-6)
+
+    def test_angle_in_the_window_passes_through(self, monkeypatch):
+        centers = []
+        rs_integral = transforms.rs_integral
+
+        def recorded(*args, grading, **kwargs):
+            centers.append(grading[0])
+            return rs_integral(*args, grading=grading, **kwargs)
+
+        monkeypatch.setattr(transforms, "rs_integral", recorded)
+        for theta in (-0.0, math.pi, -3.0):
+            conj_poisson_stieltjes(make("sin"), DiskPoint(0.5, theta))
+        assert [repr(c) for c in centers] == ["-0.0", repr(math.pi), "-3.0"]
