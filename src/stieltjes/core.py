@@ -9,7 +9,7 @@ Evaluation is vectorized over numpy arrays.
 Conventions
 -----------
 * Angles are reduced to the principal window ``(-pi, pi]`` by subtracting a
-  single rounded multiple of ``2*pi``.
+  single rounded multiple of ``2*pi``; evaluation angles, exactly, by :func:`principal_angle`.
 * Kinds whose measure is charge neutral over one period (``closed_form``,
   ``piecewise``, ``cantor``) evaluate periodically; any periodization seam is
   declared as an atom at ``pi``.  Staircase kinds (``step``) accumulate: the
@@ -66,6 +66,18 @@ def reduce_angle(t):
     if np.isscalar(t) or getattr(t, "ndim", 1) == 0:
         return float(out[0])
     return out
+
+
+def principal_angle(t: float) -> float:
+    """``t`` modulo ``2*pi`` in ``(-pi, pi]``; one already there passes untouched.
+
+    Others take the phase of ``exp(1j * t)``, whose sine and cosine reduce
+    exactly, so even 1e17 lands on its true residue, as in :attr:`DiskPoint.z`.
+    """
+    if -math.pi < t <= math.pi:
+        return t
+    a = cmath.phase(cmath.exp(1j * t))
+    return math.pi if a == -math.pi else a
 
 
 def _reduced(arr):

@@ -28,7 +28,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .accel import TAIL_WINDOW, aitken_tail
-from .core import TWO_PI, BoundaryFunction, DiskPoint, RSStatus, reduce_angle
+from .core import TWO_PI, BoundaryFunction, DiskPoint, RSStatus, principal_angle
 from .kernels import boundary_cot_kernel
 from .quadrature import NonConvergentError, QuadratureOptions, rs_integral
 from .transforms import TRANSFORM_OPTS, conj_poisson_stieltjes
@@ -74,14 +74,17 @@ class PVResult:
     status: RSStatus
 
 
-def _check_not_at_jump(phi: BoundaryFunction, tau: float):
+def _boundary_angle(phi: BoundaryFunction, tau: float) -> float:
+    """``tau`` reduced to ``(-pi, pi]``, checked finite and off phi's atoms."""
     if not math.isfinite(tau):
         raise ValueError(f"boundary angle {tau} is not finite")
+    tau = principal_angle(tau)
     loc = phi.atom_near(tau)
     if loc is not None:
         raise JumpAtEvaluationPoint(
             f"{phi.name} has an atom at {loc:.6g}; the boundary value there is undefined"
         )
+    return tau
 
 
 def _checked_schedule(eps_schedule, upper):
@@ -137,10 +140,7 @@ def hilbert_stieltjes(
     Truncations use the symmetric angular exclusion |tau - t| < eps; the
     returned value extrapolates the eps -> 0 tail.
     """
-    _check_not_at_jump(phi, tau)
-    if not -math.pi < tau <= math.pi:
-        # far from the window, the exclusion's ends round onto one double
-        tau = reduce_angle(tau)
+    tau = _boundary_angle(phi, tau)
     schedule = _checked_schedule(eps_schedule, upper=math.pi)
     g = lambda t: boundary_cot_kernel(tau, t)
     return _pv_limit(phi, g, tau, schedule, opts or TRANSFORM_OPTS, lambda eps: eps)
@@ -196,8 +196,7 @@ def singular_cauchy_stieltjes(
     zeta0 = complex(zeta0)
     if abs(abs(zeta0) - 1.0) > 1e-9:
         raise ValueError("evaluation point must lie on the unit circle")
-    tau = cmath.phase(zeta0)
-    _check_not_at_jump(phi, tau)
+    tau = _boundary_angle(phi, cmath.phase(zeta0))
     schedule = _checked_schedule(eps_schedule, upper=2.0)
 
     def g(t):

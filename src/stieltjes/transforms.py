@@ -19,7 +19,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import TWO_PI, BoundaryFunction, DiskPoint, DomainError, RSResult, reduce_angle
+from .core import TWO_PI, BoundaryFunction, DiskPoint, DomainError, RSResult, principal_angle
 from .kernels import _angles, _cauchy, _conj_poisson, _poisson, _schwarz, poisson_dtheta
 from .quadrature import QuadratureOptions, require_converged, rs_integral
 
@@ -81,9 +81,8 @@ def disk_transform(which: str, phi: BoundaryFunction, z,
     z = _as_disk_point(z)
     if phi.kind == "pathological":
         raise DomainError("boundary transforms need a periodic integrator")
-    if not -math.pi < z.theta <= math.pi:
-        # far from the window, theta - t and the grading's ends lose t to rounding
-        z = DiskPoint(z.r, reduce_angle(z.theta))
+    # far from the window, theta - t and the grading's ends lose t to rounding
+    z = DiskPoint(z.r, principal_angle(z.theta))
     # the kernels' pole 1/z-bar sits at distance about 1 - r from e^{i theta}
     res = rs_integral(
         KERNELS[which](z),

@@ -20,7 +20,7 @@ from stieltjes.cli import (
     main,
     parse_function_spec,
 )
-from stieltjes.core import BoundaryFunction, reduce_angle
+from stieltjes.core import BoundaryFunction
 from stieltjes.zoo import NAMES
 
 
@@ -291,13 +291,12 @@ class TestTransform:
         assert main(base + ["--out", str(pb)]) == EXIT_OK
         assert pa.read_bytes() == pb.read_bytes()
 
-    def test_far_theta_runs_at_the_reduced_angle(self, capsys):
-        argv = ["transform", "--phi", "zoo:sin", "--which", "U", "--r", "0.9", "--theta"]
-        code, _, far = run_csv(capsys, argv + ["1e17"])
-        _, _, near = run_csv(capsys, argv + [repr(reduce_angle(1e17))])
+    def test_far_theta_gives_the_closed_form_at_that_angle(self, capsys):
+        code, _, records = run_csv(capsys, ["transform", "--phi", "zoo:sin", "--which", "U",
+                                            "--r", "0.9", "--theta", "1e17"])
         assert code == EXIT_OK
-        assert [far[0][c] for c in ("value", "est_error")] == [near[0][c] for c in ("value", "est_error")]
-        assert float(far[0]["value"]) == pytest.approx(0.9, abs=1e-6)
+        assert records[0]["theta"] == "1e+17"
+        assert float(records[0]["value"]) == pytest.approx(0.9 * math.cos(1e17), abs=1e-5)
 
     def test_needs_boundary_function(self, capsys):
         code = main(["transform", "--phi", "poly:t", "--which", "U",
@@ -363,14 +362,18 @@ class TestHilbert:
         assert float(records[1]["value"]) == pytest.approx(math.sin(1.3), abs=1e-3)
 
     @pytest.mark.parametrize("tau", ["1e16", "1e17"])
-    def test_far_tau_runs_at_the_reduced_angle(self, capsys, tau):
+    def test_far_tau_gives_the_closed_form_at_that_angle(self, capsys, tau):
         # unreduced, 1e16 ended in the kernel's pole error and 1e17 in a zero
-        code, _, far = run_csv(capsys, ["hilbert", "--phi", "zoo:sin", "--tau", tau])
-        _, _, near = run_csv(capsys, ["hilbert", "--phi", "zoo:sin", "--tau", repr(reduce_angle(float(tau)))])
+        code, _, records = run_csv(capsys, ["hilbert", "--phi", "zoo:sin", "--tau", tau])
         assert code == EXIT_OK
-        cols = ("value", "est_error", "extrapolated")
-        assert [far[0][c] for c in cols] == [near[0][c] for c in cols]
-        assert float(far[0]["est_error"]) > 0.0
+        assert float(records[0]["value"]) == pytest.approx(math.sin(float(tau)), abs=1e-3)
+        assert float(records[0]["est_error"]) > 0.0
+
+    def test_far_tau_consistency_compares_one_point(self, capsys):
+        code, _, records = run_csv(capsys, ["hilbert", "--phi", "zoo:sin", "--tau", "1e16",
+                                            "--compare-singular-cauchy"])
+        assert code == EXIT_OK
+        assert float(records[0]["consistency_residual"]) < 1e-4
 
     def test_plain_callable_exits_one(self, capsys):
         code = main(["hilbert", "--phi", "poly:t", "--tau", "0.5"])

@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -12,7 +13,7 @@ from stieltjes import (
     duality_residual,
     reduce_angle,
 )
-from stieltjes.core import _cantor_plateau_flag, _cantor_staircase, jump_images
+from stieltjes.core import _cantor_plateau_flag, _cantor_staircase, jump_images, principal_angle
 
 from oracles import cantor_recursive
 
@@ -39,6 +40,24 @@ class TestReduceAngle:
         out = reduce_angle(t)
         assert out.max() <= math.pi
         assert out.min() > -math.pi
+
+
+class TestPrincipalAngle:
+    @pytest.mark.parametrize("t", [-0.0, 0.0, math.pi, -3.0, 1e-300])
+    def test_window_passes_through(self, t):
+        assert repr(principal_angle(t)) == repr(t)
+
+    def test_minus_pi_folds_to_pi(self):
+        assert principal_angle(-math.pi) == math.pi
+
+    @pytest.mark.parametrize("t", [7.0, -40.0, 5e15, 1e16, -3e16, 1e17, 1e300])
+    def test_far_angle_is_its_exact_residue(self, t):
+        # one rounded subtraction of 2*pi misses 1e17's residue by about 2.7
+        a = principal_angle(t)
+        assert -math.pi < a <= math.pi
+        assert math.cos(a) == pytest.approx(math.cos(t), abs=1e-15)
+        assert math.sin(a) == pytest.approx(math.sin(t), abs=1e-15)
+        assert a == cmath.phase(DiskPoint(0.5, t).z)
 
 
 class TestBoundaryFunctionKinds:

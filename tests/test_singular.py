@@ -18,7 +18,6 @@ from stieltjes import (
 )
 from stieltjes import singular
 from stieltjes.accel import TAIL_WINDOW
-from stieltjes.core import reduce_angle
 from stieltjes.singular import DEFAULT_EPS_SCHEDULE
 
 from oracles import pv_cot_density
@@ -100,13 +99,20 @@ class TestHilbertInterface:
             hilbert_stieltjes(make("sin"), tau)
         assert not isinstance(info.value, JumpAtEvaluationPoint)
 
-    @pytest.mark.parametrize("tau", [5e15, 1e16, 1e17])
-    def test_far_angle_runs_at_the_reduced_angle(self, tau):
+    @pytest.mark.parametrize("tau", [7.0, 5e15, 1e16, 1e17])
+    def test_far_angle_gives_the_closed_form_at_that_angle(self, tau):
         # unreduced, the exclusion's ends round onto one double: 5e15 and
         # 1e16 hit the kernel's pole, 1e17 gave empty windows and a zero
         h = hilbert_stieltjes(make("sin"), tau)
-        assert repr(h) == repr(hilbert_stieltjes(make("sin"), reduce_angle(tau)))
-        assert (h.value, h.est_error) != (0.0, 0.0)
+        assert h.value == pytest.approx(math.sin(tau), abs=1e-3)
+        assert h.est_error > 0.0
+
+    def test_far_angle_consistency_compares_one_point(self):
+        # both sides must land on the same residue of tau, or the residual
+        # measures the gap between two points instead of the quadratures
+        con = singular_cauchy_consistency(make("sin"), 1e16)
+        assert con.residual < 1e-4
+        assert con.hilbert.value == pytest.approx(math.sin(1e16), abs=1e-3)
 
     def test_angle_in_the_window_passes_through(self, monkeypatch):
         centers = []

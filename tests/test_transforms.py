@@ -7,6 +7,7 @@ from stieltjes import (
     DiskPoint,
     DomainError,
     NonConvergentError,
+    RSStatus,
     cauchy_identity_residual,
     cauchy_stieltjes,
     conj_poisson,
@@ -20,7 +21,6 @@ from stieltjes import (
     schwartz_stieltjes,
 )
 from stieltjes import transforms
-from stieltjes.core import reduce_angle
 from stieltjes.transforms import KERNELS
 
 TWO_PI = 2 * math.pi
@@ -237,13 +237,15 @@ class TestRefusals:
 
 
 class TestAngleReduction:
-    def test_far_angle_runs_at_the_reduced_angle(self):
+    @pytest.mark.parametrize("theta", [7.0, 1e16, 1e17])
+    def test_far_angle_gives_the_closed_form_at_that_angle(self, theta):
         # at theta = 1e17 the grading's preimage ends round onto one double,
-        # so unreduced every level was one cell over the whole turn
-        far = poisson_stieltjes(make("sin"), DiskPoint(0.9, 1e17))
-        assert repr(far) == repr(poisson_stieltjes(make("sin"), DiskPoint(0.9, reduce_angle(1e17))))
-        assert (far.value, far.est_error) != (0.0, 0.0)
-        assert far.value == pytest.approx(0.9, abs=1e-6)
+        # so unreduced every level was one cell over the whole turn; one
+        # rounded subtraction of 2*pi would land about 2.7 rad off
+        far = poisson_stieltjes(make("sin"), DiskPoint(0.9, theta))
+        assert far.status is RSStatus.CONVERGED
+        assert far.value == pytest.approx(0.9 * math.cos(theta), abs=1e-5)
+        assert 0.0 < far.est_error < 1e-4
 
     def test_angle_in_the_window_passes_through(self, monkeypatch):
         centers = []
