@@ -8,8 +8,9 @@ Evaluation is vectorized over numpy arrays.
 
 Conventions
 -----------
-* Angles are reduced to the principal window ``(-pi, pi]`` by subtracting a
-  single rounded multiple of ``2*pi``; evaluation angles, exactly, by :func:`principal_angle`.
+* Angles are reduced to the principal window ``(-pi, pi]``: scalars exactly,
+  by :func:`principal_angle`; arrays by one rounded subtraction of a ``2*pi``
+  multiple, off by about an ulp of ``2*pi`` per turn, in-window ones as ``arr + 0.0``.
 * Kinds whose measure is charge neutral over one period (``closed_form``,
   ``piecewise``, ``cantor``) evaluate periodically; any periodization seam is
   declared as an atom at ``pi``.  Staircase kinds (``step``) accumulate: the
@@ -50,22 +51,22 @@ class DomainError(ValueError):
 
 
 def reduce_angle(t):
-    """Reduce angles to ``(-pi, pi]`` with one subtraction of a 2*pi multiple.
+    """Reduce angles to ``(-pi, pi]``; the return type mirrors the input.
 
-    Accepts scalars or arrays; the return type mirrors the input.  Angles
-    that are all in the window already come back as ``arr + 0.0``, bit for
-    bit what the full reduction gives them (-0.0 included, which both turn
-    into +0.0).
+    A scalar or 0-d input is :func:`principal_angle` of it, exact at any
+    size, or nan when not finite.  An array takes one rounded subtraction of
+    a 2*pi multiple, off by about an ulp of 2*pi per turn; one all in the
+    window comes back as ``arr + 0.0``, bit for bit the full reduction
+    (-0.0 included, which both turn into +0.0).
     """
-    arr = np.atleast_1d(np.asarray(t, dtype=float))
+    if np.isscalar(t) or getattr(t, "ndim", 1) == 0:
+        t = float(t)
+        return principal_angle(t) if math.isfinite(t) else math.nan
+    arr = np.asarray(t, dtype=float)
     # nan fails both comparisons, so it takes the full reduction
     if arr.size and arr.min() > -math.pi and arr.max() <= math.pi:
-        out = arr + 0.0
-    else:
-        out = _reduced(arr)
-    if np.isscalar(t) or getattr(t, "ndim", 1) == 0:
-        return float(out[0])
-    return out
+        return arr + 0.0
+    return _reduced(arr)
 
 
 def principal_angle(t: float) -> float:
@@ -260,7 +261,8 @@ class BoundaryFunction:
     def atom_near(self, t: float) -> Optional[float]:
         """The declared atom within ATOM_GUARD of ``t`` on the circle, or None."""
         for loc, _h in self.jumps:
-            if abs(reduce_angle(t - loc)) <= ATOM_GUARD:
+            # t - loc for a far t would round off the atom: reduce t first
+            if abs(reduce_angle(reduce_angle(t) - loc)) <= ATOM_GUARD:
                 return loc
         return None
 

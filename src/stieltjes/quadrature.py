@@ -310,7 +310,7 @@ def _cached_draws(seed, k, n):
     return u
 
 
-def _replica_spread(g, level, seed, k, s_mid, spread, cutoff=math.inf):
+def _replica_spread(g, level, seed, k, s_mid, spread, cutoff):
     """The largest of ``spread`` and |s - s_mid| over level k's REPLICAS random-tag sums s.
 
     ``level`` is ``(pts, widths, df, snap_idx)``.  The replicas are evaluated
@@ -447,25 +447,21 @@ def rs_integral(
         tol = opts.tolerance(abs(s_mid))
         passed = diff <= tol
         growing = _grows(diffs)
-        if growing:
-            # complete the spreads the divergence rule reads below, oldest
-            # first; a non-finite replica sum among them ends the run at its
-            # own level
-            for j in range(len(spreads) - GROWTH_STEPS, len(spreads)):
-                if spreads[j] is None:
-                    spreads[j] = _replica_spread(g, ladder.level(K_MIN + j), opts.seed, K_MIN + j, *heads[j])
-                    if math.isnan(spreads[j]):
-                        return RSResult(levels[j][1], levels[:j + 1], math.inf, RSStatus.INCONCLUSIVE)
-        spread = None
+        spreads.append(None)
         # any other level fails its tolerance on the difference alone
         if passed or growing or k in (K_MIN, opts.k_max):
             # a passed level cannot converge once its spread exceeds tol; the
             # divergence rule and the last level's est_error need the whole spread
             cutoff = tol if passed and not growing and k < opts.k_max else math.inf
-            spread = _replica_spread(g, level, opts.seed, k, *heads[-1], cutoff)
-            if spread is not None and math.isnan(spread):
-                return RSResult(value, levels, math.inf, RSStatus.INCONCLUSIVE)
-        spreads.append(spread)
+            # complete this level's spread and the divergence window's, oldest
+            # first; a non-finite replica sum ends the run at its own level
+            for j in range(len(spreads) - 1 - GROWTH_STEPS * growing, len(spreads)):
+                if spreads[j] is None:
+                    lv = level if K_MIN + j == k else ladder.level(K_MIN + j)
+                    spreads[j] = _replica_spread(g, lv, opts.seed, K_MIN + j, *heads[j], cutoff)
+                    if spreads[j] is not None and math.isnan(spreads[j]):
+                        return RSResult(levels[j][1], levels[:j + 1], math.inf, RSStatus.INCONCLUSIVE)
+        spread = spreads[-1]
 
         if passed and spread is not None and spread <= tol:
             # halving the mesh quarters the O(h^2) midpoint error: one

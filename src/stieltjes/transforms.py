@@ -144,7 +144,7 @@ def duality_residual(phi: BoundaryFunction, z) -> float:
     charge neutral over one period.  A left side that does not converge
     raises :class:`NonConvergentError`.
     """
-    if phi.period_increment != 0.0:
+    if not phi.is_charge_neutral():
         raise ValueError("duality needs a charge-neutral integrator")
     z = _as_disk_point(z)
     lhs_res = require_converged(poisson_stieltjes(phi, z), "left side")

@@ -458,6 +458,14 @@ class TestLimits:
         assert code == EXIT_USAGE
         assert "need a boundary function" in capsys.readouterr().err
 
+    def test_far_target_reads_the_derivative_at_its_residue(self, capsys):
+        # the approach paths and phi' both go to 1e17's exact residue
+        code, _header, records = run_csv(capsys, ["limits", "--phi", "zoo:sin", "--which", "U", "--target", "1e17"])
+        assert code == EXIT_OK
+        assert len(records) == 5
+        assert all(r["grade"] == "pass" for r in records)
+        assert float(records[0]["expected"]) == pytest.approx(math.cos(1e17), abs=1e-11)
+
     def test_non_finite_target_exits_one(self, capsys):
         code = main(["limits", "--phi", "zoo:sin", "--which", "U", "--target", "nan"])
         assert code == EXIT_USAGE

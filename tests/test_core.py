@@ -41,6 +41,22 @@ class TestReduceAngle:
         assert out.max() <= math.pi
         assert out.min() > -math.pi
 
+    @pytest.mark.parametrize("t", [1e16, 1e17])
+    def test_far_scalar_of_any_type_is_its_exact_residue(self, t):
+        # one rounded subtraction of 2*pi puts 1e17 at 0.0
+        want = principal_angle(t)
+        assert reduce_angle(t) == want
+        assert reduce_angle(np.float64(t)) == want
+        assert reduce_angle(np.array(t)) == want
+
+    @pytest.mark.parametrize("t", [math.inf, -math.inf, math.nan])
+    def test_non_finite_scalar_is_nan(self, t):
+        assert math.isnan(reduce_angle(t))
+
+    def test_scalar_keeps_the_sign_of_zero_and_arrays_do_not(self):
+        assert math.copysign(1.0, reduce_angle(-0.0)) == -1.0
+        assert math.copysign(1.0, reduce_angle(np.array([-0.0]))[0]) == 1.0
+
 
 class TestPrincipalAngle:
     @pytest.mark.parametrize("t", [-0.0, 0.0, math.pi, -3.0, 1e-300])
@@ -223,6 +239,14 @@ class TestAtoms:
         assert phi.atom_near(-math.pi + 1e-10) == math.pi
         assert phi.atom_near(math.pi + 3 * TWO_PI) == math.pi
         assert phi.atom_near(math.pi - 1e-8) is None
+
+    @pytest.mark.parametrize("t", [1e16, 1e17])
+    def test_atom_near_a_far_angle(self, t):
+        # t - loc rounds to a multiple of t's ulp, far coarser than ATOM_GUARD
+        loc = principal_angle(t)
+        phi = BoundaryFunction(name="st", kind="step", jumps=((loc, 1.0),))
+        assert phi.atom_near(t) == loc
+        assert phi.derivative(t) is None
 
     def test_no_atoms(self):
         phi = BoundaryFunction(name="s", kind="closed_form", fn=np.sin, dfn=np.cos)

@@ -27,7 +27,7 @@ from stieltjes import (
     reduce_angle,
     rs_integral,
 )
-from stieltjes.core import ATOM_GUARD, _cantor_staircase, _reduced
+from stieltjes.core import ATOM_GUARD, _cantor_staircase, _reduced, principal_angle
 from stieltjes.kernels import COT_GUARD, boundary_cot_kernel
 from stieltjes.quadrature import (
     K_MIN,
@@ -74,6 +74,15 @@ def test_reduce_angle_lands_in_principal_window(x):
     assert reduce_angle(y) == y
     turns = (x - y) / TWO_PI
     assert abs(turns - round(turns)) <= 1e-9
+
+
+@fixed(300)
+@example(-0.0)
+@example(-math.pi)
+@example(1e17)
+@given(st.floats(min_value=-1e300, max_value=1e300))
+def test_reduce_angle_of_a_scalar_is_its_principal_angle(x):
+    assert repr(reduce_angle(x)) == repr(principal_angle(x))
 
 
 @fixed(300)

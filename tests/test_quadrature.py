@@ -1,5 +1,6 @@
 import math
 import sys
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -473,7 +474,8 @@ class TestReplicaDraws:
                          + [2 ** 15] * 2 + [2 ** 16] * (1 + REPLICAS))
 
     def test_rows_are_the_seeded_streams_on_interleaved_threads(self):
-        # seeds no other test uses, so the threads fill the state cache themselves
+        # _draws builds one generator per row, so interleaved threads must
+        # still get each row's own stream
         jobs = [(seed, k, n) for seed in (70101, 70102) for k, n in ((5, 3), (11, 40), (17, 7))]
         want = {(seed, k): np.array([np.random.default_rng((seed, k, rep)).random(n) for rep in range(REPLICAS)])
                 for seed, k, n in jobs}
@@ -599,3 +601,25 @@ class TestNestedLevels:
         res = rs_integral(make("spikes"), identity, 0.0, 1.0)
         assert res.status is RSStatus.DIVERGED
         assert sizes == self._one_call_per_level(len(res.levels), 0)
+
+    def test_each_level_is_built_once_plus_once_per_back_filled_block(self, monkeypatch):
+        # the spikes run's divergence rule completes blocks its earlier levels
+        # skipped; nothing else may build a level a second time
+        built, back_filled = Counter(), Counter()
+        level, replica_spread = quadrature._NestedLevels.level, quadrature._replica_spread
+
+        def counted_level(self, k):
+            built[k] += 1
+            return level(self, k)
+
+        def counted_spread(g, lv, seed, k, *rest):
+            if k < max(built):
+                back_filled[k] += 1
+            return replica_spread(g, lv, seed, k, *rest)
+
+        monkeypatch.setattr(quadrature._NestedLevels, "level", counted_level)
+        monkeypatch.setattr(quadrature, "_replica_spread", counted_spread)
+        res = rs_integral(make("spikes"), lambda t: np.asarray(t, dtype=float), 0.0, 1.0)
+        assert res.status is RSStatus.DIVERGED
+        assert sum(back_filled.values()) > 0
+        assert dict(built) == {k: 1 + back_filled[k] for k in range(K_MIN, K_MIN + len(res.levels))}

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from stieltjes import DomainError, catalog, make, poisson_limit_check
+from stieltjes import DiskPoint, DomainError, catalog, make, poisson_limit_check, poisson_stieltjes
+from stieltjes.core import principal_angle
 from stieltjes.zoo import NAMES
 
 from oracles import cantor_recursive
@@ -61,6 +62,10 @@ class TestSimpleEntries:
         assert make("sin").derivative(0.7) == pytest.approx(math.cos(0.7))
         assert make("cos").derivative(0.7) == pytest.approx(-math.sin(0.7))
 
+    def test_derivative_at_a_far_angle(self):
+        # cos at 1e17's exact residue, not at the 0.0 of one rounded subtraction
+        assert make("sin").derivative(1e17) == pytest.approx(math.cos(1e17), abs=1e-15)
+
     def test_sawtooth_scaling(self):
         phi = make("sawtooth")
         assert phi(0.5) == pytest.approx(0.5 / math.pi)
@@ -77,6 +82,13 @@ class TestSteps:
     def test_step2pi_angle_reduces(self):
         phi = make("step2pi", 1.2 + TWO_PI)
         assert phi.jumps[0][0] == pytest.approx(1.2)
+
+    def test_step2pi_far_angle_is_its_exact_residue(self):
+        t0 = principal_angle(1e16)
+        phi = make("step2pi", 1e16)
+        assert phi.jumps[0][0] == t0
+        # the atom of mass 2*pi sits right under z: U is the kernel's peak (1 + r) / (1 - r)
+        assert poisson_stieltjes(phi, DiskPoint(0.5, t0)).value == pytest.approx(3.0, abs=1e-6)
 
     def test_multi_step_mixed_signs(self):
         phi = make("multi_step")
