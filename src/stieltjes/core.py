@@ -98,21 +98,22 @@ def _is_int(x):
 def _cantor_staircase(x, depth):
     """Depth-``depth`` staircase approximant of the ternary singular function.
 
-    A point still unresolved after ``depth`` digits carries half the
-    identity seed, x * 2**-(depth + 1).  The result is nondecreasing, exact
-    on every plateau resolved within ``depth`` levels and within 2**-depth
-    of the next approximant in sup norm, but it steps up by 2**-(depth + 1)
-    at the left end of every plateau it resolves and at x = 1.
+    The recursion f(3x)/2, 1/2, 1/2 + f(3x - 2)/2 on the three thirds, run
+    ``depth`` times from the identity: a point still unresolved carries its
+    remainder x times 2**-depth.  The result is continuous, nondecreasing,
+    exact on every plateau resolved within ``depth`` levels and within
+    2**-depth of the singular function in sup norm.
     """
     x = np.array(x, dtype=float, copy=True)
     y = np.zeros_like(x)
     y[x >= 1.0] = 1.0
     # digit i (from 0) weighs 0.5**(i + 1) for every point still active
-    scale = 0.5
+    scale = 1.0
     idx = np.flatnonzero((x > 0.0) & (x < 1.0))
     for _ in range(depth):
         if not idx.size:
             break
+        scale *= 0.5
         xa = x[idx]
         lo = xa < 1.0 / 3.0
         hi = xa >= 2.0 / 3.0
@@ -121,8 +122,7 @@ def _cantor_staircase(x, depth):
         y[idx[~lo]] += scale
         x[idx] = np.where(lo, 3.0 * xa, 3.0 * xa - 2.0)
         idx = idx[lo | hi]
-        scale *= 0.5
-    # unresolved points carry the linear seed of the recursion
+    # unresolved points carry the identity seed at the last digit's weight
     y[idx] += x[idx] * scale
     return y
 
@@ -196,12 +196,9 @@ class BoundaryFunction:
     # -- evaluation ----------------------------------------------------
 
     def __call__(self, t):
-        scalar = np.isscalar(t) or getattr(t, "ndim", 1) == 0
         arr = np.asarray(t, dtype=float)
-        out = self._eval(arr.reshape(-1))
-        if scalar:
-            return float(out[0])
-        return out.reshape(arr.shape)
+        out = self._eval(arr.reshape(-1)).reshape(arr.shape)
+        return out if out.ndim else out.item()
 
     def _eval(self, t):
         if self.kind == "closed_form":

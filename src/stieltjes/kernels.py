@@ -24,7 +24,8 @@ disk transforms call the cores on ``_angles(theta, t)``, the difference
 array of their own: their ``DiskPoint`` has checked the radius once, and a
 check per call costs about half of a short kernel call.  The public kernels
 check the radius and hand the cores a copy, so no kernel writes into its
-argument.
+argument.  Every kernel, core or public, gives a 0-d result back as a
+Python ``float`` or ``complex``, through :func:`_value`.
 """
 
 from __future__ import annotations
@@ -93,14 +94,8 @@ def _half_angle(r, x, tau2=None):
 
 
 def _value(a):
-    """``a``, or its element as a numpy scalar when ``a`` is 0-d, as a ufunc returns it."""
-    return a if a.ndim else a[()]
-
-
-def _match(out, x):
-    if np.ndim(out) == 0 and (np.isscalar(x) or getattr(x, "ndim", 1) == 0):
-        return out.item()
-    return out
+    """``a``, or its element as a Python scalar when ``a`` is 0-d."""
+    return a if a.ndim else a.item()
 
 
 def _p_over(r, tau2, d):
@@ -146,7 +141,7 @@ def _cauchy(r, x):
 def poisson(r, theta):
     """Poisson kernel (1 - r^2)(1 + tau^2) / D'; strictly positive for r < 1."""
     _check_radius(r)
-    return _match(_poisson(r, _copy(r, theta)), theta)
+    return _poisson(r, _copy(r, theta))
 
 
 def poisson_dtheta(r, theta):
@@ -159,7 +154,7 @@ def poisson_dtheta(r, theta):
     tau = _copy(r, theta)
     tau2 = np.empty_like(tau)
     d = _half_angle(r, tau, tau2)
-    return _match(-4.0 * r * (1.0 - r * r) * tau * (1.0 + tau2) / (d * d), theta)
+    return _value(-4.0 * r * (1.0 - r * r) * tau * (1.0 + tau2) / (d * d))
 
 
 def boundary_cot_kernel(tau, t):
@@ -174,7 +169,7 @@ def boundary_cot_kernel(tau, t):
     np.tan(x, out=x)
     if np.any(np.abs(x) < 0.5 * COT_GUARD):
         raise SingularityError("cotangent kernel evaluated at its pole")
-    return _match(np.divide(1.0, x, out=x), x)
+    return _value(np.divide(1.0, x, out=x))
 
 
 def conj_poisson(r, theta):
@@ -187,7 +182,7 @@ def conj_poisson(r, theta):
     if np.ndim(r) == 0 and r == 1.0:
         return boundary_cot_kernel(theta, 0.0)
     _check_radius(r)
-    return _match(_conj_poisson(r, _copy(r, theta)), theta)
+    return _conj_poisson(r, _copy(r, theta))
 
 
 def conj_poisson_dt(r, theta):
@@ -200,7 +195,7 @@ def conj_poisson_dt(r, theta):
     _check_radius(r)
     tau2 = _copy(r, theta)
     d = _half_angle(r, tau2, tau2)
-    return _match(2.0 * r * ((1.0 - r) ** 2 - (1.0 + r) ** 2 * tau2) * (1.0 + tau2) / (d * d), theta)
+    return _value(2.0 * r * ((1.0 - r) ** 2 - (1.0 + r) ** 2 * tau2) * (1.0 + tau2) / (d * d))
 
 
 def analytic_kernel(z, t):
@@ -211,7 +206,7 @@ def analytic_kernel(z, t):
     """
     if not abs(z) < 1.0:  # refuses nan and inf too
         raise DomainError(f"disk kernels need |z| < 1, got {z!r}")
-    return _match(_schwarz(abs(z), _angles(cmath.phase(z), t)), t)
+    return _schwarz(abs(z), _angles(cmath.phase(z), t))
 
 
 def cauchy_kernel(z, t):

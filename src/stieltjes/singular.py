@@ -7,11 +7,13 @@ extrapolated.  The default schedule is eps = 2^-12 ... 2^-16, the
 ``accel.TAIL_WINDOW`` truncations the Aitken step reads, and ``est_error``
 is its residual plus the worst window certificate along the schedule.
 The singular Cauchy form excludes a chord-metric arc
-``|zeta - zeta0| < eps`` instead, carries the 1/(2 pi i) normalization of
-classical singular integrals, and its real part reproduces half the
-cotangent limit; the imaginary part decays with the excluded arc's mass
-(plus a constant for staircase integrators) and is reported, not mixed
-into the comparison.
+``|zeta - zeta0| < eps`` instead and carries the 1/(2 pi i) normalization
+of classical singular integrals.  At zeta0 projected to e^{i tau} its
+integrand is (cot((tau - t)/2) - i) / 2: both forms evaluate one kernel
+behind one pole guard.  Its real part reproduces half the cotangent
+limit; the imaginary part decays with the excluded arc's mass (plus a
+constant for staircase integrators) and is reported, not mixed into the
+comparison.
 
 Evaluation at a declared atom of the integrator is refused: the truncated
 integrals at such a point depend on the exclusion convention, and no
@@ -24,8 +26,6 @@ import cmath
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
-
-import numpy as np
 
 from .accel import TAIL_WINDOW, aitken_tail
 from .core import TWO_PI, BoundaryFunction, DiskPoint, RSStatus, principal_angle
@@ -174,7 +174,7 @@ def conjugate_truncation_trace(
     out = []
     for k in ks:
         r = 1.0 - 2.0 ** (-k)
-        v = float(np.real(conj_poisson_stieltjes(phi, DiskPoint(r, t0)).value))
+        v = conj_poisson_stieltjes(phi, DiskPoint(r, t0)).value
         t = truncated_conjugate_integral(phi, t0, r)
         out.append((r, abs(v - t)))
     return out
@@ -188,10 +188,13 @@ def singular_cauchy_stieltjes(
 ) -> PVResult:
     """Boundary singular integral (1/2 pi i) int e^{it} dPhi / (e^{it} - zeta0).
 
-    The exclusion removes the arc at chord distance |zeta - zeta0| < eps,
-    whose angular half-width is 2 asin(eps / 2).  The result is complex;
-    its real part carries the principal value, the imaginary part the
-    vanishing (or, for staircases, constant) window boundary term.
+    ``zeta0``, within 1e-9 of the circle, is taken at its projection
+    e^{i tau}, where -i e^{it} / (e^{it} - e^{i tau}) = (cot((tau - t)/2) - i) / 2:
+    :func:`boundary_cot_kernel` and its pole guard.  The exclusion removes
+    the arc at chord distance |zeta - zeta0| < eps, whose angular
+    half-width is 2 asin(eps / 2).  The real part carries the principal
+    value, the imaginary part the vanishing (or, for staircases, constant)
+    window boundary term.
     """
     zeta0 = complex(zeta0)
     if abs(abs(zeta0) - 1.0) > 1e-9:
@@ -199,10 +202,7 @@ def singular_cauchy_stieltjes(
     tau = _boundary_angle(phi, cmath.phase(zeta0))
     schedule = _checked_schedule(eps_schedule, upper=2.0)
 
-    def g(t):
-        zeta = np.exp(1j * np.asarray(t, dtype=float))
-        return -1j * zeta / (zeta - zeta0)
-
+    g = lambda t: 0.5 * (boundary_cot_kernel(tau, t) - 1j)
     halfwidth = lambda eps: 2.0 * math.asin(eps / 2.0)
     return _pv_limit(phi, g, tau, schedule, opts or TRANSFORM_OPTS, halfwidth)
 

@@ -157,7 +157,7 @@ def duality_residual(phi: BoundaryFunction, z) -> float:
     # one halving step of extrapolation knocks out the leading error term
     coarse, fine = rhs_at(DUALITY_NODES // 2), rhs_at(DUALITY_NODES)
     rhs = fine + (fine - coarse)
-    return abs(float(np.real(lhs_res.value)) - rhs)
+    return abs(lhs_res.value - rhs)
 
 
 def harmonicity_diagnostics(field: Callable, z, h: float = 1e-2) -> float:

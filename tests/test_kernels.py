@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from stieltjes import (
+    DiskPoint,
     DomainError,
     SingularityError,
     analytic_kernel,
@@ -11,9 +12,11 @@ from stieltjes import (
     cauchy_kernel,
     conj_poisson,
     conj_poisson_dt,
+    make,
     poisson,
     poisson_dtheta,
 )
+from stieltjes.transforms import KERNELS
 
 from oracles import (
     conj_poisson_reference,
@@ -155,3 +158,21 @@ class TestComplexKernels:
     def test_rejects_non_finite_point(self, kernel, z):
         with pytest.raises(DomainError):
             kernel(z, 0.3)
+
+
+@pytest.mark.parametrize("t", [0.7, np.float64(0.7), np.array(0.7)], ids=["float", "float64", "0-d"])
+def test_scalar_input_gives_a_python_scalar(t):
+    z = DiskPoint(0.6, 1.9)
+    got = {f"KERNELS[{k}]": row(z)(t) for k, row in KERNELS.items()}
+    got.update({
+        "poisson": poisson(0.6, t),
+        "poisson_dtheta": poisson_dtheta(0.6, t),
+        "conj_poisson": conj_poisson(0.6, t),
+        "conj_poisson at r=1": conj_poisson(1.0, t),
+        "conj_poisson_dt": conj_poisson_dt(0.6, t),
+        "boundary_cot_kernel": boundary_cot_kernel(1.9, t),
+        "analytic_kernel": analytic_kernel(z.z, t),
+        "cauchy_kernel": cauchy_kernel(z.z, t),
+        "BoundaryFunction": make("sin")(t),
+    })
+    assert {name: type(v) for name, v in got.items() if type(v) not in (float, complex)} == {}

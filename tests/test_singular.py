@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ from stieltjes import (
     JumpAtEvaluationPoint,
     QuadratureOptions,
     RSStatus,
+    SingularityError,
     conj_poisson_stieltjes,
     conjugate_truncation_trace,
     hilbert_stieltjes,
@@ -234,6 +236,18 @@ class TestSingularCauchy:
     def test_requires_unit_modulus(self):
         with pytest.raises(ValueError):
             singular_cauchy_stieltjes(make("sin"), 0.5 + 0.1j)
+
+    def test_charge_neutral_imaginary_part_is_rounding_only(self):
+        # the integrand's constant imaginary part -1/2 weighs only the excluded
+        # arc's mass, which the extrapolation takes to zero; rounding is left
+        got = singular_cauchy_stieltjes(make("cos"), cmath.exp(-1.3j))
+        assert abs(got.value.imag) < 1e-13
+
+    def test_window_inside_the_pole_guard_raises_like_hilbert(self):
+        with pytest.raises(SingularityError):
+            hilbert_stieltjes(make("sin"), 0.8, eps_schedule=(1e-15,))
+        with pytest.raises(SingularityError):
+            singular_cauchy_stieltjes(make("sin"), cmath.exp(0.8j), eps_schedule=(1e-15,))
 
     @pytest.mark.parametrize("name,tau", [("sin", 0.9), ("sin", -2.1),
                                           ("sawtooth", 1.3), ("cantor", 0.0)])
