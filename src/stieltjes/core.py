@@ -157,7 +157,12 @@ class BoundaryFunction:
     """Bounded integrator on the circle with declared structure.
 
     ``jumps`` lists atoms as ``(location in (-pi, pi], height)``; they repeat
-    every period.  ``period_increment`` is ``phi(t + 2*pi) - phi(t)``, zero
+    every period.  At an atom a ``step`` takes the value after its jump
+    (``floor(...) + 1``, right-continuous) and every other kind the value
+    before it (``piecewise`` pieces end at their upper bounds, and the seam
+    atoms of ``closed_form`` and ``cantor`` take the value at pi).  The
+    quadrature reads each atom's side from ``kind`` alone.
+    ``period_increment`` is ``phi(t + 2*pi) - phi(t)``, zero
     for charge-neutral kinds and the summed jump mass for staircases; it is
     derived when not given, and a given value that disagrees is refused.
     A staircase's ``bounded_by`` defaults to |base| plus its summed |heights|.

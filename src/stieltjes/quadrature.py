@@ -12,7 +12,7 @@ midpoint sums, s_k + (s_k - s_{k-1}) / 3.
 The integrand g and the integrator f only ever see 1-D arrays, and they
 must act elementwise on them.  The ladder owns every array it hands them
 and reuses it once the call has returned: where g's values are float64
-like the tags, the products g * df of a midpoint, probe or replica sum are
+like the tags, the products g * df of a midpoint or replica sum are
 written over the spent tags.  So g and f must neither write into their
 argument nor keep it after they return; returning it, or a value computed
 from it, is fine.
@@ -43,11 +43,13 @@ non-finite replica sum on a level whose block was skipped or cut short,
 and not run again, goes unseen.  A certified level still has all of its
 replica sums finite.
 
-Atoms of the integrator are handled exactly.  Declared jump locations are
-inserted as partition points and the tags of both adjacent subintervals are
-snapped onto the jump, so a pure staircase integrator is integrated to
-machine precision at every level.  Snapping is suppressed at angles where
-the integrand itself is discontinuous; a shared discontinuity is precisely
+Atoms of the integrator are summed exactly, apart from the ladder.  The
+integral of g against an atom (t_j, h_j) is h_j * g(t_j), so one g call at
+the atoms whose jumps lie in [a, b] gives s_atoms, which every midpoint and
+replica sum shares, and the ladder refines the rest of f alone: a pure
+staircase is exact at every level.  Where the integrand jumps at an atom
+too, the sums genuinely depend on the tags, so the atom's |h_f * h_g|
+seeds every level's replica spread; a shared discontinuity is precisely
 the case where the integral must be allowed to fail.
 
 Divergence is declared only when the replica spread and the level
@@ -68,7 +70,7 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .core import ATOM_GUARD, TWO_PI, BoundaryFunction, RSResult, RSStatus, _is_int
+from .core import ATOM_GUARD, TWO_PI, BoundaryFunction, RSResult, RSStatus, _is_int, jump_images
 
 __all__ = [
     "QuadratureOptions",
@@ -79,8 +81,6 @@ __all__ = [
 ]
 
 
-# partition points closer than this are considered the same point
-MERGE_TOL = 1e-13
 # the coarsest level has 2**K_MIN base subintervals, the finest at most 2**K_CAP
 K_MIN = 4
 K_CAP = 22
@@ -188,57 +188,58 @@ def _grid_map(a, b, grading):
             functools.partial(_graded_map, center=center, lam=lam))
 
 
-def _merged(grid, atoms, a, b):
-    """``grid`` with ``atoms`` merged in and both ends pinned to a and b exactly.
+def _images(h, a, b):
+    """``(location, height)`` of h's atom images around [a, b], at their true locations."""
+    return jump_images(h.jumps, a - 1.0, b + 1.0, h.kind != "pathological")
 
-    A point within MERGE_TOL of the one before it in sorted order is
-    dropped; pinning the ends keeps an atom on an end from being lost to
-    rounding.  Returns the points and, when there are atoms, the index of
-    each in ``concatenate([grid, atoms])`` (else None: the points are a copy
-    of ``grid``).
+
+def _split(f, g, a, b):
+    """``(locs, heights, rest, shared)``: f's atoms whose jumps lie in [a, b], f without them, and their shared spread.
+
+    A ``step`` takes the value after each jump and every other kind the
+    value before it, as :meth:`BoundaryFunction._eval` does, so an atom on
+    an end counts only when its jump lies inside: a < t <= b for a
+    ``step``, a <= t < b otherwise, read at the image's true location.
+    ``rest`` is f less those jumps.  A ``step`` is all jumps, so its rest is
+    flat by rule and f is never called; a callable that is not a
+    :class:`BoundaryFunction` declares no atoms and is its own rest.
+    ``shared`` sums |h_f * h_g| over the atoms within ATOM_GUARD of an atom
+    of g, where the sums genuinely depend on the tags.
     """
-    if not atoms.size:
-        pts = grid.copy()
-        take = None
+    if not isinstance(f, BoundaryFunction):
+        return np.empty(0), np.empty(0), f, 0.0
+    step = f.kind == "step"
+    atoms = [(t, h) for t, h in _images(f, a, b) if (a < t <= b if step else a <= t < b)]
+    g_atoms = _images(g, a, b) if isinstance(g, BoundaryFunction) else []
+    shared = sum((abs(h * hg) for t, h in atoms for y, hg in g_atoms if abs(t - y) <= ATOM_GUARD), 0.0)
+    if step:
+        rest = np.zeros_like
+    elif atoms:
+        rest = lambda t: f(t) - sum(h * (t > tj) for tj, h in atoms)
     else:
-        pts = np.concatenate([grid, atoms])
-        take = np.argsort(pts, kind="stable")
-        pts = pts[take]
-        keep = np.empty(pts.size, dtype=bool)
-        keep[0] = True
-        keep[1:] = np.diff(pts) > MERGE_TOL
-        pts, take = pts[keep], take[keep]
-    pts[0] = a
-    pts[-1] = b
-    return pts, take
-
-
-def _inside(points, a, b):
-    arr = np.asarray(points, dtype=float)
-    return arr[(arr > a) & (arr < b)]
+        rest = f
+    return np.array([t for t, _h in atoms]), np.array([h for _t, h in atoms]), rest, shared
 
 
 class _NestedLevels:
     """The levels of one ladder over [a, b] and f on them, each built from the one before.
 
-    It holds the unmerged grid of the finest level built so far and f on
-    it.  ``np.linspace(p, q, 2n + 1)[::2]`` is ``np.linspace(p, q, n + 1)``
-    bit for bit, and the grid map and f act elementwise, so the next level's
+    It holds the grid of the finest level built so far and f on it.
+    ``np.linspace(p, q, 2n + 1)[::2]`` is ``np.linspace(p, q, n + 1)`` bit
+    for bit, and the grid map and f act elementwise, so the next level's
     even points and their f values are the current ones: :meth:`refine`
-    maps and calls f on the new odd points only.  Merging at MERGE_TOL and
-    end pinning run on a level's whole grid every time, since chains of
-    near points merge differently once new points fall between them.  f at
-    the atoms and both ends comes from the first level's single f call.
+    maps and calls f on the new odd points only.  Every level has its ends
+    pinned to a and b, whose f values come from the first level's single f
+    call.
     """
 
-    def __init__(self, f, a, b, grading, jump_pts, snap_pts):
-        self.f, self.a, self.b, self.snap_pts = f, a, b, snap_pts
+    def __init__(self, f, a, b, grading):
+        self.f, self.a, self.b = f, a, b
         self.p, self.q, self.to_t = _grid_map(a, b, grading)
-        self.atoms = _inside(jump_pts, a, b)
         self.grid = self.to_t(np.linspace(self.p, self.q, 2 ** K_MIN + 1))
         n = self.grid.size
-        f_all = np.asarray(f(np.concatenate([self.grid, self.atoms, [a, b]])), dtype=float)
-        self.f_grid, self.f_atoms, (self.f_a, self.f_b) = np.split(f_all, [n, n + self.atoms.size])
+        f_all = np.asarray(f(np.concatenate([self.grid, [a, b]])), dtype=float)
+        self.f_grid, (self.f_a, self.f_b) = f_all[:n], f_all[n:]
 
     def refine(self):
         """Build the next level's grid, calling f on its new points only."""
@@ -251,46 +252,13 @@ class _NestedLevels:
         self.grid, self.f_grid = grid, f_grid
 
     def level(self, k):
-        """``(pts, widths, df, snap_idx)`` of level k, at most the finest level built."""
+        """``(pts, widths, df)`` of level k, at most the finest level built."""
         # level k's grid is every step-th point of the finest grid
         step = (self.grid.size - 1) >> k
-        pts, take = _merged(self.grid[::step], self.atoms, self.a, self.b)
-        if take is None:
-            fv = self.f_grid[::step].copy()
-        else:
-            fv = np.concatenate([self.f_grid[::step], self.f_atoms])[take]
+        pts, fv = self.grid[::step].copy(), self.f_grid[::step].copy()
+        pts[0], pts[-1] = self.a, self.b
         fv[0], fv[-1] = self.f_a, self.f_b
-        return pts, np.diff(pts), np.diff(fv), _merged_indices(pts, self.snap_pts)
-
-
-def _atoms(h, a, b):
-    return h.atoms(a, b) if isinstance(h, BoundaryFunction) else []
-
-
-def _merged_indices(pts, atoms):
-    """Index of the partition point each atom was merged into: the nearer of its two neighbours."""
-    out = []
-    for t in atoms:
-        i = int(np.searchsorted(pts, t))
-        out.append(i - 1 if i == pts.size or (i > 0 and t - pts[i - 1] < pts[i] - t) else i)
-    return out
-
-
-def _snapped(tags, pts, idx):
-    """``tags`` with the tags of both cells next to each point ``pts[i]``, i in ``idx``, moved onto it.
-
-    ``tags`` is one row of cells or a block of rows.  The upper cell is
-    written first, so the cell between two atoms on adjacent points goes to
-    the right-hand atom.
-    """
-    if not idx:
-        return tags
-    idx = np.asarray(idx, dtype=np.intp)
-    hi = idx[idx < tags.shape[-1]]
-    lo = idx[idx > 0]
-    tags[..., hi] = pts[hi]
-    tags[..., lo - 1] = pts[lo]
-    return tags
+        return pts, np.diff(pts), np.diff(fv)
 
 
 def _draws(seed, k, reps, n):
@@ -313,13 +281,16 @@ def _cached_draws(seed, k, n):
 def _replica_spread(g, level, seed, k, s_mid, spread, cutoff):
     """The largest of ``spread`` and |s - s_mid| over level k's REPLICAS random-tag sums s.
 
-    ``level`` is ``(pts, widths, df, snap_idx)``.  The replicas are evaluated
-    as blocks of rows, at most CHUNK_POINTS tags and one ``g`` call on the
-    flattened block each.  A non-finite replica sum returns nan at once.  A
-    block that leaves the spread above ``cutoff`` ends the evaluation, and
-    the spread is then unknown: None.
+    ``level`` is ``(pts, widths, df)`` and ``s_mid`` its midpoint sum, both
+    of the rest of f: s_atoms adds alike to the midpoint sum and to every
+    replica sum, so the distances are those of the rest's sums.  The caller
+    seeds ``spread`` with the shared atoms' spread.  The replicas are
+    evaluated as blocks of rows, at most CHUNK_POINTS tags and one ``g``
+    call on the flattened block each.  A non-finite replica sum returns nan
+    at once.  A block that leaves the spread above ``cutoff`` ends the
+    evaluation, and the spread is then unknown: None.
     """
-    pts, widths, df, snap_idx = level
+    pts, widths, df = level
     n = widths.size
     cached = _cached_draws(seed, k, n) if n <= CHUNK_POINTS else None
     rows = max(1, CHUNK_POINTS // n)
@@ -331,7 +302,7 @@ def _replica_spread(g, level, seed, k, s_mid, spread, cutoff):
         else:
             tags = cached[r0:reps.stop] * widths
         tags += pts[:-1]
-        for s in _row_sums(g, _snapped(tags, pts, snap_idx), df):
+        for s in _row_sums(g, tags, df):
             if not cmath.isfinite(s):
                 return math.nan
             d = abs(s - s_mid)
@@ -378,9 +349,10 @@ def rs_integral(
     """Integrate ``g`` against ``d f`` over ``[a, b]`` by dyadic refinement.
 
     ``f`` may be a :class:`BoundaryFunction` (its declared atoms are then
-    handled exactly) or any callable.  When ``g`` is a
+    summed exactly, see :func:`_split`) or any callable.  When ``g`` is a
     :class:`BoundaryFunction` too, its atoms are discontinuities of the
-    integrand and never receive a snapped tag.  ``grading = (center,
+    integrand, and an atom of f on one of them keeps the run from
+    certifying.  ``grading = (center,
     distance)``, a finite center and a finite positive distance,
     concentrates partition points around an angle where the integrand is
     nearly singular, at the given distance from a pole.  The module
@@ -403,15 +375,14 @@ def rs_integral(
     if a > b:
         a, b, sign = b, a, -1.0
 
-    jump_pts = _atoms(f, a, b)
-    g_atoms = _atoms(g, a, b)
-    shared = [j for j in jump_pts if any(abs(j - y) <= ATOM_GUARD for y in g_atoms)]
-    snap_pts = [j for j in jump_pts if j not in shared]
-
-    ladder = _NestedLevels(f, a, b, grading, jump_pts, snap_pts)
+    locs, heights, rest, shared = _split(f, g, a, b)
+    # each atom's jump enters every sum through s_atoms alone; None, not 0.0,
+    # without atoms, so that a sum of -0.0 stays -0.0
+    s_atoms = (np.asarray(g(locs)) * heights).sum() if locs.size else None
+    ladder = _NestedLevels(rest, a, b, grading)
 
     levels = []
-    # per level: the midpoint sum and the distance of the probe sum from it
+    # per level: the midpoint sum of the rest
     heads = []
     # None where the replicas were skipped or cut short
     spreads = []
@@ -422,26 +393,20 @@ def rs_integral(
         if k > K_MIN:
             ladder.refine()
         level = ladder.level(k)
-        pts, widths, df, snap_idx = level
+        pts, widths, df = level
         # g's values and the products written over the midpoint tags stay
         # bound to the end of the level: freed at once, they would let the
         # allocator trim the heap and fault it in again for the replica block
-        mid = _snapped(_midpoints(pts), pts, snap_idx)
+        mid = _midpoints(pts)
         g_mid = np.asarray(g(mid))
-        sums = [_products(g_mid, df, mid).sum()]
-        if shared and cmath.isfinite(sums[-1]):
-            # probe tags on the shared discontinuities: if the integral is
-            # to exist at all, even these must agree with the rest
-            probe = _snapped(_midpoints(pts), pts, _merged_indices(pts, jump_pts))
-            sums.append(_products(np.asarray(g(probe)), df, probe).sum())
-        s_mid = sums[0]
+        heads.append(_products(g_mid, df, mid).sum())
+        s_mid = heads[-1] if s_atoms is None else heads[-1] + s_atoms
         # every sum is a numpy scalar of the products' dtype: float or complex
         value = sign * s_mid.item()
         levels.append((float(widths.max()), value))
-        if not cmath.isfinite(sums[-1]):
+        if not cmath.isfinite(s_mid):
             return RSResult(value, levels, math.inf, RSStatus.INCONCLUSIVE)
 
-        heads.append((s_mid, abs(sums[-1] - s_mid)))
         diff = math.inf if prev_sum is None else abs(s_mid - prev_sum)
         diffs.append(diff)
         tol = opts.tolerance(abs(s_mid))
@@ -458,7 +423,7 @@ def rs_integral(
             for j in range(len(spreads) - 1 - GROWTH_STEPS * growing, len(spreads)):
                 if spreads[j] is None:
                     lv = level if K_MIN + j == k else ladder.level(K_MIN + j)
-                    spreads[j] = _replica_spread(g, lv, opts.seed, K_MIN + j, *heads[j], cutoff)
+                    spreads[j] = _replica_spread(g, lv, opts.seed, K_MIN + j, heads[j], shared, cutoff)
                     if spreads[j] is not None and math.isnan(spreads[j]):
                         return RSResult(levels[j][1], levels[:j + 1], math.inf, RSStatus.INCONCLUSIVE)
         spread = spreads[-1]

@@ -14,23 +14,19 @@ import math
 
 import numpy as np
 
-from stieltjes.core import ATOM_GUARD, RSResult, RSStatus
+from stieltjes.core import BoundaryFunction, RSResult, RSStatus
 from stieltjes.quadrature import (
     CHUNK_POINTS,
     K_MIN,
     REPLICAS,
     SPREAD_FLOOR_FACTOR,
     QuadratureOptions,
-    _atoms,
     _cached_draws,
     _draws,
     _grid_map,
     _grows,
-    _inside,
-    _merged,
-    _merged_indices,
     _row_sums,
-    _snapped,
+    _split,
 )
 
 
@@ -91,6 +87,20 @@ def cantor_recursive(x, depth=40):
     if x <= 2.0 / 3.0:
         return 0.5
     return 0.5 + 0.5 * cantor_recursive(3.0 * x - 2.0, depth - 1)
+
+
+def piecewise_staircase(jumps):
+    """A left-continuous ``piecewise`` staircase: 0 on (-pi, t_1], jumping by h_j just after each t_j.
+
+    ``jumps`` holds ``(t_j, h_j)`` with the t_j increasing inside (-pi, pi);
+    the seam atom at pi, -sum(h_j), closes the turn.
+    """
+    uppers = [t for t, _h in jumps] + [math.pi]
+    values = np.cumsum([0.0] + [h for _t, h in jumps])
+    pieces = tuple((lo, hi, lambda t, v=v: np.full_like(t, v), None)
+                   for lo, hi, v in zip([-math.pi] + uppers[:-1], uppers, values))
+    return BoundaryFunction(name="staircase", kind="piecewise", pieces=pieces,
+                            jumps=tuple(jumps) + ((math.pi, -float(values[-1])),))
 
 
 def diff1(fn, x, h=1e-5):
@@ -159,7 +169,7 @@ def cot_half_expression(tau, t):
 # evaluates all REPLICAS replica sums, up to the first non-finite one
 
 
-def _replica_sums(g, pts, widths, df, snap_idx, seed, k):
+def _replica_sums(g, pts, widths, df, seed, k):
     """Level k's REPLICAS random-tag sums, up to and including the first non-finite one.
 
     The replicas are evaluated as blocks of rows, at most CHUNK_POINTS tags
@@ -173,20 +183,22 @@ def _replica_sums(g, pts, widths, df, snap_idx, seed, k):
         reps = range(r0, min(r0 + rows, REPLICAS))
         tags = (_draws(seed, k, reps, n) if cached is None else cached[r0:reps.stop]) * widths
         tags += pts[:-1]
-        for s in _row_sums(g, _snapped(tags, pts, snap_idx), df):
+        for s in _row_sums(g, tags, df):
             sums.append(s)
             if not cmath.isfinite(s):
                 return sums
     return sums
 
 
-def _level_points(a, b, n, grading, insert):
-    """Level partition of [a, b] into n grid cells with the jump locations ``insert`` merged in.
+def _level_points(a, b, n, grading):
+    """Level partition of [a, b] into n grid cells with both ends pinned to a and b.
 
     Built from scratch; ``quadrature._NestedLevels`` gives the same points level by level.
     """
     p, q, to_t = _grid_map(a, b, grading)
-    return _merged(to_t(np.linspace(p, q, n + 1)), _inside(insert, a, b), a, b)[0]
+    pts = to_t(np.linspace(p, q, n + 1))
+    pts[0], pts[-1] = a, b
+    return pts
 
 
 def eager_rs_integral(g, f, a, b, opts=None, *, grading=None):
@@ -202,10 +214,8 @@ def eager_rs_integral(g, f, a, b, opts=None, *, grading=None):
     if a > b:
         a, b, sign = b, a, -1.0
 
-    jump_pts = _atoms(f, a, b)
-    g_atoms = _atoms(g, a, b)
-    shared = [j for j in jump_pts if any(abs(j - y) <= ATOM_GUARD for y in g_atoms)]
-    snap_pts = [j for j in jump_pts if j not in shared]
+    locs, heights, rest, shared = _split(f, g, a, b)
+    s_atoms = (np.asarray(g(locs)) * heights).sum() if locs.size else None
 
     levels = []
     spreads = []
@@ -214,31 +224,26 @@ def eager_rs_integral(g, f, a, b, opts=None, *, grading=None):
     is_complex = False
 
     for k in range(K_MIN, opts.k_max + 1):
-        pts = _level_points(a, b, 2 ** k, grading, jump_pts)
+        pts = _level_points(a, b, 2 ** k, grading)
         widths = np.diff(pts)
-        fvals = np.asarray(f(pts), dtype=float)
-        df = np.diff(fvals)
-        snap_idx = _merged_indices(pts, snap_pts)
+        df = np.diff(np.asarray(rest(pts), dtype=float))
         # the midpoint values live to the end of the level; freeing them at
         # once lets the allocator shrink and re-fault the heap on every replica
-        g_mid = np.asarray(g(_snapped(0.5 * (pts[:-1] + pts[1:]), pts, snap_idx)))
+        g_mid = np.asarray(g(0.5 * (pts[:-1] + pts[1:])))
+        # the sums of the rest; the atoms add s_atoms to each of them alike
         sums = [(g_mid * df).sum()]
-        if shared and cmath.isfinite(sums[-1]):
-            # probe tags on the shared discontinuities: if the integral is
-            # to exist at all, even these must agree with the rest
-            probe_idx = _merged_indices(pts, jump_pts)
-            sums.append((np.asarray(g(_snapped(0.5 * (pts[:-1] + pts[1:]), pts, probe_idx))) * df).sum())
         if cmath.isfinite(sums[-1]):
-            sums += _replica_sums(g, pts, widths, df, snap_idx, opts.seed, k)
-        s_mid = sums[0]
+            sums += _replica_sums(g, pts, widths, df, opts.seed, k)
+        s_mid = sums[0] if s_atoms is None else sums[0] + s_atoms
         is_complex = is_complex or np.iscomplexobj(g_mid)
         signed = lambda s: sign * (complex(s) if is_complex else float(s))
         value = signed(s_mid)
         levels.append((float(widths.max()), value))
-        if not cmath.isfinite(sums[-1]):
+        if not (cmath.isfinite(s_mid) and cmath.isfinite(sums[-1])):
             return RSResult(value, levels, math.inf, RSStatus.INCONCLUSIVE)
 
-        spread = max(abs(s - s_mid) for s in sums)
+        # the shared atoms' spread seeds the replicas'
+        spread = max([shared] + [abs(s - sums[0]) for s in sums])
         spreads.append(spread)
         diff = math.inf if prev_sum is None else abs(s_mid - prev_sum)
         diffs.append(diff)

@@ -31,13 +31,13 @@ from stieltjes.core import ATOM_GUARD, _cantor_staircase, _reduced, principal_an
 from stieltjes.kernels import COT_GUARD, boundary_cot_kernel
 from stieltjes.quadrature import (
     K_MIN,
-    MERGE_TOL,
     _NestedLevels,
     _graded_map,
     _graded_preimage,
-    _merged_indices,
+    _split,
 )
 from stieltjes.transforms import KERNELS
+from stieltjes.zoo import NAMES
 
 from oracles import (
     _level_points,
@@ -49,6 +49,7 @@ from oracles import (
     den_sin,
     eager_rs_integral,
     graded_map_expression,
+    piecewise_staircase,
     poisson_reference,
     poisson_sin,
 )
@@ -142,6 +143,76 @@ def test_staircase_collapses_to_its_atoms(jumps, r, theta):
     assert res.converged and len(res.levels) == 2
     want = sum(h * poisson_reference(r, theta - loc) for loc, h in jumps) / TWO_PI
     assert abs(res.value - want) <= 1e-12
+
+
+@fixed(40)
+# the reproducer of a left-continuous cell between two atoms on adjacent points
+@example([(2.0, -1.5), (2.4, 0.8)], 0.0, 11, 3.0 - 2.0 ** -11)
+@example([(2.0, -1.5), (2.4, 0.8)], 0.0, 12, 3.0 - 2.0 ** -12)
+@given(
+    jumps=st.lists(
+        st.tuples(
+            st.floats(min_value=-3.1, max_value=3.1),
+            st.floats(min_value=-3.0, max_value=3.0),
+        ),
+        min_size=1,
+        max_size=4,
+        unique_by=lambda j: round(j[0], 3),
+    ).map(sorted),
+    tau=st.floats(min_value=-math.pi, max_value=math.pi),
+    u=st.integers(min_value=3, max_value=16),
+    width=st.floats(min_value=0.1, max_value=3.0),
+)
+def test_left_continuous_staircase_collapses_to_its_atoms(jumps, tau, u, width):
+    # one side of a principal-value truncation at tau, graded steeply there
+    phi = piecewise_staircase(jumps)
+    d = 2.0 ** -u
+    a, b = tau + d, tau + d + width
+    images = [(loc + TWO_PI * k, h) for loc, h in phi.jumps for k in (-1, 0, 1)]
+    assume(all(min(abs(t - a), abs(t - b)) > 1e-9 for t, _h in images))
+    res = rs_integral(lambda s: boundary_cot_kernel(tau, s), phi, a, b, grading=(tau, d))
+    # the jump of a left-continuous atom on [a, b) lies inside
+    terms = [h / math.tan((tau - t) / 2.0) for t, h in images if a <= t < b]
+    assert res.converged
+    assert abs(res.value - sum(terms)) <= 1e-12 * (1.0 + sum(abs(x) for x in terms))
+
+
+def _split_counts(f, a, b, loc):
+    return loc in _split(f, None, a, b)[0]
+
+
+def _check_side(f):
+    """Each atom: f takes the value after its jump for a step, before it otherwise, and _split agrees."""
+    for loc, h in f.jumps:
+        before, at, after = f(np.array([loc - 1e-9, loc, loc + 1e-9]))
+        assert abs(after - before - h) <= 1e-6
+        want = after if f.kind == "step" else before
+        assert abs(at - want) <= 1e-6
+        # an atom on an end counts only when its jump lies inside the window
+        assert _split_counts(f, loc, loc + 1.0, loc) == (f.kind != "step")
+        assert _split_counts(f, loc - 1.0, loc, loc) == (f.kind == "step")
+
+
+@pytest.mark.parametrize("name", [n for n in NAMES if make(n).jumps])
+def test_each_catalog_atom_takes_the_side_its_kind_declares(name):
+    _check_side(make(name))
+
+
+@fixed(40)
+@given(
+    jumps=st.lists(
+        st.tuples(
+            st.floats(min_value=-math.pi, max_value=math.pi, exclude_min=True),
+            st.floats(min_value=1e-3, max_value=3.0) | st.floats(min_value=-3.0, max_value=-1e-3),
+        ),
+        min_size=1,
+        max_size=4,
+    ).filter(_apart_on_circle),
+    base=st.floats(min_value=-3.0, max_value=3.0),
+)
+def test_file_step_atoms_take_the_value_after_their_jump(jumps, base):
+    # built as the CLI builds a file: spec of kind step
+    _check_side(BoundaryFunction(name="file_step", kind="step", jumps=tuple(jumps), base=base))
 
 
 finite_complex = st.complex_numbers(max_magnitude=10.0, allow_nan=False, allow_infinity=False)
@@ -434,7 +505,7 @@ def test_lazy_replicas_give_the_eager_ladder_bit_for_bit(run):
 
 @st.composite
 def _nested_case(draw):
-    """A window, an optional grading, atoms near grid points, an elementwise f and a depth k."""
+    """A window, an optional grading, an elementwise f and a depth k."""
     k = draw(st.integers(min_value=K_MIN, max_value=18))
     kind = draw(st.sampled_from(["period", "window", "pv"]))
     center = draw(st.floats(min_value=-math.pi, max_value=math.pi))
@@ -450,17 +521,8 @@ def _nested_case(draw):
     grading = None
     if draw(st.booleans()):
         grading = (center, 2.0 ** -draw(st.floats(min_value=0.0, max_value=50.0)))
-    # chains of atoms within a few MERGE_TOL of grid points of the finest level
-    grid = _level_points(a, b, 2 ** k, grading, [])
-    atoms = []
-    for i in draw(st.lists(st.integers(min_value=0, max_value=2 ** k), max_size=4)):
-        offsets = draw(st.lists(st.floats(min_value=-2.0, max_value=2.0), min_size=1, max_size=3))
-        atoms += [grid[i] + o * MERGE_TOL for o in offsets]
-    atoms += draw(st.lists(st.floats(min_value=a, max_value=b), max_size=3))
-    atoms += draw(st.lists(st.sampled_from([a, b]), max_size=2))
-    snap = [t for t, s in zip(atoms, draw(st.lists(st.booleans(), min_size=len(atoms), max_size=len(atoms)))) if s]
     f = draw(st.sampled_from([np.sin, make("cantor"), make("cbv_demo"), make("multi_step")]))
-    return f, a, b, grading, atoms, snap, k
+    return f, a, b, grading, k
 
 
 def _same_bits(x, y):
@@ -470,23 +532,21 @@ def _same_bits(x, y):
 
 @fixed(40)
 # distance 2**-50 at the centre of the period: thousands of cells of width
-# 0 or under MERGE_TOL, which an atom anywhere makes merge in chains
-@example((make("cantor"), -math.pi, math.pi, (0.7, 2.0 ** -50), [0.7, 0.7 + 0.5 * MERGE_TOL, 2.0], [2.0], 18))
-@example((np.sin, 0.3, 0.3 + math.pi, (0.3, 2.0 ** -45), [0.3 + 1e-14, math.pi], [], 16))
-# atoms on both ends only
-@example((make("cbv_demo"), -math.pi, math.pi, None, [-math.pi, math.pi], [-math.pi], K_MIN))
+# 0 or under 1e-13
+@example((make("cantor"), -math.pi, math.pi, (0.7, 2.0 ** -50), 18))
+@example((np.sin, 0.3, 0.3 + math.pi, (0.3, 2.0 ** -45), 16))
+@example((make("cbv_demo"), -math.pi, math.pi, None, K_MIN))
 @given(_nested_case())
 def test_nested_levels_equal_the_levels_built_from_scratch(case):
-    f, a, b, grading, atoms, snap, k = case
-    nested = _NestedLevels(f, a, b, grading, atoms, snap)
+    f, a, b, grading, k = case
+    nested = _NestedLevels(f, a, b, grading)
 
     def check(j):
-        pts, widths, df, snap_idx = nested.level(j)
-        want = _level_points(a, b, 2 ** j, grading, atoms)
+        pts, widths, df = nested.level(j)
+        want = _level_points(a, b, 2 ** j, grading)
         assert _same_bits(pts, want)
         assert _same_bits(widths, np.diff(want))
         assert _same_bits(df, np.diff(np.asarray(f(want), dtype=float)))
-        assert snap_idx == _merged_indices(want, snap)
 
     # each level as the ladder reads it right after building it ...
     check(K_MIN)

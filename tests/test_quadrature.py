@@ -21,11 +21,12 @@ from stieltjes import (
     rs_integral,
 )
 from stieltjes.accel import aitken_step, aitken_tail
+from stieltjes.kernels import boundary_cot_kernel
 from stieltjes import quadrature
-from stieltjes.quadrature import CHUNK_POINTS, K_MIN, MERGE_TOL, REPLICAS, _cached_draws, _draws
+from stieltjes.quadrature import CHUNK_POINTS, K_MIN, REPLICAS, _cached_draws, _draws
 from stieltjes.transforms import disk_transform
 
-from oracles import _level_points, rs_brute, rs_tagged_sum
+from oracles import _level_points, piecewise_staircase, rs_brute, rs_tagged_sum
 
 TWO_PI = 2 * math.pi
 
@@ -165,6 +166,18 @@ class TestDeclaredJumps:
         assert res.status is RSStatus.CONVERGED
         assert res.value == pytest.approx(want, abs=5e-4)
 
+    @pytest.mark.parametrize("d", [2.0 ** -11, 2.0 ** -12])
+    def test_left_continuous_atoms_on_adjacent_points(self, d):
+        # under this grading the atoms at 2.0 and 2.4 are adjacent points of
+        # the coarse levels; a left-continuous cell between them carries the
+        # jump at 2.0, not the one at 2.4
+        f = piecewise_staircase([(2.0, -1.5), (2.4, 0.8)])
+        res = rs_integral(lambda s: boundary_cot_kernel(0.0, s), f, d, 3.0, grading=(0.0, d))
+        want = -1.5 / math.tan(-1.0) + 0.8 / math.tan(-1.2)
+        assert repr(want) == "0.652115268406932"
+        assert res.converged
+        assert abs(res.value - want) <= 1e-12
+
     def test_shared_discontinuity_never_certified(self):
         # integrand and integrator both jump at 0.5: the Stieltjes sums
         # genuinely depend on the tags, so no certificate may be issued
@@ -256,30 +269,30 @@ class TestCyclic:
 class TestGrading:
     def test_points_sorted_inside_window(self):
         for a, b in ((-math.pi, math.pi), (0.3 - math.pi, 0.3 - 1e-3), (0.301, 0.3 + math.pi)):
-            pts = _level_points(a, b, 64, (0.3, 1e-3), [])
+            pts = _level_points(a, b, 64, (0.3, 1e-3))
             assert np.all(np.diff(pts) > 0)
             assert pts[0] == a and pts[-1] == b
 
     def test_refines_near_center(self):
         for distance in (1e-2, 1e-3, 1e-5):
-            pts = _level_points(-math.pi, math.pi, 256, (0.0, distance), [])
+            pts = _level_points(-math.pi, math.pi, 256, (0.0, distance))
             near = pts[np.abs(pts) < 4.0 * distance]
             assert near.size > 2
             assert np.diff(near).max() < distance / 2.0
 
     def test_periodic_center_images(self):
         n = 256
-        gaps = np.diff(_level_points(-math.pi, math.pi, n, (math.pi, 1e-2), []))
+        gaps = np.diff(_level_points(-math.pi, math.pi, n, (math.pi, 1e-2)))
         # a center at pi grades both ends of (-pi, pi]
         assert gaps[0] < 0.1 * TWO_PI / n
         assert gaps[-1] < 0.1 * TWO_PI / n
 
     def test_center_stays_resolved_far_below_1e9(self):
         # at distance 2^-45 the kernel peak is 2.8e-14 wide: the cell over
-        # the center must stay narrower than MERGE_TOL, not be merged away
-        pts = _level_points(-math.pi, math.pi, 2 ** 18, (0.7, 2.0 ** -45), [])
+        # the center must stay narrower than 1e-13, not be merged away
+        pts = _level_points(-math.pi, math.pi, 2 ** 18, (0.7, 2.0 ** -45))
         i = int(np.searchsorted(pts, 0.7))
-        assert pts[i] - pts[i - 1] < MERGE_TOL
+        assert pts[i] - pts[i - 1] < 1e-13
         assert pts[0] == -math.pi and pts[-1] == math.pi
 
     @pytest.mark.parametrize("distance", [0.0, -1e-3, math.nan, math.inf])
@@ -373,11 +386,12 @@ class TestReplicaBlock:
         (lambda: rs_integral(np.cos, make("sin"), 0.0, 1.0),
          "0.7273243567064205", "3.6715891438277026e-09", RSStatus.CONVERGED, 14),
         (lambda: conj_poisson_stieltjes(make("cantor"), DiskPoint(0.9, 1.0)),
-         "-0.08437145383334292", "8.080457996673815e-07", RSStatus.CONVERGED, 13),
-        # integrand and integrator jump at 0.5: every level makes a probe sum
+         "-0.08437145383334291", "8.080457996850513e-07", RSStatus.CONVERGED, 13),
+        # integrand and integrator jump at 0.5: the atom sums to 2pi * g(0.5), and
+        # the shared spread |2pi * 2pi| seeds every level's replica spread
         (lambda: rs_integral(make("step2pi", 0.5), make("step2pi", 0.5), -math.pi, math.pi,
                              QuadratureOptions(rel_tol=1e-4, k_max=10)),
-         "0.0", "39.47841760435743", RSStatus.INCONCLUSIVE, 7),
+         "39.47841760435743", "39.47841760435743", RSStatus.INCONCLUSIVE, 7),
         # atoms on adjacent partition points: the cell between them is the right one's
         (lambda: poisson_stieltjes(
             BoundaryFunction(name="staircase", kind="step", jumps=((2.0, 1.0), (1.875, 0.0))),
@@ -443,7 +457,8 @@ class TestReplicaDraws:
 
         monkeypatch.setattr(BoundaryFunction, "__call__", counted)
         res = rs_integral(g, f, -math.pi, math.pi, QuadratureOptions(rel_tol=1e-4, k_max=10))
-        assert calls == [1] * 3 * len(res.levels)
+        # one call at the atoms, then per level one midpoint call and one replica block
+        assert calls == [1] * (1 + 2 * len(res.levels))
 
     def test_wider_levels_split_the_block(self):
         calls = []
@@ -525,11 +540,10 @@ class TestReplicaDraws:
 
     def test_level_past_the_cache_draws_afresh(self, monkeypatch):
         drawn = _counting_draws(monkeypatch)
-        # the sawtooth's atom at pi falls between grid points: level 15 has
-        # CHUNK_POINTS + 1 cells, so each replica is a chunk of its own
+        # level 16 has twice CHUNK_POINTS cells, so each replica is a chunk of its own
         rs_integral(np.cos, make("sawtooth"), 0.0, 4.0,
-                    QuadratureOptions(rel_tol=1e-15, abs_tol=0.0, k_max=15, seed=70103))
-        assert [d for d in drawn if d[0] == 15] == [(15, 1, CHUNK_POINTS + 1)] * REPLICAS
+                    QuadratureOptions(rel_tol=1e-15, abs_tol=0.0, k_max=16, seed=70103))
+        assert [d for d in drawn if d[0] == 16] == [(16, 1, 2 ** 16)] * REPLICAS
 
     def test_repeated_ladder_draws_nothing(self, monkeypatch):
         # a seed no other test uses, so the first run fills the cache itself
@@ -575,9 +589,9 @@ class TestNestedLevels:
         return sizes
 
     @staticmethod
-    def _one_call_per_level(levels, atoms):
-        # the first level's grid, atoms and both ends, then each level's new half
-        return [2 ** K_MIN + 1 + atoms + 2] + [2 ** (k - 1) for k in range(K_MIN + 1, K_MIN + levels)]
+    def _one_call_per_level(levels):
+        # the first level's grid and both ends, then each level's new half
+        return [2 ** K_MIN + 1 + 2] + [2 ** (k - 1) for k in range(K_MIN + 1, K_MIN + levels)]
 
     @pytest.mark.parametrize("grading", [None, (0.5, 1e-3)])
     def test_f_sees_each_level_s_new_points_once(self, monkeypatch, grading):
@@ -587,7 +601,7 @@ class TestNestedLevels:
         res = rs_integral(np.cos, phi, -math.pi, math.pi, QuadratureOptions(rel_tol=1e-15, abs_tol=0.0, k_max=10),
                           grading=grading)
         assert len(res.levels) == 7
-        assert sizes == self._one_call_per_level(7, 2)
+        assert sizes == self._one_call_per_level(7)
 
     def test_rerun_levels_call_no_f(self):
         # the divergence rule of the spikes run evaluates three earlier
@@ -600,7 +614,7 @@ class TestNestedLevels:
 
         res = rs_integral(make("spikes"), identity, 0.0, 1.0)
         assert res.status is RSStatus.DIVERGED
-        assert sizes == self._one_call_per_level(len(res.levels), 0)
+        assert sizes == self._one_call_per_level(len(res.levels))
 
     def test_each_level_is_built_once_plus_once_per_back_filled_block(self, monkeypatch):
         # the spikes run's divergence rule completes blocks its earlier levels

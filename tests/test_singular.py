@@ -45,6 +45,14 @@ class TestHilbertClosedForms:
         assert h.value == pytest.approx(math.tan(tau / 2) / math.pi, abs=2e-6)
         assert abs(h.value - math.tan(tau / 2) / math.pi) < max(h.est_error, 1e-9)
 
+    @pytest.mark.parametrize("name", ["linear", "sawtooth"])
+    @pytest.mark.parametrize("tau", [1e-13, -4e-13])
+    def test_seam_atom_a_hair_outside_a_window_stays_outside(self, name, tau):
+        # the seam atom's image at -pi lies 1e-13 outside [tau - pi, tau - delta]
+        # or inside it; counted at its true place, the value is tan(tau/2) ~ 0
+        h = hilbert_stieltjes(make(name), tau)
+        assert abs(h.value) <= h.est_error + 1e-12
+
     def test_linear_is_pi_times_sawtooth(self, tau=0.7):
         a = hilbert_stieltjes(make("linear"), tau)
         b = hilbert_stieltjes(make("sawtooth"), tau)
@@ -55,6 +63,13 @@ class TestHilbertClosedForms:
         for tau in (0.9, 2.2, -3.0):
             h = hilbert_stieltjes(make("step2pi", t0), tau)
             assert h.value == pytest.approx(1 / math.tan((tau - t0) / 2), abs=1e-10)
+
+    @pytest.mark.parametrize("t0, turn", [(-2.4, -1), (0.3, -1), (2.0, 1)])
+    def test_step_at_its_antipode_gives_zero(self, t0, turn):
+        # a window ends on the atom's image one turn away, where the step's
+        # floor and a comparison with the image can round apart
+        h = hilbert_stieltjes(make("step2pi", t0), t0 + turn * math.pi)
+        assert abs(h.value) <= 1e-12
 
     def test_multi_step_weighted_cotangents(self):
         phi = make("multi_step")
