@@ -246,6 +246,7 @@ def _cmd_limits(args):
         report = check(phi, target, **kwargs)
         if not report.passed:
             statuses.append(RSStatus.INCONCLUSIVE)
+        statuses.extend(report.statuses)
         for row in report.rows:
             ext = complex(row.estimate.extrapolated)
             exp = complex(row.expected)

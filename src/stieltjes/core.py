@@ -256,10 +256,6 @@ class BoundaryFunction:
                 return None if pd is None else float(pd(tr))
         return None
 
-    def atoms(self, lo: float, hi: float) -> list:
-        """Sorted atom locations in ``[lo, hi]``; all kinds but ``pathological`` repeat them each period."""
-        return [loc for loc, _h in jump_images(self.jumps, lo, hi, self.kind != "pathological")]
-
     def atom_near(self, t: float) -> Optional[float]:
         """The declared atom within ATOM_GUARD of ``t`` on the circle, or None."""
         for loc, _h in self.jumps:
@@ -394,7 +390,11 @@ class RSResult:
 
 @dataclass
 class LimitEstimate:
-    """Extrapolated boundary limit along one approach path."""
+    """Extrapolated boundary limit along one approach path.
+
+    ``trace`` holds the (k, value) pairs the extrapolant read: the deepest
+    ``accel.TAIL_WINDOW`` points of the path, or all of a shorter one.
+    """
 
     trace: list  # (k, value) pairs
     extrapolated: complex

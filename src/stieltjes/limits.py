@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
-from .accel import aitken_tail
+from .accel import TAIL_WINDOW, aitken_tail
 from .core import ApproachPath, BoundaryFunction, LimitEstimate
 from .quadrature import QuadratureOptions
 from .singular import hilbert_stieltjes
@@ -53,15 +53,17 @@ def _check_tol(tol: float):
 
 
 def angular_limit(field: Callable, path: ApproachPath, tol: float = 1e-3) -> LimitEstimate:
-    """Evaluate ``field`` along ``path`` and extrapolate the boundary value.
+    """Evaluate ``field`` at the deepest points of ``path`` and extrapolate.
 
-    The trace records (k, value) for the dyadic schedule s_k = 2^-k; the
-    extrapolant accelerates the last five entries and ``converged`` means
+    Only the last ``TAIL_WINDOW`` points of the dyadic schedule s_k = 2^-k
+    are evaluated, the ones the extrapolant accelerates, so the trace holds
+    (k, value) for exactly the points the value depends on, as
+    ``PVResult.eps_trace`` does for its truncations.  ``converged`` means
     the accelerated tail oscillates by less than ``tol``, which must be
     finite and positive.
     """
     _check_tol(tol)
-    pairs = path.indexed_points()
+    pairs = path.indexed_points()[-TAIL_WINDOW:]
     values = [field(z) for _k, z in pairs]
     limit, resid = aitken_tail(values)
     return LimitEstimate(
@@ -97,6 +99,8 @@ class LimitCheckReport:
     tol: float
     rows: list
     aperture_spread: float
+    # every quadrature the report read: the expected PV, then each field point
+    statuses: list
 
     @property
     def worst_grade(self) -> str:
@@ -123,24 +127,30 @@ def _certified_derivative(phi: BoundaryFunction, angle: float, label: str) -> fl
     return value
 
 
-def _report(phi, target, fields, apertures, tol, opts, k_max) -> LimitCheckReport:
+def _report(phi, target, fields, apertures, tol, opts, k_max, statuses=()) -> LimitCheckReport:
     """Graded rows of each ``(letter, transform, expected)`` field along every path.
 
     The transforms run at ``opts``, or at ``LIMITS_OPTS`` when it is None.
     Rows come field by field in path order; ``aperture_spread`` is the
-    largest disagreement between the extrapolants of any one field.
+    largest disagreement between the extrapolants of any one field.  The
+    report's statuses are ``statuses``, those of the expected values, then
+    every transform's in the order it ran.
     """
     opts = opts or LIMITS_OPTS
     paths = _paths(target, apertures, k_max)
-    rows, spreads = [], []
+    rows, spreads, statuses = [], [], list(statuses)
     for letter, transform, expected in fields:
-        field = lambda z: transform(phi, z, opts).value
+        def field(z):
+            res = transform(phi, z, opts)
+            statuses.append(res.status)
+            return res.value
+
         ests = [angular_limit(field, path, tol) for _label, path in paths]
         for (label, _path), est in zip(paths, ests):
             residual = abs(est.extrapolated - expected)
             rows.append(LimitCheckRow(letter, label, est, expected, float(residual), _grade(residual, tol)))
         spreads.append(max(abs(a.extrapolated - b.extrapolated) for a in ests for b in ests))
-    return LimitCheckReport(phi.name, target, tol, rows, float(max(spreads)))
+    return LimitCheckReport(phi.name, target, tol, rows, float(max(spreads)), statuses)
 
 
 def poisson_limit_check(
@@ -175,8 +185,9 @@ def conjugate_limit_check(
     positive.
     """
     _check_tol(tol)
-    expected = hilbert_stieltjes(phi, tau).value
-    return _report(phi, tau, [("V", conj_poisson_stieltjes, expected)], apertures, tol, None, k_max)
+    pv = hilbert_stieltjes(phi, tau)
+    fields = [("V", conj_poisson_stieltjes, pv.value)]
+    return _report(phi, tau, fields, apertures, tol, None, k_max, [pv.status])
 
 
 def analytic_limit_check(
@@ -197,7 +208,8 @@ def analytic_limit_check(
     """
     _check_tol(tol)
     deriv = _certified_derivative(phi, tau, "tau")
-    expected_s = complex(deriv, hilbert_stieltjes(phi, tau).value)
+    pv = hilbert_stieltjes(phi, tau)
+    expected_s = complex(deriv, pv.value)
     expected_c = cauchy_from_schwartz(expected_s, phi)
     fields = [("S", schwartz_stieltjes, expected_s), ("C", cauchy_stieltjes, expected_c)]
-    return _report(phi, tau, fields, apertures, tol, opts, k_max)
+    return _report(phi, tau, fields, apertures, tol, opts, k_max, [pv.status])

@@ -3,10 +3,11 @@
 Everything here is deliberately naive and kept separate from the package:
 plain tagged sums, dense-grid quadrature, a recursive Cantor evaluator, and
 textbook finite differences.  When a test compares the library against one
-of these, the two sides share no code.  The one exception is
-``eager_rs_integral``, which must match ``rs_integral`` bit for bit: it
-shares the package's level helpers and keeps only its own level loop, on
-the from-scratch partitions of ``_level_points``.
+of these, the two sides share no code.  The two exceptions must match the
+package bit for bit.  ``eager_rs_integral`` shares the package's level
+helpers and keeps only its own level loop, on the from-scratch partitions
+of ``_level_points``.  ``full_path_limit`` shares ``aitken_tail`` and
+evaluates every point of the approach path.
 """
 
 import cmath
@@ -14,6 +15,7 @@ import math
 
 import numpy as np
 
+from stieltjes.accel import aitken_tail
 from stieltjes.core import BoundaryFunction, RSResult, RSStatus
 from stieltjes.quadrature import (
     CHUNK_POINTS,
@@ -101,6 +103,15 @@ def piecewise_staircase(jumps):
                    for lo, hi, v in zip([-math.pi] + uppers[:-1], uppers, values))
     return BoundaryFunction(name="staircase", kind="piecewise", pieces=pieces,
                             jumps=tuple(jumps) + ((math.pi, -float(values[-1])),))
+
+
+def full_path_limit(field, path, tol=1e-3):
+    """``(trace, limit, residual, converged)`` from the field at every point of ``path``."""
+    pairs = path.indexed_points()
+    values = [field(z) for _k, z in pairs]
+    limit, resid = aitken_tail(values)
+    trace = [(k, v) for (k, _z), v in zip(pairs, values)]
+    return trace, limit, float(resid), bool(resid < tol)
 
 
 def diff1(fn, x, h=1e-5):

@@ -20,8 +20,9 @@ from stieltjes.cli import (
     main,
     parse_function_spec,
 )
-from stieltjes.core import BoundaryFunction
-from stieltjes.zoo import NAMES
+from stieltjes.core import BoundaryFunction, RSStatus
+from stieltjes.singular import hilbert_stieltjes
+from stieltjes.zoo import NAMES, make
 
 
 def run_csv(capsys, argv):
@@ -479,6 +480,14 @@ class TestLimits:
         )
         assert code == EXIT_INCONCLUSIVE
         assert any(r["grade"] == "fail" for r in records)
+
+    def test_uncertified_pv_exits_three(self, capsys):
+        # every grade passes, but the PV that gives the expected value is not certified
+        assert hilbert_stieltjes(make("cbv_demo"), 0.3).status == RSStatus.INCONCLUSIVE
+        code, _header, records = run_csv(
+            capsys, ["limits", "--phi", "zoo:cbv_demo", "--which", "V", "--target", "0.3"])
+        assert code == EXIT_INCONCLUSIVE
+        assert [r["grade"] for r in records] == ["pass"] * 5
 
     def test_conjugate_at_atom_exits_four(self, capsys):
         code = main(["limits", "--phi", "zoo:step2pi:0.0", "--which", "V",

@@ -225,13 +225,14 @@ class TestJumpImages:
 class TestAtoms:
     def test_periodic_images_in_window(self):
         phi = BoundaryFunction(name="st", kind="step", jumps=((0.5, 1.0), (math.pi, -1.0)))
-        assert phi.atoms(-math.pi, math.pi) == [-math.pi, 0.5, math.pi]
-        assert phi.atoms(0.0, 2 * TWO_PI) == pytest.approx([0.5, math.pi, 0.5 + TWO_PI, 3 * math.pi])
+        assert [loc for loc, _h in jump_images(phi.jumps, -math.pi, math.pi)] == [-math.pi, 0.5, math.pi]
+        locs = [loc for loc, _h in jump_images(phi.jumps, 0.0, 2 * TWO_PI)]
+        assert locs == pytest.approx([0.5, math.pi, 0.5 + TWO_PI, 3 * math.pi])
 
     def test_pathological_atoms_do_not_repeat(self):
         phi = BoundaryFunction(name="p", kind="pathological", fn=lambda t: t,
                                jumps=((0.5, 1.0),), domain=(-10.0, 10.0))
-        assert phi.atoms(-10.0, 10.0) == [0.5]
+        assert [loc for loc, _h in jump_images(phi.jumps, -10.0, 10.0, periodic=False)] == [0.5]
 
     def test_atom_near_on_the_circle(self):
         phi = BoundaryFunction(name="st", kind="step", jumps=((math.pi, 1.0),))
@@ -250,7 +251,7 @@ class TestAtoms:
 
     def test_no_atoms(self):
         phi = BoundaryFunction(name="s", kind="closed_form", fn=np.sin, dfn=np.cos)
-        assert phi.atoms(-math.pi, math.pi) == []
+        assert jump_images(phi.jumps, -math.pi, math.pi) == []
         assert phi.atom_near(0.0) is None
 
 

@@ -5,6 +5,8 @@ import pytest
 from stieltjes import (
     ApproachPath,
     DomainError,
+    QuadratureOptions,
+    RSStatus,
     analytic_limit_check,
     angular_limit,
     conjugate_limit_check,
@@ -13,6 +15,7 @@ from stieltjes import (
     make,
     poisson_limit_check,
 )
+from stieltjes.accel import TAIL_WINDOW
 
 TWO_PI = 2 * math.pi
 
@@ -27,10 +30,25 @@ class TestAngularLimit:
             assert est.extrapolated == pytest.approx(math.cos(target), abs=1e-6)
 
     def test_trace_is_recorded_along_schedule(self):
+        # the trace holds the points the extrapolant reads, the deepest of the schedule
         est = angular_limit(lambda z: z.z.real, ApproachPath(0.0, 0.0))
-        assert len(est.trace) == 14
-        assert [k for k, _ in est.trace] == list(range(1, 15))
+        assert [k for k, _ in est.trace] == list(range(10, 15))
         assert est.trace[-1][1] == pytest.approx(1 - 2.0 ** -14)
+
+    @pytest.mark.parametrize("alpha, k_max", [(0.0, 14), (0.0, 3), (-1.5, 8), (1.56, 14)])
+    def test_field_runs_only_on_the_deepest_points(self, alpha, k_max):
+        # (-1.5, 8) and (1.56, 14) clip their first points: 6 and 9 points are left
+        path = ApproachPath(0.4, alpha, k_max=k_max)
+        seen = []
+
+        def field(z):
+            seen.append(z.z)
+            return z.z.real
+
+        angular_limit(field, path)
+        pairs = path.indexed_points()
+        assert len(seen) == min(TAIL_WINDOW, len(pairs))
+        assert seen == [z.z for _k, z in pairs[len(pairs) - len(seen):]]
 
     def test_divergent_field_not_converged(self):
         # logarithmic blow-up has vanishing second differences, which the
@@ -128,6 +146,23 @@ class TestAnalyticLimitCheck:
         s_exp = complex([r for r in report.rows if r.field == "S"][0].expected)
         assert s_exp.real == pytest.approx(math.cos(tau), abs=1e-6)
         assert s_exp.imag == pytest.approx(h.value, abs=1e-4)
+
+
+class TestReportStatuses:
+    """A report carries the status of every quadrature it read."""
+
+    def test_certified_check_lists_every_point(self):
+        report = conjugate_limit_check(make("step2pi", 0.0), math.pi / 2)
+        # the PV, then the deepest five points of each of the five paths
+        assert report.statuses == [RSStatus.CONVERGED] * (1 + 5 * TAIL_WINDOW)
+
+    def test_uncertified_points_are_kept_under_passing_grades(self):
+        # a level budget of 2^8 cells certifies none of the deep transforms
+        phi, tau = make("sin"), 0.8
+        report = analytic_limit_check(phi, tau, opts=QuadratureOptions(k_max=8))
+        assert report.passed
+        assert report.statuses[0] == hilbert_stieltjes(phi, tau).status == RSStatus.CONVERGED
+        assert report.statuses[1:] == [RSStatus.INCONCLUSIVE] * (2 * 3 * TAIL_WINDOW)
 
 
 class TestGrade:

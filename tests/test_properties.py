@@ -13,10 +13,13 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from stieltjes import (
+    ApproachPath,
     BoundaryFunction,
     DiskPoint,
+    DomainError,
     QuadratureOptions,
     analytic_kernel,
+    angular_limit,
     cauchy_kernel,
     conj_poisson,
     harmonicity_diagnostics,
@@ -27,6 +30,7 @@ from stieltjes import (
     reduce_angle,
     rs_integral,
 )
+from stieltjes.accel import TAIL_WINDOW
 from stieltjes.core import ATOM_GUARD, _cantor_staircase, _reduced, principal_angle
 from stieltjes.kernels import COT_GUARD, boundary_cot_kernel
 from stieltjes.quadrature import (
@@ -48,6 +52,7 @@ from oracles import (
     cot_half_expression,
     den_sin,
     eager_rs_integral,
+    full_path_limit,
     graded_map_expression,
     piecewise_staircase,
     poisson_reference,
@@ -670,3 +675,32 @@ def test_ladder_may_overwrite_the_tags_it_owns(kind, shared, name, seed, rel_tol
     want = eager_rs_integral(g, f, -math.pi, math.pi, opts)
     assert (repr(got.value), repr(got.est_error), got.status, repr(got.levels)) == (
         repr(want.value), repr(want.est_error), want.status, repr(want.levels))
+
+
+def _limit_field(z):
+    # harmonic, and not geometric in s_k: the Aitken tail extrapolates it
+    w = z.z
+    return (w ** 3).real + math.log(abs(2.0 - w))
+
+
+@fixed(200)
+@example(k_max=14, alpha=0.0, target=0.3)
+@example(k_max=3, alpha=0.0, target=0.3)
+@example(k_max=8, alpha=-1.5, target=-2.0)
+@example(k_max=14, alpha=1.56, target=3.0)
+@given(
+    k_max=st.integers(min_value=1, max_value=14),
+    alpha=st.floats(min_value=-1.5707, max_value=1.5707),
+    target=st.floats(min_value=-math.pi, max_value=math.pi),
+)
+def test_angular_limit_equals_the_full_path_oracle(k_max, alpha, target):
+    # wide openings clip their first points, and short paths have fewer than TAIL_WINDOW
+    try:
+        path = ApproachPath(target, alpha, k_max=k_max)
+        path.indexed_points()
+    except DomainError:
+        assume(False)
+    est = angular_limit(_limit_field, path)
+    trace, limit, resid, converged = full_path_limit(_limit_field, path)
+    assert est.trace == trace[-TAIL_WINDOW:]
+    assert (est.extrapolated, est.residual, est.converged) == (limit, resid, converged)
