@@ -6,7 +6,10 @@ textbook finite differences.  When a test compares the library against one
 of these, the two sides share no code.  The two exceptions must match the
 package bit for bit.  ``eager_rs_integral`` shares the package's level
 helpers and keeps only its own level loop, on the from-scratch partitions
-of ``_level_points``.  ``full_path_limit`` shares ``aitken_tail`` and
+of ``_level_points``.  It evaluates g on every cell, flat ones included:
+it calls ``_row_sums`` without live indices, where the package gathers
+the live cells of a sparse level, so the two agree only for a g that is
+finite where f is flat.  ``full_path_limit`` shares ``aitken_tail`` and
 evaluates every point of the approach path.
 """
 

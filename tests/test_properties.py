@@ -488,6 +488,13 @@ def _disk_run(name, which, r, theta, seed, rel_tol, k_max):
 @example(_disk_run("cantor", "V", 0.9, 1.0, 0, 1e-5, K_MIN))
 # runs out of levels at 2**16 cells, past the one-replica-per-call width
 @example((np.cos, make("sin"), 0.0, 1.0, QuadratureOptions(rel_tol=1e-15, abs_tol=0.0, k_max=16), None))
+# the Cantor staircase is at most half live from level 6 on; its last level,
+# 2**16 cells, gathers the live columns of uncached draws, one row per chunk
+@example((np.cos, make("cantor"), -3.0, 3.0, QuadratureOptions(rel_tol=1e-15, abs_tol=0.0, k_max=16), None))
+# a staircase's rest is flat: every level evaluates g on no cell and runs no block
+@example(_disk_run("multi_step", "S", 0.9, 0.3, 1, 1e-6, 10))
+# every level live: the dense path
+@example(_disk_run("cbv_demo", "C", 0.95, -2.0, 3, 1e-7, 14))
 @given(st.builds(
     _disk_run,
     # the catalog but spikes, which lives on [0, 1] only

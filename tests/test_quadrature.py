@@ -373,6 +373,22 @@ class TestNonFinite:
         assert res.est_error == math.inf
         assert len(res.levels) == 1
 
+    def test_nan_where_f_is_flat_is_never_evaluated(self):
+        # f is flat on [0, 0.75], three quarters of every level's cells, so g
+        # is evaluated on the live cells in [0.75, 1] alone
+        g = lambda t: np.where(t >= 0.75, np.cos(t), np.nan)
+        res = rs_integral(g, lambda t: np.maximum(t - 0.75, 0.0), 0.0, 1.0, QuadratureOptions(rel_tol=1e-6))
+        assert res.status is RSStatus.CONVERGED
+        assert abs(res.value - (math.sin(1.0) - math.sin(0.75))) <= res.est_error
+
+    def test_nan_in_f_is_a_live_cell(self):
+        # f is flat but for NaN on (0.9, 1]: the cells there are live, and g
+        # is evaluated on them
+        res = rs_integral(np.cos, lambda t: np.where(t > 0.9, np.nan, 0.0), 0.0, 1.0)
+        assert res.status is RSStatus.INCONCLUSIVE
+        assert res.est_error == math.inf
+        assert len(res.levels) == 1
+
     @pytest.mark.parametrize("a, b", [(0.0, math.inf), (-math.inf, 0.0), (math.nan, 1.0)])
     def test_rejects_non_finite_ends(self, a, b):
         with pytest.raises(ValueError):
@@ -457,8 +473,40 @@ class TestReplicaDraws:
 
         monkeypatch.setattr(BoundaryFunction, "__call__", counted)
         res = rs_integral(g, f, -math.pi, math.pi, QuadratureOptions(rel_tol=1e-4, k_max=10))
-        # one call at the atoms, then per level one midpoint call and one replica block
-        assert calls == [1] * (1 + 2 * len(res.levels))
+        # one call at the atoms, then per level one midpoint call, on no tags:
+        # the rest of a step is flat, so no level runs a replica block
+        assert calls == [1] * (1 + len(res.levels))
+
+    def test_sparse_levels_evaluate_their_live_cells_alone(self):
+        tags = []
+
+        def g(t):
+            tags.append(t.copy())
+            return np.cos(t)
+
+        f = make("cantor")
+        # inside the seam atom's images, so every g call is a level's
+        res = rs_integral(g, f, -3.0, 3.0, QuadratureOptions(rel_tol=1e-15, abs_tol=0.0, k_max=16))
+        # no level difference passes: only the first level and the last run
+        # their replica block, the last in REPLICAS chunks of one row each
+        assert len(res.levels) == 13
+        cells = {}
+        for k in range(K_MIN, 17):
+            pts = _level_points(-3.0, 3.0, 2 ** k, None)
+            cells[k] = pts, np.flatnonzero(np.diff(f(pts)))
+        # levels 4 and 5 are more than half live and evaluate every cell
+        assert [2 * live.size <= pts.size - 1 for pts, live in cells.values()] == [False] * 2 + [True] * 11
+        assert [t.size for t in tags] == ([2 ** K_MIN, REPLICAS * 2 ** K_MIN, 2 ** (K_MIN + 1)]
+                                          + [cells[k][1].size for k in range(K_MIN + 2, 17)]
+                                          + [cells[16][1].size] * REPLICAS)
+        for k, t in zip(range(K_MIN + 2, 17), tags[3:]):
+            pts, live = cells[k]
+            assert np.array_equal(t, (pts[:-1][live] + pts[1:][live]) * 0.5)
+        # the last level's chunks: its replica streams, gathered by column
+        pts, live = cells[16]
+        for rep, t in enumerate(tags[-REPLICAS:]):
+            u = np.random.default_rng((0, 16, rep)).random(2 ** 16)
+            assert np.array_equal(t, u[live] * np.diff(pts)[live] + pts[:-1][live])
 
     def test_wider_levels_split_the_block(self):
         calls = []
