@@ -27,7 +27,7 @@ import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from functools import partial
+from functools import cache, partial
 from typing import Optional
 
 import numpy as np
@@ -265,6 +265,8 @@ def _cmd_catalog(args):
     return header, rows, []
 
 
+# argparse reads the parser without changing it, so one serves every call of main
+@cache
 def _build_parser() -> _Parser:
     parser = _Parser(prog="stieltjes", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)

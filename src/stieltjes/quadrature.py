@@ -15,8 +15,11 @@ df != 0, are at most GATHER_SHARE of its cells, g sees the tags of the
 live cells alone, possibly none: a flat cell's product g * df is exactly
 zero, and the live products go into a row of zeros at their own places,
 so every sum but the sign of an exactly zero one is that over all cells.
-Where f is flat on such a level, g may be NaN; a NaN in df is live.  The
-ladder owns every array it hands g and f and reuses it once the call has
+A denser level evaluates g on every cell, and a sum of it that is not
+finite is summed again with each flat cell's product an exact zero.  So on
+every level a flat cell adds nothing: g may be NaN or infinite where f is
+flat, and only a live cell (a NaN in df is live) can make a sum non-finite.
+The ladder owns every array it hands g and f and reuses it once the call has
 returned: where g's values are float64 like the tags, the products g * df
 of a midpoint or replica sum are written over the spent tags.  So g and f
 must neither write into their argument nor keep it after they return;
@@ -27,9 +30,10 @@ The levels nest (see :class:`_NestedLevels`): each level calls f on its
 
 Replica ``rep`` of level k draws its uniforms from its own stream,
 ``default_rng((seed, k, rep))``, so every replica sum is fixed by the seed
-alone.  The replicas are evaluated as one block of rows: one ``g`` call on
-the flattened tags of at most CHUNK_POINTS at a time, then one row
-reduction.  A level narrow enough that its chunks hold whole rows, at most
+alone.  A block without a cutoff (below) is evaluated in chunks of rows:
+one ``g`` call on the flattened tags of at most CHUNK_POINTS at a time,
+then one row reduction.  A block with a cutoff is evaluated one row per
+``g`` call.  A level narrow enough that its chunks hold whole rows, at most
 CHUNK_POINTS cells, takes its draws from a bounded, thread-safe,
 process-wide cache of read-only arrays; a wider level draws each row
 afresh.  A sparse level takes the live cells' columns of those draws, and
@@ -40,8 +44,9 @@ level, on the last (its spread enters an inconclusive est_error), on a
 level whose difference is within tolerance, and where the level
 differences have grown as the divergence rule asks.  On any other level the
 difference alone fails the tolerance.  On a level whose difference passed,
-the block stops at the first chunk that leaves the spread above the
-tolerance, since that level can no longer converge.  Before the divergence
+the tolerance is the block's cutoff: the block stops at the first row that
+leaves the spread above it, since that level can no longer converge, and
+most such levels exceed it on their first row.  Before the divergence
 rule reads the spreads, the levels in its window whose block was skipped or
 cut short run it in full, so every status, value, est_error and level
 count is the one a block on every level gives.  The one exception: a
@@ -296,11 +301,12 @@ def _replica_spread(g, level, seed, k, s_mid, spread, cutoff):
     sum, both of the rest of f: s_atoms adds alike to the midpoint sum and
     to every replica sum, so the distances are those of the rest's sums.
     The caller seeds ``spread`` with the shared atoms' spread, a level's
-    whole spread if it has no live cell.  The replicas are evaluated as
-    blocks of rows, at most CHUNK_POINTS tags and one ``g`` call on the
-    flattened block each.  A non-finite replica sum returns nan at once.  A
-    block that leaves the spread above ``cutoff`` ends the evaluation, and
-    the spread is then unknown: None.
+    whole spread if it has no live cell.  With ``cutoff`` inf the replicas
+    are evaluated as chunks of rows, at most CHUNK_POINTS tags and one ``g``
+    call on the flattened chunk each; with a finite ``cutoff``, one row per
+    call, and the first row that leaves the spread above it ends the
+    evaluation: the spread is then unknown, None.  A non-finite replica sum
+    returns nan at once.
     """
     pts, widths, df, live = level
     n = widths.size
@@ -308,7 +314,7 @@ def _replica_spread(g, level, seed, k, s_mid, spread, cutoff):
     if not lo.size:
         return spread
     cached = _cached_draws(seed, k, n) if n <= CHUNK_POINTS else None
-    rows = max(1, CHUNK_POINTS // n)
+    rows = 1 if cutoff < math.inf else max(1, CHUNK_POINTS // n)
     for r0 in range(0, REPLICAS, rows):
         reps = range(r0, min(r0 + rows, REPLICAS))
         u = (_draws(seed, k, reps, n) if cached is None else cached[r0:reps.stop])[:, live]
@@ -347,6 +353,22 @@ def _products(gv, df, tags, live):
     return rows
 
 
+def _summed(p, df):
+    """The sums of the rows of products ``p`` over df's cells, a flat cell's product an exact zero.
+
+    A non-finite g times df == 0 is nan, so where a sum is not finite the
+    flat cells' products are set to 0.0 and the rows summed again: a g that
+    is non-finite only where f is flat gives every level, dense or
+    gathered, the sum of its live cells.  A finite sum is summed once.
+    """
+    s = p.sum(axis=-1)
+    # cmath tests a midpoint sum in a twentieth of numpy's time
+    if not (cmath.isfinite(s) if s.ndim == 0 else np.isfinite(s).all()):
+        p[..., df == 0.0] = 0.0
+        s = p.sum(axis=-1)
+    return s
+
+
 def _row_sums(g, tags, df, live=slice(None)):
     """The tagged sum of each row of ``tags``, from one ``g`` call on the flattened rows.
 
@@ -357,7 +379,7 @@ def _row_sums(g, tags, df, live=slice(None)):
     gv = np.asarray(g(tags.reshape(-1)))
     # a g that returns a scalar still stands for a value at every tag
     gv = gv.reshape(tags.shape) if gv.size == tags.size else np.broadcast_to(gv, tags.shape)
-    return _products(gv, df, tags, live).sum(axis=1)
+    return _summed(_products(gv, df, tags, live), df)
 
 
 def rs_integral(
@@ -423,7 +445,7 @@ def rs_integral(
         mid = pts[:-1][live] + pts[1:][live]
         mid *= 0.5
         g_mid = np.asarray(g(mid))
-        heads.append(_products(g_mid, df, mid, live).sum())
+        heads.append(_summed(_products(g_mid, df, mid, live), df))
         s_mid = heads[-1] if s_atoms is None else heads[-1] + s_atoms
         # every sum is a numpy scalar of the products' dtype: float or complex
         value = sign * s_mid.item()

@@ -8,9 +8,10 @@ package bit for bit.  ``eager_rs_integral`` shares the package's level
 helpers and keeps only its own level loop, on the from-scratch partitions
 of ``_level_points``.  It evaluates g on every cell, flat ones included:
 it calls ``_row_sums`` without live indices, where the package gathers
-the live cells of a sparse level, so the two agree only for a g that is
-finite where f is flat.  ``full_path_limit`` shares ``aitken_tail`` and
-evaluates every point of the approach path.
+the live cells of a sparse level, and it sums by ``_summed``, which counts
+a flat cell's product as an exact zero where a sum is not finite.
+``full_path_limit`` shares ``aitken_tail`` and evaluates every point of the
+approach path.
 """
 
 import cmath
@@ -32,6 +33,7 @@ from stieltjes.quadrature import (
     _grows,
     _row_sums,
     _split,
+    _summed,
 )
 
 
@@ -245,7 +247,7 @@ def eager_rs_integral(g, f, a, b, opts=None, *, grading=None):
         # once lets the allocator shrink and re-fault the heap on every replica
         g_mid = np.asarray(g(0.5 * (pts[:-1] + pts[1:])))
         # the sums of the rest; the atoms add s_atoms to each of them alike
-        sums = [(g_mid * df).sum()]
+        sums = [_summed(g_mid * df, df)]
         if cmath.isfinite(sums[-1]):
             sums += _replica_sums(g, pts, widths, df, opts.seed, k)
         s_mid = sums[0] if s_atoms is None else sums[0] + s_atoms

@@ -592,3 +592,17 @@ class TestUsage:
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == EXIT_OK
         assert "integrate" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("bad", [
+        ["integrate", "--g", "poly:t", "--f", "poly:t2", "--a", "x", "--b", "1"],
+        ["transform", "--phi", "zoo:sin", "--which", "W", "--r", "0.5", "--theta", "0"],
+        ["frobnicate"],
+    ], ids=["bad_number", "bad_choice", "unknown_command"])
+    def test_usage_error_leaves_the_next_call_unchanged(self, capsys, bad):
+        # one parser serves every call of main
+        argv = ["integrate", "--g", "poly:t", "--f", "poly:t2", "--a", "0", "--b", "1", "--seed", "3"]
+        first = main(argv), capsys.readouterr().out
+        assert main(bad) == EXIT_USAGE
+        assert "error" in capsys.readouterr().err
+        assert (main(argv), capsys.readouterr().out) == first
+        assert first[0] == EXIT_OK and first[1].startswith("status,")

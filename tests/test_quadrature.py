@@ -1,3 +1,4 @@
+import cmath
 import math
 import sys
 from collections import Counter
@@ -22,11 +23,11 @@ from stieltjes import (
 )
 from stieltjes.accel import aitken_step, aitken_tail
 from stieltjes.kernels import boundary_cot_kernel
-from stieltjes import quadrature
+from stieltjes import quadrature, transforms
 from stieltjes.quadrature import CHUNK_POINTS, K_MIN, REPLICAS, _cached_draws, _draws
 from stieltjes.transforms import disk_transform
 
-from oracles import _level_points, piecewise_staircase, rs_brute, rs_tagged_sum
+from oracles import _level_points, eager_rs_integral, piecewise_staircase, rs_brute, rs_tagged_sum
 
 TWO_PI = 2 * math.pi
 
@@ -381,6 +382,30 @@ class TestNonFinite:
         assert res.status is RSStatus.CONVERGED
         assert abs(res.value - (math.sin(1.0) - math.sin(0.75))) <= res.est_error
 
+    @pytest.mark.parametrize("c, unit", [(0.25, 1.0), (0.25, 1j), (0.75, 1j)],
+                             ids=["dense-real", "dense-complex", "gathered-complex"])
+    def test_nan_where_f_is_flat_gives_the_live_integral_at_any_live_share(self, c, unit):
+        # f is flat on [0, c]: at c = 0.75 a quarter of every level's cells
+        # are live and g is evaluated on them alone; at c = 0.25 three
+        # quarters are, so g is evaluated on the flat cells too, and their
+        # NaN products count as exact zeros
+        g = lambda t: np.where(t >= c, np.exp(unit * t), np.nan)
+        res = rs_integral(g, lambda t: np.maximum(t - c, 0.0), 0.0, 1.0, QuadratureOptions(rel_tol=1e-6))
+        assert res.status is RSStatus.CONVERGED
+        assert abs(res.value - (cmath.exp(unit) - cmath.exp(unit * c)) / unit) <= res.est_error
+
+    @pytest.mark.parametrize("c", [0.1, 0.25, 0.75])
+    def test_nan_where_f_is_flat_gives_the_eager_ladder(self, c):
+        # at c = 0.1 a live cell of every level straddles c, so a tag left of
+        # c in it makes a live product NaN and the run ends inconclusive
+        g = lambda t: np.where(t >= c, np.cos(t), np.nan)
+        f = lambda t: np.maximum(t - c, 0.0)
+        opts = QuadratureOptions(rel_tol=1e-6)
+        got, want = rs_integral(g, f, 0.0, 1.0, opts), eager_rs_integral(g, f, 0.0, 1.0, opts)
+        assert (repr(got.value), repr(got.est_error), got.status, repr(got.levels)) == (
+            repr(want.value), repr(want.est_error), want.status, repr(want.levels))
+        assert got.status is (RSStatus.INCONCLUSIVE if c == 0.1 else RSStatus.CONVERGED)
+
     def test_nan_in_f_is_a_live_cell(self):
         # f is flat but for NaN on (0.9, 1]: the cells there are live, and g
         # is evaluated on them
@@ -422,6 +447,31 @@ class TestReplicaBlock:
         res = run()
         assert (repr(res.value), repr(res.est_error), res.status, len(res.levels)) == (
             value, est_error, status, depth)
+
+
+class TestLadderWork:
+    """The kernel points of fixed transform ladders at TRANSFORM_OPTS, pinned with their depths."""
+
+    @pytest.mark.parametrize("which, name, z, points, depth", [
+        ("V", "sin", (0.9, 0.3), 358_512, 12),
+        ("S", "cos", (0.97, 0.3), 227_440, 11),
+    ], ids=["V-sin", "S-cos"])
+    def test_kernel_points_are_pinned(self, monkeypatch, which, name, z, points, depth):
+        sizes = []
+        row = transforms.KERNELS[which]
+
+        def counted(zz):
+            g = row(zz)
+
+            def sized(t):
+                sizes.append(t.size)
+                return g(t)
+            return sized
+
+        monkeypatch.setitem(transforms.KERNELS, which, counted)
+        res = disk_transform(which, make(name), DiskPoint(*z))
+        assert res.status is RSStatus.CONVERGED
+        assert (sum(sizes), len(res.levels)) == (points, depth)
 
 
 def _counting(g, calls):
@@ -535,6 +585,29 @@ class TestReplicaDraws:
         # one midpoint call per level; the first level's block is one chunk
         assert sizes == ([2 ** K_MIN, REPLICAS * 2 ** K_MIN] + [2 ** k for k in range(K_MIN + 1, 15)]
                          + [2 ** 15] * 2 + [2 ** 16] * (1 + REPLICAS))
+
+    def test_passed_narrow_level_stops_at_its_first_row_over_the_tolerance(self):
+        sizes = []
+
+        def g(t):
+            sizes.append(t.size)
+            return np.cos(t)
+
+        opts = QuadratureOptions(rel_tol=1e-8, abs_tol=0.0, k_max=14)
+        res = rs_integral(g, np.sin, 0.0, 1.0, opts)
+        # levels 2**11 to 2**13 pass their difference, each far narrower than
+        # CHUNK_POINTS, but not their first replica row: each makes one
+        # replica call, of its n tags; level 2**14 is the last and runs its
+        # whole block in chunks of CHUNK_POINTS // n rows
+        sums = dict(zip(range(K_MIN, 15), (s for _mesh, s in res.levels)))
+        assert all(abs(sums[k] - sums[k - 1]) <= opts.tolerance(abs(sums[k])) for k in (11, 12, 13))
+        assert sizes == ([2 ** K_MIN, REPLICAS * 2 ** K_MIN] + [2 ** k for k in range(K_MIN + 1, 11)]
+                         + [2 ** 11] * 2 + [2 ** 12] * 2 + [2 ** 13] * 2
+                         + [2 ** 14] + [CHUNK_POINTS] * (REPLICAS * 2 ** 14 // CHUNK_POINTS))
+        # replica 0 of level 2**11 alone leaves its spread above the tolerance
+        pts = _level_points(0.0, 1.0, 2 ** 11, None)
+        tags = pts[:-1] + _draws(0, 11, [0], 2 ** 11)[0] * np.diff(pts)
+        assert abs(np.sum(np.cos(tags) * np.diff(np.sin(pts))) - sums[11]) > opts.tolerance(abs(sums[11]))
 
     def test_rows_are_the_seeded_streams_on_interleaved_threads(self):
         # _draws builds one generator per row, so interleaved threads must
