@@ -26,18 +26,21 @@ must neither write into their argument nor keep it after they return;
 returning it, or a value computed from it, is fine.
 
 The levels nest (see :class:`_NestedLevels`): each level calls f on its
-2**(k-1) new grid points alone, so f sees each grid point once per ladder.
+2**(k-1) new grid points alone, or, for a Cantor staircase, on the new
+points of the cells it changes across, and a level read again is a view.
 
 Replica ``rep`` of level k draws its uniforms from its own stream,
 ``default_rng((seed, k, rep))``, so every replica sum is fixed by the seed
 alone.  A block without a cutoff (below) is evaluated in chunks of rows:
 one ``g`` call on the flattened tags of at most CHUNK_POINTS at a time,
 then one row reduction.  A block with a cutoff is evaluated one row per
-``g`` call.  A level narrow enough that its chunks hold whole rows, at most
-CHUNK_POINTS cells, takes its draws from a bounded, thread-safe,
-process-wide cache of read-only arrays; a wider level draws each row
-afresh.  A sparse level takes the live cells' columns of those draws, and
-a level without live cells runs no block: its spread is the shared one.
+``g`` call, or, on a level that gathers its live cells and takes cached
+draws, in calls of at most CHUNK_POINTS // REPLICAS tags.  A level narrow
+enough that its chunks hold whole rows, at most CHUNK_POINTS cells, takes
+its draws from a bounded, thread-safe, process-wide cache of read-only
+arrays; a wider level draws each row afresh.  A sparse level takes the
+live cells' columns of those draws, and a level without live cells runs no
+block: its spread is the shared one.
 
 A level runs its block only where the spread can matter: on the first
 level, on the last (its spread enters an inconclusive est_error), on a
@@ -237,44 +240,66 @@ def _split(f, g, a, b):
     return np.array([t for t, _h in atoms]), np.array([h for _t, h in atoms]), rest, shared
 
 
+def _monotone_rest(f):
+    """Whether ``_split``'s rest of f is nondecreasing: a Cantor staircase's is, less its declared seam drop."""
+    return isinstance(f, BoundaryFunction) and f.kind == "cantor" and f.jumps == ((math.pi, -1.0),)
+
+
+def _odd_points(p, q, n):
+    """``np.linspace(p, q, 2n + 1)[1::2]`` bit for bit, without building the even points."""
+    step = (q - p) / (2 * n)
+    if not step:
+        # linspace scales by the span instead where its step underflows to 0
+        return np.linspace(p, q, 2 * n + 1)[1::2]
+    return np.arange(1.0, 2 * n, 2.0) * step + p
+
+
 class _NestedLevels:
     """The levels of one ladder over [a, b] and f on them, each built from the one before.
 
-    It holds the grid of the finest level built so far and f on it.
-    ``np.linspace(p, q, 2n + 1)[::2]`` is ``np.linspace(p, q, n + 1)`` bit
-    for bit, and the grid map and f act elementwise, so the next level's
-    even points and their f values are the current ones: :meth:`refine`
-    maps and calls f on the new odd points only.  Every level has its ends
-    pinned to a and b, whose f values come from the first level's single f
-    call.
+    It holds the grid of the finest level built so far and f on it, both
+    ends pinned to a and b once, at the first level, whose single f call
+    also gives f at a and b.  ``np.linspace(p, q, 2n + 1)[::2]`` is
+    ``np.linspace(p, q, n + 1)`` bit for bit, and the grid map and f act
+    elementwise, so the next level's even points and their f values are the
+    current ones: :meth:`refine` maps and calls f on the new odd points
+    only, from :func:`_odd_points`.  :meth:`level` returns views of the
+    finest grid and its f values.
+
+    With ``monotone``, f must be nondecreasing on [a, b], as a Cantor
+    staircase is once ``_split`` takes out its seam drop: then f is constant
+    on a cell whose two end values are equal, and :meth:`refine` gives that
+    cell's new point the end value without calling f.  A NaN end value
+    compares unequal, so f is still called there.
     """
 
-    def __init__(self, f, a, b, grading):
-        self.f, self.a, self.b = f, a, b
+    def __init__(self, f, a, b, grading, monotone=False):
+        self.f, self.monotone = f, monotone
         self.p, self.q, self.to_t = _grid_map(a, b, grading)
-        self.grid = self.to_t(np.linspace(self.p, self.q, 2 ** K_MIN + 1))
-        n = self.grid.size
-        f_all = np.asarray(f(np.concatenate([self.grid, [a, b]])), dtype=float)
-        self.f_grid, (self.f_a, self.f_b) = f_all[:n], f_all[n:]
+        grid = self.to_t(np.linspace(self.p, self.q, 2 ** K_MIN + 1))
+        f_all = np.asarray(f(np.concatenate([grid, [a, b]])), dtype=float)
+        self.grid, self.f_grid = grid, f_all[:grid.size]
+        grid[0], grid[-1] = a, b
+        self.f_grid[0], self.f_grid[-1] = f_all[grid.size:]
 
     def refine(self):
         """Build the next level's grid, calling f on its new points only."""
         n = self.grid.size - 1
-        # a contiguous copy, as a whole grid would be, for the map's ufuncs
-        new = self.to_t(np.linspace(self.p, self.q, 2 * n + 1)[1::2].copy())
+        new = self.to_t(_odd_points(self.p, self.q, n))
         grid, f_grid = np.empty(2 * n + 1), np.empty(2 * n + 1)
         grid[::2], grid[1::2] = self.grid, new
-        f_grid[::2], f_grid[1::2] = self.f_grid, np.asarray(self.f(new), dtype=float)
+        f_grid[::2], f_grid[1::2] = self.f_grid, self.f_grid[:-1]
+        # a new point takes its cell's left value unless f can change across the cell
+        live = np.flatnonzero(self.f_grid[:-1] != self.f_grid[1:]) if self.monotone else slice(None)
+        f_grid[1::2][live] = np.asarray(self.f(new[live]), dtype=float)
         self.grid, self.f_grid = grid, f_grid
 
     def level(self, k):
         """``(pts, widths, df)`` of level k, at most the finest level built."""
         # level k's grid is every step-th point of the finest grid
         step = (self.grid.size - 1) >> k
-        pts, fv = self.grid[::step].copy(), self.f_grid[::step].copy()
-        pts[0], pts[-1] = self.a, self.b
-        fv[0], fv[-1] = self.f_a, self.f_b
-        return pts, np.diff(pts), np.diff(fv)
+        pts, fv = self.grid[::step], self.f_grid[::step]
+        return pts, np.subtract(pts[1:], pts[:-1]), np.subtract(fv[1:], fv[:-1])
 
 
 def _draws(seed, k, reps, n):
@@ -304,9 +329,10 @@ def _replica_spread(g, level, seed, k, s_mid, spread, cutoff):
     whole spread if it has no live cell.  With ``cutoff`` inf the replicas
     are evaluated as chunks of rows, at most CHUNK_POINTS tags and one ``g``
     call on the flattened chunk each; with a finite ``cutoff``, one row per
-    call, and the first row that leaves the spread above it ends the
-    evaluation: the spread is then unknown, None.  A non-finite replica sum
-    returns nan at once.
+    call, or on a gathered level with cached draws as many rows as make at
+    most CHUNK_POINTS // REPLICAS tags, and the first call that leaves the
+    spread above the cutoff ends the evaluation: the spread is then
+    unknown, None.  A non-finite replica sum returns nan at once.
     """
     pts, widths, df, live = level
     n = widths.size
@@ -314,7 +340,14 @@ def _replica_spread(g, level, seed, k, s_mid, spread, cutoff):
     if not lo.size:
         return spread
     cached = _cached_draws(seed, k, n) if n <= CHUNK_POINTS else None
-    rows = 1 if cutoff < math.inf else max(1, CHUNK_POINTS // n)
+    if cutoff == math.inf:
+        rows = max(1, CHUNK_POINTS // n)
+    elif cached is not None and not isinstance(live, slice):
+        # a gathered level's few live tags cost less per call than per row:
+        # its cut block takes calls of at most CHUNK_POINTS // REPLICAS tags
+        rows = max(1, CHUNK_POINTS // (REPLICAS * lo.size))
+    else:
+        rows = 1
     for r0 in range(0, REPLICAS, rows):
         reps = range(r0, min(r0 + rows, REPLICAS))
         u = (_draws(seed, k, reps, n) if cached is None else cached[r0:reps.stop])[:, live]
@@ -424,7 +457,7 @@ def rs_integral(
     # each atom's jump enters every sum through s_atoms alone; None, not 0.0,
     # without atoms, so that a sum of -0.0 stays -0.0
     s_atoms = (np.asarray(g(locs)) * heights).sum() if locs.size else None
-    ladder = _NestedLevels(rest, a, b, grading)
+    ladder = _NestedLevels(rest, a, b, grading, _monotone_rest(f))
 
     levels = []
     # per level: the midpoint sum of the rest

@@ -38,6 +38,8 @@ from stieltjes.quadrature import (
     _NestedLevels,
     _graded_map,
     _graded_preimage,
+    _monotone_rest,
+    _odd_points,
     _split,
 )
 from stieltjes.transforms import KERNELS
@@ -581,6 +583,70 @@ def test_linspace_halves_nest(p, q, n):
     # the nested levels rest on this: a numpy whose linspace breaks it must
     # fail here, not move values
     assert _same_bits(np.linspace(p, q, 2 * n + 1)[::2], np.linspace(p, q, n + 1))
+
+
+@fixed(25)
+@example(-math.pi, math.pi, 2 ** 21)
+@example(-2.9673, 3.0125, 2 ** 20)
+@example(0.0, 0.0, 2 ** 10)
+@example(5.0, -1e-300, 3 ** 9)
+# a span of one subnormal: linspace's step underflows to 0
+@example(0.0, 5e-324, 2 ** 10)
+@given(st.floats(min_value=-1e6, max_value=1e6), st.floats(min_value=-1e6, max_value=1e6),
+       st.integers(min_value=1, max_value=2 ** 21))
+def test_odd_points_are_linspace_s(p, q, n):
+    # each refinement computes only its new points: a numpy whose linspace
+    # computes them otherwise must fail here, not move values
+    assert _same_bits(_odd_points(p, q, n), np.linspace(p, q, 2 * n + 1)[1::2])
+
+
+# a Cantor plateau edge: x = 1/3 of the staircase, past the 5% margin
+CANTOR_EDGE = TWO_PI * (0.05 + 0.9 / 3.0) - math.pi
+
+
+@st.composite
+def _rest_case(draw):
+    """A window over the Cantor staircase or cbv_demo, an optional grading and a depth k."""
+    k = draw(st.integers(min_value=K_MIN, max_value=16))
+    kind = draw(st.sampled_from(["period", "pv", "turns"]))
+    center = draw(st.floats(min_value=-math.pi, max_value=math.pi))
+    if kind == "period":
+        a, b = center - math.pi, center + math.pi
+    elif kind == "pv":
+        # one side of a truncation at center; about half of them cross the seam
+        delta = 2.0 ** -draw(st.floats(min_value=1.0, max_value=40.0))
+        a, b = (center + delta, center + math.pi) if draw(st.booleans()) else (center - math.pi, center - delta)
+    else:
+        a = draw(st.floats(min_value=-4.0, max_value=4.0))
+        b = a + TWO_PI * draw(st.floats(min_value=1.0, max_value=4.0))
+    grading = None
+    if draw(st.booleans()):
+        grading = (center, 2.0 ** -draw(st.floats(min_value=0.0, max_value=50.0)))
+    return draw(st.sampled_from(["cantor", "cbv_demo"])), a, b, grading, k
+
+
+@fixed(40)
+@example(("cantor", -math.pi, math.pi, (CANTOR_EDGE, 2.0 ** -50), 18))
+@example(("cantor", 0.0, 3.0 * TWO_PI, (math.pi, 2.0 ** -50), 14))
+# the level-4 cell [pi/2 - 1e-3, pi/2 + 1e-3] has equal ends about the top of
+# -0.4 sin, so a skip there moves the new point's value
+@example(("cbv_demo", math.pi / 2 - 1e-3, math.pi / 2 + 31e-3, None, K_MIN + 1))
+@given(_rest_case())
+def test_rest_skips_only_cells_where_it_is_flat(case):
+    name, a, b, grading, k = case
+    f = make(name)
+    assert _monotone_rest(f) == (name == "cantor")
+    rest = _split(f, np.cos, a, b)[2]
+    nested = _NestedLevels(rest, a, b, grading, _monotone_rest(f))
+    for j in range(K_MIN, k + 1):
+        if j > K_MIN:
+            nested.refine()
+        pts, widths, df = nested.level(j)
+        want = _level_points(a, b, 2 ** j, grading)
+        assert _same_bits(pts, want)
+        assert _same_bits(widths, np.diff(want))
+        # the rest on every point of the level, flat cells' new points included
+        assert _same_bits(df, np.diff(np.asarray(rest(want), dtype=float)))
 
 
 # the in-place kernels, grid map and ladder

@@ -609,6 +609,28 @@ class TestReplicaDraws:
         tags = pts[:-1] + _draws(0, 11, [0], 2 ** 11)[0] * np.diff(pts)
         assert abs(np.sum(np.cos(tags) * np.diff(np.sin(pts))) - sums[11]) > opts.tolerance(abs(sums[11]))
 
+    def test_sparse_cut_block_is_one_call(self):
+        sizes = []
+
+        def g(t):
+            sizes.append(t.size)
+            return np.cos(t)
+
+        f = make("cantor")
+        # inside the seam atom's images, so every g call is a level's
+        res = rs_integral(g, f, -3.0, 3.0, QuadratureOptions(rel_tol=1e-3, abs_tol=0.0, k_max=14))
+        assert res.status is RSStatus.CONVERGED and len(res.levels) == 7
+        live = {k: np.count_nonzero(np.diff(f(_level_points(-3.0, 3.0, 2 ** k, None)))) for k in range(K_MIN, 11)}
+        # levels 2**7, 2**9 and 2**10 pass their difference and gather at most
+        # 154 live cells: each cut block is one call of all REPLICAS rows
+        assert [live[k] for k in (7, 9, 10)] == [40, 96, 154]
+        want = []
+        for k in range(K_MIN, 11):
+            want.append(live[k] if 2 * live[k] <= 2 ** k else 2 ** k)
+            if k in (K_MIN, 7, 9, 10):
+                want.append(REPLICAS * want[-1])
+        assert sizes == want
+
     def test_rows_are_the_seeded_streams_on_interleaved_threads(self):
         # _draws builds one generator per row, so interleaved threads must
         # still get each row's own stream
@@ -723,6 +745,40 @@ class TestNestedLevels:
                           grading=grading)
         assert len(res.levels) == 7
         assert sizes == self._one_call_per_level(7)
+
+    @pytest.mark.parametrize("a, b, grading", [(-3.0, 3.0, None), (0.0, TWO_PI, (math.pi, 1e-3))])
+    def test_cantor_ladder_calls_f_on_the_new_points_of_live_cells(self, monkeypatch, a, b, grading):
+        # [0, 2 pi] holds the seam atom at pi, so f is called through the rest
+        phi = make("cantor")
+        rest = quadrature._split(phi, np.cos, a, b)[2]
+        levels = [_level_points(a, b, 2 ** k, grading) for k in range(K_MIN, 13)]
+        live = [np.flatnonzero(np.diff(rest(pts))) for pts in levels]
+        seen = []
+        call = BoundaryFunction.__call__
+
+        def recorded(self, t):
+            if self is phi:
+                seen.append(np.array(t, copy=True))
+            return call(self, t)
+
+        monkeypatch.setattr(BoundaryFunction, "__call__", recorded)
+        res = rs_integral(np.cos, phi, a, b, QuadratureOptions(rel_tol=1e-15, abs_tol=0.0, k_max=12), grading=grading)
+        assert len(res.levels) == len(seen) == len(levels)
+        assert seen[0].size == 2 ** K_MIN + 1 + 2
+        for pts, prev_live, t in zip(levels[1:], live, seen[1:]):
+            # a flat cell's new point is not evaluated
+            assert np.array_equal(t, pts[1::2][prev_live])
+        assert seen[-1].size < 2 ** 10
+
+    def test_cantor_kind_without_its_seam_drop_gives_the_eager_ladder(self):
+        # undeclared, the seam drop stays in the rest, which then falls: over
+        # many turns a cell whose ends agree can span a whole rise
+        phi = BoundaryFunction(name="seamless", kind="cantor", depth=24, margin=0.05)
+        opts = QuadratureOptions(rel_tol=1e-4, k_max=12)
+        got = rs_integral(np.cos, phi, -50.0, 50.0, opts)
+        want = eager_rs_integral(np.cos, phi, -50.0, 50.0, opts)
+        assert (repr(got.value), repr(got.est_error), got.status, repr(got.levels)) == (
+            repr(want.value), repr(want.est_error), want.status, repr(want.levels))
 
     def test_rerun_levels_call_no_f(self):
         # the divergence rule of the spikes run evaluates three earlier
