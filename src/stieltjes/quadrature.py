@@ -57,14 +57,15 @@ non-finite replica sum on a level whose block was skipped or cut short,
 and not run again, goes unseen.  A certified level still has all of its
 replica sums finite.
 
-Atoms of the integrator are summed exactly, apart from the ladder.  The
-integral of g against an atom (t_j, h_j) is h_j * g(t_j), so one g call at
-the atoms whose jumps lie in [a, b] gives s_atoms, which every midpoint and
-replica sum shares, and the ladder refines the rest of f alone: a pure
-staircase is exact at every level.  Where the integrand jumps at an atom
-too, the sums genuinely depend on the tags, so the atom's |h_f * h_g|
-seeds every level's replica spread; a shared discontinuity is precisely
-the case where the integral must be allowed to fail.
+:func:`_split` is the one place that reads f's structure: the ladder
+learns f from its record alone.  The integral of g against an atom
+(t_j, h_j) is h_j * g(t_j), so one g call at the atoms whose jumps lie in
+[a, b] gives their known sum, which every midpoint and replica sum shares,
+and the ladder refines the rest of f alone: a pure staircase is exact at
+every level.  Where the integrand jumps at an atom too, the sums genuinely
+depend on the tags, so the atom's |h_f * h_g| seeds every level's replica
+spread; a shared discontinuity is precisely the case where the integral
+must be allowed to fail.
 
 Divergence is declared only when the replica spread and the level
 difference both grow geometrically over the same levels, which is the
@@ -84,7 +85,7 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .core import ATOM_GUARD, TWO_PI, BoundaryFunction, RSResult, RSStatus, _is_int, jump_images
+from .core import ATOM_GUARD, TWO_PI, BoundaryFunction, RSResult, RSStatus, _is_int, jump_images, reduce_angle
 
 __all__ = [
     "QuadratureOptions",
@@ -212,37 +213,54 @@ def _images(h, a, b):
     return jump_images(h.jumps, a - 1.0, b + 1.0, h.kind != "pathological")
 
 
-def _split(f, g, a, b):
-    """``(locs, heights, rest, shared)``: f's atoms whose jumps lie in [a, b], f without them, and their shared spread.
+def _jump_double(t, loc, periodic):
+    """The last double at or below ``t``, an image of the atom at ``loc``, where f is still before its jump.
 
+    A periodic f reads an atom's side at the angle ``reduce_angle`` gives.
+    The image's rounding can put that angle past ``loc`` on the image
+    itself, never on the double below it.
+    """
+    r = reduce_angle(np.array([t]))[0] if periodic else t
+    # past the jump: just above loc, or, for an atom at pi, wrapped to just above -pi
+    return math.nextafter(t, -math.inf) if loc < r < loc + math.pi or r < loc - math.pi else t
+
+
+def _split(f, g, a, b):
+    """``(atoms, known, rest, monotone, shared)``: all that the ladder knows of f over [a, b].
+
+    ``atoms`` are the images (t, h) of f's atoms whose jumps lie in [a, b].
     A ``step`` takes the value after each jump and every other kind the
     value before it, as :meth:`BoundaryFunction._eval` does, so an atom on
     an end counts only when its jump lies inside: a < t <= b for a
-    ``step``, a <= t < b otherwise, read at the image's true location.
-    ``rest`` is f less those jumps.  A ``step`` is all jumps, so its rest is
-    flat by rule and f is never called; a callable that is not a
-    :class:`BoundaryFunction` declares no atoms and is its own rest.
+    ``step``, a <= tj < b otherwise, with tj the double where f itself
+    jumps (:func:`_jump_double`), which angle reduction can put one double
+    below the image t.  ``known`` sums h * g(t) over them, or is None, so
+    that -0.0 stays -0.0.  ``rest`` is f less each of their jumps, dropped
+    past tj.  A ``step`` is all jumps, so its rest is flat by rule and f is
+    never called; a callable that is not a :class:`BoundaryFunction`
+    declares no atoms and is its own rest.  ``monotone``: the rest is
+    nondecreasing, as a Cantor staircase's is less its declared seam drop.
     ``shared`` sums |h_f * h_g| over the atoms within ATOM_GUARD of an atom
     of g, where the sums genuinely depend on the tags.
     """
     if not isinstance(f, BoundaryFunction):
-        return np.empty(0), np.empty(0), f, 0.0
-    step = f.kind == "step"
-    atoms = [(t, h) for t, h in _images(f, a, b) if (a < t <= b if step else a <= t < b)]
+        return [], None, f, False, 0.0
+    step, periodic = f.kind == "step", f.kind != "pathological"
+    # (the double where f jumps, the image, the height) of each atom image,
+    # sorted by image as _images sorts them, which fixes the order of known's sum
+    marks = sorted(((t if step else _jump_double(t, loc, periodic), t, h) for loc, height in f.jumps
+                    for t, h in jump_images(((loc, height),), a - 1.0, b + 1.0, periodic)), key=lambda m: m[1])
+    marks = [(tj, t, h) for tj, t, h in marks if (a < tj <= b if step else a <= tj < b)]
+    atoms = [(t, h) for _tj, t, h in marks]
     g_atoms = _images(g, a, b) if isinstance(g, BoundaryFunction) else []
     shared = sum((abs(h * hg) for t, h in atoms for y, hg in g_atoms if abs(t - y) <= ATOM_GUARD), 0.0)
+    known = (np.asarray(g(np.array([t for t, _h in atoms]))) * [h for _t, h in atoms]).sum() if atoms else None
     if step:
         rest = np.zeros_like
-    elif atoms:
-        rest = lambda t: f(t) - sum(h * (t > tj) for tj, h in atoms)
     else:
-        rest = f
-    return np.array([t for t, _h in atoms]), np.array([h for _t, h in atoms]), rest, shared
-
-
-def _monotone_rest(f):
-    """Whether ``_split``'s rest of f is nondecreasing: a Cantor staircase's is, less its declared seam drop."""
-    return isinstance(f, BoundaryFunction) and f.kind == "cantor" and f.jumps == ((math.pi, -1.0),)
+        rest = (lambda t: f(t) - sum(h * (t > tj) for tj, _t, h in marks)) if marks else f
+    monotone = f.kind == "cantor" and f.jumps == ((math.pi, -1.0),)
+    return atoms, known, rest, monotone, shared
 
 
 def _odd_points(p, q, n):
@@ -258,13 +276,12 @@ class _NestedLevels:
     """The levels of one ladder over [a, b] and f on them, each built from the one before.
 
     It holds the grid of the finest level built so far and f on it, both
-    ends pinned to a and b once, at the first level, whose single f call
-    also gives f at a and b.  ``np.linspace(p, q, 2n + 1)[::2]`` is
-    ``np.linspace(p, q, n + 1)`` bit for bit, and the grid map and f act
-    elementwise, so the next level's even points and their f values are the
-    current ones: :meth:`refine` maps and calls f on the new odd points
-    only, from :func:`_odd_points`.  :meth:`level` returns views of the
-    finest grid and its f values.
+    ends pinned to a and b once, before the first level's f call.
+    ``np.linspace(p, q, 2n + 1)[::2]`` is ``np.linspace(p, q, n + 1)`` bit
+    for bit, and the grid map and f act elementwise, so the next level's
+    even points and their f values are the current ones: :meth:`refine`
+    maps and calls f on the new odd points only, from :func:`_odd_points`.
+    :meth:`level` returns views of the finest grid and its f values.
 
     With ``monotone``, f must be nondecreasing on [a, b], as a Cantor
     staircase is once ``_split`` takes out its seam drop: then f is constant
@@ -277,10 +294,8 @@ class _NestedLevels:
         self.f, self.monotone = f, monotone
         self.p, self.q, self.to_t = _grid_map(a, b, grading)
         grid = self.to_t(np.linspace(self.p, self.q, 2 ** K_MIN + 1))
-        f_all = np.asarray(f(np.concatenate([grid, [a, b]])), dtype=float)
-        self.grid, self.f_grid = grid, f_all[:grid.size]
         grid[0], grid[-1] = a, b
-        self.f_grid[0], self.f_grid[-1] = f_all[grid.size:]
+        self.grid, self.f_grid = grid, np.asarray(f(grid), dtype=float)
 
     def refine(self):
         """Build the next level's grid, calling f on its new points only."""
@@ -323,8 +338,9 @@ def _replica_spread(g, level, seed, k, s_mid, spread, cutoff):
     """The largest of ``spread`` and |s - s_mid| over level k's REPLICAS random-tag sums s.
 
     ``level`` is ``(pts, widths, df, live)`` and ``s_mid`` its midpoint
-    sum, both of the rest of f: s_atoms adds alike to the midpoint sum and
-    to every replica sum, so the distances are those of the rest's sums.
+    sum, both of the rest of f: the atoms' known sum adds alike to the
+    midpoint sum and to every replica sum, so the distances are those of
+    the rest's sums.
     The caller seeds ``spread`` with the shared atoms' spread, a level's
     whole spread if it has no live cell.  With ``cutoff`` inf the replicas
     are evaluated as chunks of rows, at most CHUNK_POINTS tags and one ``g``
@@ -426,15 +442,15 @@ def rs_integral(
 ) -> RSResult:
     """Integrate ``g`` against ``d f`` over ``[a, b]`` by dyadic refinement.
 
-    ``f`` may be a :class:`BoundaryFunction` (its declared atoms are then
-    summed exactly, see :func:`_split`) or any callable.  When ``g`` is a
-    :class:`BoundaryFunction` too, its atoms are discontinuities of the
-    integrand, and an atom of f on one of them keeps the run from
-    certifying.  ``grading = (center,
-    distance)``, a finite center and a finite positive distance,
-    concentrates partition points around an angle where the integrand is
-    nearly singular, at the given distance from a pole.  The module
-    docstring states what g and f must do and when the replicas run.
+    ``f`` may be a :class:`BoundaryFunction` or any callable, read only
+    through :func:`_split`, which sums its declared atoms exactly.  When
+    ``g`` is a :class:`BoundaryFunction` too, its atoms are discontinuities
+    of the integrand, and an atom of f on one of them keeps the run from
+    certifying.  ``grading = (center, distance)``, a finite center and a
+    finite positive distance, concentrates partition points around an
+    angle where the integrand is nearly singular, at the given distance
+    from a pole.  The module docstring states what g and f must do and
+    when the replicas run.
 
     Orientation is respected: ``a > b`` flips the sign.  A level with a
     non-finite sum ends the run ``INCONCLUSIVE`` with est_error inf.  A
@@ -453,11 +469,8 @@ def rs_integral(
     if a > b:
         a, b, sign = b, a, -1.0
 
-    locs, heights, rest, shared = _split(f, g, a, b)
-    # each atom's jump enters every sum through s_atoms alone; None, not 0.0,
-    # without atoms, so that a sum of -0.0 stays -0.0
-    s_atoms = (np.asarray(g(locs)) * heights).sum() if locs.size else None
-    ladder = _NestedLevels(rest, a, b, grading, _monotone_rest(f))
+    _atoms, known, rest, monotone, shared = _split(f, g, a, b)
+    ladder = _NestedLevels(rest, a, b, grading, monotone)
 
     levels = []
     # per level: the midpoint sum of the rest
@@ -479,7 +492,7 @@ def rs_integral(
         mid *= 0.5
         g_mid = np.asarray(g(mid))
         heads.append(_summed(_products(g_mid, df, mid, live), df))
-        s_mid = heads[-1] if s_atoms is None else heads[-1] + s_atoms
+        s_mid = heads[-1] if known is None else heads[-1] + known
         # every sum is a numpy scalar of the products' dtype: float or complex
         value = sign * s_mid.item()
         levels.append((float(widths.max()), value))

@@ -230,8 +230,7 @@ def eager_rs_integral(g, f, a, b, opts=None, *, grading=None):
     if a > b:
         a, b, sign = b, a, -1.0
 
-    locs, heights, rest, shared = _split(f, g, a, b)
-    s_atoms = (np.asarray(g(locs)) * heights).sum() if locs.size else None
+    _atoms, known, rest, _monotone, shared = _split(f, g, a, b)
 
     levels = []
     spreads = []
@@ -246,11 +245,11 @@ def eager_rs_integral(g, f, a, b, opts=None, *, grading=None):
         # the midpoint values live to the end of the level; freeing them at
         # once lets the allocator shrink and re-fault the heap on every replica
         g_mid = np.asarray(g(0.5 * (pts[:-1] + pts[1:])))
-        # the sums of the rest; the atoms add s_atoms to each of them alike
+        # the sums of the rest; the atoms add known to each of them alike
         sums = [_summed(g_mid * df, df)]
         if cmath.isfinite(sums[-1]):
             sums += _replica_sums(g, pts, widths, df, opts.seed, k)
-        s_mid = sums[0] if s_atoms is None else sums[0] + s_atoms
+        s_mid = sums[0] if known is None else sums[0] + known
         is_complex = is_complex or np.iscomplexobj(g_mid)
         signed = lambda s: sign * (complex(s) if is_complex else float(s))
         value = signed(s_mid)

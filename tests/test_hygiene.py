@@ -149,3 +149,26 @@ def test_checker_flags_an_unreferenced_private_definition():
     assert defined == [(1, "_a"), (2, "_b"), (4, "_K"), (6, "_m"), (7, "_n")]
     read = read_names([src, "import m\nm._K\n"])
     assert [name for _line, name in defined if name not in read] == ["_b", "_n"]
+
+
+def structure_readers(source: str) -> set:
+    """Names of the top-level definitions of ``source`` that read ``.kind`` or ``.jumps``."""
+    return {getattr(node, "name", "<module>") for node in ast.parse(source).body
+            if any(isinstance(n, ast.Attribute) and n.attr in ("kind", "jumps") for n in ast.walk(node))}
+
+
+def test_only_the_split_reads_the_integrator_s_structure():
+    # the ladder learns f's atoms, sides and monotone rest from _split alone
+    source = (ROOT / "src/stieltjes/quadrature.py").read_text(encoding="utf-8")
+    assert structure_readers(source) <= {"_split", "_images"}
+
+
+def test_checker_flags_a_structure_reader():
+    src = (
+        "def _split(f): return f.kind\n"
+        "class L:\n"
+        "    def m(self, f): return f.jumps\n"
+        "def g(f): return f.fn\n"
+        "K = make().kind\n"
+    )
+    assert structure_readers(src) == {"_split", "L", "<module>"}

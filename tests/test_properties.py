@@ -38,7 +38,6 @@ from stieltjes.quadrature import (
     _NestedLevels,
     _graded_map,
     _graded_preimage,
-    _monotone_rest,
     _odd_points,
     _split,
 )
@@ -185,7 +184,7 @@ def test_left_continuous_staircase_collapses_to_its_atoms(jumps, tau, u, width):
 
 
 def _split_counts(f, a, b, loc):
-    return loc in _split(f, None, a, b)[0]
+    return loc in [t for t, _h in _split(f, np.cos, a, b)[0]]
 
 
 def _check_side(f):
@@ -635,9 +634,9 @@ def _rest_case(draw):
 def test_rest_skips_only_cells_where_it_is_flat(case):
     name, a, b, grading, k = case
     f = make(name)
-    assert _monotone_rest(f) == (name == "cantor")
-    rest = _split(f, np.cos, a, b)[2]
-    nested = _NestedLevels(rest, a, b, grading, _monotone_rest(f))
+    _atoms, _known, rest, monotone, _shared = _split(f, np.cos, a, b)
+    assert monotone == (name == "cantor")
+    nested = _NestedLevels(rest, a, b, grading, monotone)
     for j in range(K_MIN, k + 1):
         if j > K_MIN:
             nested.refine()

@@ -26,6 +26,7 @@ from stieltjes.kernels import boundary_cot_kernel
 from stieltjes import quadrature, transforms
 from stieltjes.quadrature import CHUNK_POINTS, K_MIN, REPLICAS, _cached_draws, _draws
 from stieltjes.transforms import disk_transform
+from stieltjes.zoo import NAMES
 
 from oracles import _level_points, eager_rs_integral, piecewise_staircase, rs_brute, rs_tagged_sum
 
@@ -195,6 +196,60 @@ class TestDeclaredJumps:
         # dPhi puts 2pi at 1.5, where g (jump at 0.5) already sits on its plateau
         assert res.status is RSStatus.CONVERGED
         assert res.value == pytest.approx(TWO_PI * float(g(1.5)), abs=1e-9)
+
+
+# a far seam image of the Cantor staircase on which f already reads the value
+# after its drop: core.reduce_angle puts this double just past -pi
+CANTOR_SEAM = 40.840704496667314
+
+
+def _doubles_around(t, n=6):
+    """``t`` and the n doubles on either side of it, in order."""
+    ts = [t]
+    for _ in range(n):
+        ts = [math.nextafter(ts[0], -math.inf)] + ts + [math.nextafter(ts[-1], math.inf)]
+    return np.array(ts)
+
+
+class TestSeamImages:
+    def test_f_drops_on_the_image_double_itself(self):
+        before, at, after = make("cantor")(_doubles_around(CANTOR_SEAM, 1))
+        assert (before, at, after) == (1.0, 0.0, 0.0)
+
+    @pytest.mark.parametrize("a, b", [(27.699, 58.425), (-50.0, 50.0)])
+    def test_monotone_rest_rises_through_every_seam_image(self, a, b):
+        checked = 0
+        for name in NAMES:
+            atoms, _known, rest, monotone, _shared = quadrature._split(make(name), np.cos, a, b)
+            if monotone:
+                for t, _h in atoms:
+                    assert np.all(np.diff(rest(_doubles_around(t))) >= 0.0), (name, t)
+                    checked += 1
+        assert checked >= 5
+
+    def test_far_seam_image_gives_the_eager_ladder(self):
+        # the rest dipped by 1 on CANTOR_SEAM, so the ladder that skips a
+        # flat cell and the eager one that evaluates every point differed
+        a = CANTOR_SEAM - 1.0 / 32.0
+        opts = QuadratureOptions(rel_tol=1e-4, k_max=10)
+        got = rs_integral(np.sin, make("cantor"), a, a + 1.0, opts)
+        want = eager_rs_integral(np.sin, make("cantor"), a, a + 1.0, opts)
+        assert got.status is RSStatus.CONVERGED
+        assert (repr(got.value), repr(got.est_error), got.status, repr(got.levels)) == (
+            repr(want.value), repr(want.est_error), want.status, repr(want.levels))
+
+    @pytest.mark.parametrize("a, b, drop", [(CANTOR_SEAM, CANTOR_SEAM + 0.2, 0.0), (CANTOR_SEAM - 0.2, CANTOR_SEAM, 1.0)])
+    def test_seam_image_on_an_end_counts_where_f_drops(self, a, b, drop):
+        # both windows lie in the flat margins around the seam; f, like the
+        # true staircase, drops between the double below CANTOR_SEAM and
+        # CANTOR_SEAM itself, so the drop (-1 against cos = -1 there) lies in
+        # (..., image] and not in [image, ...)
+        phi = make("cantor")
+        res = rs_integral(np.cos, phi, a, b, QuadratureOptions(rel_tol=1e-10))
+        brute, brute_err = rs_brute(np.cos, phi, a, b)
+        assert res.converged
+        assert res.value == pytest.approx(drop, abs=1e-12)
+        assert res.value == pytest.approx(brute, abs=brute_err + 1e-9)
 
 
 class TestDivergence:
@@ -733,8 +788,8 @@ class TestNestedLevels:
 
     @staticmethod
     def _one_call_per_level(levels):
-        # the first level's grid and both ends, then each level's new half
-        return [2 ** K_MIN + 1 + 2] + [2 ** (k - 1) for k in range(K_MIN + 1, K_MIN + levels)]
+        # the first level's grid, its ends pinned, then each level's new half
+        return [2 ** K_MIN + 1] + [2 ** (k - 1) for k in range(K_MIN + 1, K_MIN + levels)]
 
     @pytest.mark.parametrize("grading", [None, (0.5, 1e-3)])
     def test_f_sees_each_level_s_new_points_once(self, monkeypatch, grading):
@@ -764,7 +819,7 @@ class TestNestedLevels:
         monkeypatch.setattr(BoundaryFunction, "__call__", recorded)
         res = rs_integral(np.cos, phi, a, b, QuadratureOptions(rel_tol=1e-15, abs_tol=0.0, k_max=12), grading=grading)
         assert len(res.levels) == len(seen) == len(levels)
-        assert seen[0].size == 2 ** K_MIN + 1 + 2
+        assert seen[0].size == 2 ** K_MIN + 1
         for pts, prev_live, t in zip(levels[1:], live, seen[1:]):
             # a flat cell's new point is not evaluated
             assert np.array_equal(t, pts[1::2][prev_live])
