@@ -1,12 +1,16 @@
-"""Aitken delta-squared extrapolation for slowly convergent tails."""
+"""Aitken delta-squared extrapolation for slowly convergent tails.
+
+:func:`extrapolate` is the one extrapolation loop: principal values run it
+over their truncations, angular limits over the points of a path.
+"""
 
 from __future__ import annotations
 
-__all__ = ["aitken_step", "aitken_tail"]
+__all__ = ["aitken_step", "aitken_tail", "extrapolate"]
 
 DENOM_FLOOR = 1e-14
-# aitken_tail accelerates this many trailing values
-TAIL_WINDOW = 5
+# the trailing values aitken_tail's two delta-squared steps read
+TAIL_WINDOW = 4
 
 
 def aitken_step(x0, x1, x2):
@@ -29,10 +33,11 @@ def aitken_step(x0, x1, x2):
 def aitken_tail(values):
     """Extrapolate the limit of a convergent sequence from its last entries.
 
-    Runs delta-squared over the trailing TAIL_WINDOW values and returns
-    ``(estimate, residual)`` where the residual is the distance between the
-    last two accelerated iterates (or raw iterates if the sequence is too
-    short to accelerate twice).
+    Returns ``(estimate, residual)``: the delta-squared step on the last
+    three values and its distance to the step before it, so only the last
+    ``TAIL_WINDOW`` values are read.  Three values give one step, whose
+    residual is its distance to the last value; two give the last value
+    and their difference.
     """
     vals = list(values)
     if len(vals) == 0:
@@ -41,9 +46,19 @@ def aitken_tail(values):
         return vals[0], float("inf")
     if len(vals) == 2:
         return vals[-1], abs(vals[-1] - vals[-2])
-    tail = vals[-TAIL_WINDOW:]
-    accel = [aitken_step(tail[i], tail[i + 1], tail[i + 2])
-             for i in range(len(tail) - 2)]
-    if len(accel) >= 2:
-        return accel[-1], abs(accel[-1] - accel[-2])
-    return accel[-1], abs(accel[-1] - tail[-1])
+    last = aitken_step(*vals[-3:])
+    before = aitken_step(*vals[-TAIL_WINDOW:-1]) if len(vals) >= TAIL_WINDOW else vals[-1]
+    return last, abs(last - before)
+
+
+def extrapolate(evaluate, schedule):
+    """``(trace, limit, residual)`` of ``evaluate`` along the tail of ``schedule``.
+
+    Only the last ``TAIL_WINDOW`` entries of ``schedule``, the ones
+    :func:`aitken_tail` reads, are evaluated, in schedule order; ``trace``
+    holds their (entry, value) pairs, and ``limit`` and ``residual`` are
+    :func:`aitken_tail` of the values.
+    """
+    trace = [(s, evaluate(s)) for s in list(schedule)[-TAIL_WINDOW:]]
+    limit, residual = aitken_tail([v for _s, v in trace])
+    return trace, limit, residual

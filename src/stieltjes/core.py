@@ -392,7 +392,8 @@ class RSResult:
 class LimitEstimate:
     """Extrapolated boundary limit along one approach path.
 
-    ``trace`` holds the (k, value) pairs the extrapolant read: the deepest
+    ``trace`` holds the (k, value) pairs :func:`accel.extrapolate`
+    evaluated, the only ones the extrapolant reads: the deepest
     ``accel.TAIL_WINDOW`` points of the path, or all of a shorter one.
     """
 

@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
-from .accel import TAIL_WINDOW, aitken_tail
+from .accel import extrapolate
 from .core import ApproachPath, BoundaryFunction, LimitEstimate
 from .quadrature import QuadratureOptions
 from .singular import hilbert_stieltjes
@@ -55,23 +55,17 @@ def _check_tol(tol: float):
 def angular_limit(field: Callable, path: ApproachPath, tol: float = 1e-3) -> LimitEstimate:
     """Evaluate ``field`` at the deepest points of ``path`` and extrapolate.
 
-    Only the last ``TAIL_WINDOW`` points of the dyadic schedule s_k = 2^-k
-    are evaluated, the ones the extrapolant accelerates, so the trace holds
-    (k, value) for exactly the points the value depends on, as
-    ``PVResult.eps_trace`` does for its truncations.  ``converged`` means
-    the accelerated tail oscillates by less than ``tol``, which must be
-    finite and positive.
+    :func:`accel.extrapolate` runs ``field`` only at the last
+    ``accel.TAIL_WINDOW`` points of the dyadic schedule s_k = 2^-k, the
+    ones the extrapolant reads, so the trace holds (k, value) for exactly
+    the points the value depends on, as ``PVResult.eps_trace`` does for its
+    truncations.  ``converged`` means the accelerated tail oscillates by
+    less than ``tol``, which must be finite and positive.
     """
     _check_tol(tol)
-    pairs = path.indexed_points()[-TAIL_WINDOW:]
-    values = [field(z) for _k, z in pairs]
-    limit, resid = aitken_tail(values)
-    return LimitEstimate(
-        trace=[(k, v) for (k, _z), v in zip(pairs, values)],
-        extrapolated=limit,
-        residual=float(resid),
-        converged=bool(resid < tol),
-    )
+    points = dict(path.indexed_points())
+    trace, limit, resid = extrapolate(lambda k: field(points[k]), points)
+    return LimitEstimate(trace=trace, extrapolated=limit, residual=float(resid), converged=bool(resid < tol))
 
 
 def _grade(residual: float, tol: float) -> str:

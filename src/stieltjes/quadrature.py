@@ -213,14 +213,13 @@ def _images(h, a, b):
     return jump_images(h.jumps, a - 1.0, b + 1.0, h.kind != "pathological")
 
 
-def _jump_double(t, loc, periodic):
+def _jump_double(t, r, loc):
     """The last double at or below ``t``, an image of the atom at ``loc``, where f is still before its jump.
 
-    A periodic f reads an atom's side at the angle ``reduce_angle`` gives.
-    The image's rounding can put that angle past ``loc`` on the image
-    itself, never on the double below it.
+    ``r`` is the angle f reads at ``t``: ``t`` itself, or for a periodic f
+    ``t`` reduced by ``reduce_angle``.  The image's rounding can put that
+    angle past ``loc`` on the image itself, never on the double below it.
     """
-    r = reduce_angle(np.array([t]))[0] if periodic else t
     # past the jump: just above loc, or, for an atom at pi, wrapped to just above -pi
     return math.nextafter(t, -math.inf) if loc < r < loc + math.pi or r < loc - math.pi else t
 
@@ -246,10 +245,15 @@ def _split(f, g, a, b):
     if not isinstance(f, BoundaryFunction):
         return [], None, f, False, 0.0
     step, periodic = f.kind == "step", f.kind != "pathological"
-    # (the double where f jumps, the image, the height) of each atom image,
-    # sorted by image as _images sorts them, which fixes the order of known's sum
-    marks = sorted(((t if step else _jump_double(t, loc, periodic), t, h) for loc, height in f.jumps
-                    for t, h in jump_images(((loc, height),), a - 1.0, b + 1.0, periodic)), key=lambda m: m[1])
+    # (atom, image, height) of each atom image, sorted by image as _images
+    # sorts them, which fixes the order of known's sum
+    images = sorted(((loc, t, h) for loc, height in f.jumps
+                     for t, h in jump_images(((loc, height),), a - 1.0, b + 1.0, periodic)), key=lambda m: m[1])
+    # the angle f reads at each image, all reduced in one call
+    ts = np.array([t for _loc, t, _h in images])
+    reads = reduce_angle(ts) if periodic and not step and images else ts
+    # (the double where f jumps, the image, the height)
+    marks = [(t if step else _jump_double(t, r, loc), t, h) for (loc, t, h), r in zip(images, reads)]
     marks = [(tj, t, h) for tj, t, h in marks if (a < tj <= b if step else a <= tj < b)]
     atoms = [(t, h) for _tj, t, h in marks]
     g_atoms = _images(g, a, b) if isinstance(g, BoundaryFunction) else []

@@ -3,9 +3,11 @@
 The conjugate function's boundary values are reached through truncated
 integrals of the cotangent kernel over symmetric angular exclusions
 ``eps <= |tau - t| <= pi``, refined along a dyadic schedule of ``eps`` and
-extrapolated.  The default schedule is eps = 2^-12 ... 2^-16, the
-``accel.TAIL_WINDOW`` truncations the Aitken step reads, and ``est_error``
-is its residual plus the worst window certificate along the schedule.
+extrapolated by :func:`accel.extrapolate`, which runs only the last
+``accel.TAIL_WINDOW`` truncations of a schedule, the ones the Aitken step
+reads.  The default schedule is exactly those, eps = 2^-13 ... 2^-16, and
+``est_error`` is the Aitken residual plus the worst window certificate
+among them.
 The singular Cauchy form excludes a chord-metric arc
 ``|zeta - zeta0| < eps`` instead and carries the 1/(2 pi i) normalization
 of classical singular integrals.  At zeta0 projected to e^{i tau} its
@@ -27,7 +29,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .accel import TAIL_WINDOW, aitken_tail
+from .accel import TAIL_WINDOW, extrapolate
 from .core import TWO_PI, BoundaryFunction, DiskPoint, RSStatus, principal_angle
 from .kernels import boundary_cot_kernel
 from .quadrature import NonConvergentError, QuadratureOptions, rs_integral
@@ -45,7 +47,7 @@ __all__ = [
     "singular_cauchy_consistency",
 ]
 
-# the truncations aitken_tail reads: eps = 2^-12 ... 2^-16
+# the truncations aitken_tail reads: eps = 2^-13 ... 2^-16
 DEFAULT_EPS_SCHEDULE = tuple(2.0 ** -j for j in range(17 - TAIL_WINDOW, 17))
 
 
@@ -57,14 +59,14 @@ class JumpAtEvaluationPoint(ValueError):
 class PVResult:
     """A principal-value limit with its truncation trace.
 
-    ``eps_trace`` holds (eps, truncated value) in decreasing eps order;
-    ``value`` is the extrapolated limit; ``est_error`` adds the
-    extrapolation residual to the worst quadrature certificate over the
-    truncations of the trace (on the default schedule, exactly those the
-    extrapolation reads); ``extrapolated`` distinguishes a genuine
-    accelerated limit from a last-truncation fallback on short traces;
-    ``status`` is ``CONVERGED`` only when every window ladder converged
-    (a diverged window raises).
+    ``eps_trace`` holds (eps, truncated value) in decreasing eps order for
+    the last ``accel.TAIL_WINDOW`` entries of the schedule, the only
+    truncations run and the ones the extrapolation reads; ``value`` is the
+    extrapolated limit; ``est_error`` adds the extrapolation residual to
+    the worst quadrature certificate over the trace; ``extrapolated``
+    distinguishes a genuine accelerated limit from a last-truncation
+    fallback on short traces; ``status`` is ``CONVERGED`` only when every
+    window ladder of the trace converged (a diverged window raises).
     """
 
     value: complex
@@ -98,15 +100,15 @@ def _checked_schedule(eps_schedule, upper):
 
 
 def _pv_limit(phi, g, tau, schedule, opts, halfwidth):
-    """Truncated integrals of g dPhi along the schedule, extrapolated to eps -> 0.
+    """Truncated integrals of g dPhi along the schedule's tail, extrapolated to eps -> 0.
 
     Each eps integrates over [tau - pi, tau - delta] and [tau + delta, tau + pi]
-    with delta = ``halfwidth(eps)``, both graded at (tau, delta).
+    with delta = ``halfwidth(eps)``, both graded at (tau, delta).  Only the
+    truncations :func:`accel.extrapolate` evaluates run.
     """
-    trace = []
-    q_est = 0.0
-    status = RSStatus.CONVERGED
-    for eps in schedule:
+    statuses, errors = [], []
+
+    def truncation(eps):
         delta = halfwidth(eps)
         grading = (tau, delta)
         left = rs_integral(g, phi, tau - math.pi, tau - delta, opts, grading=grading)
@@ -114,18 +116,18 @@ def _pv_limit(phi, g, tau, schedule, opts, halfwidth):
         for part in (left, right):
             if part.status is RSStatus.DIVERGED:
                 raise NonConvergentError("truncated integral diverged", part)
-            if part.status is not RSStatus.CONVERGED:
-                status = RSStatus.INCONCLUSIVE
-        trace.append((eps, (left.value + right.value) / TWO_PI))
-        q_est = max(q_est, (left.est_error + right.est_error) / TWO_PI)
+            statuses.append(part.status)
+        errors.append((left.est_error + right.est_error) / TWO_PI)
+        return (left.value + right.value) / TWO_PI
 
-    limit, resid = aitken_tail([v for _e, v in trace])
+    trace, limit, resid = extrapolate(truncation, schedule)
+    converged = all(s is RSStatus.CONVERGED for s in statuses)
     return PVResult(
         value=limit,
         eps_trace=trace,
         extrapolated=len(trace) >= 3,
-        est_error=resid + q_est,
-        status=status,
+        est_error=resid + max([0.0, *errors]),
+        status=RSStatus.CONVERGED if converged else RSStatus.INCONCLUSIVE,
     )
 
 

@@ -387,12 +387,12 @@ class TestHilbert:
         capsys.readouterr()
 
     @pytest.mark.parametrize("argv", [
-        # 1 of the 10 window ladders ends inconclusive at the default tol
+        # 1 of the 8 window ladders ends inconclusive at the default tol
         ["--phi", "zoo:cantor", "--tau", "0.0"],
-        # 6 of 10
+        # 5 of 8
         ["--phi", "zoo:cantor", "--tau", "0.7"],
-        # 1 of 20: the cotangent form's right window at eps = 2^-12
-        ["--phi", "zoo:cbv_demo", "--tau", "0.3", "--compare-singular-cauchy"],
+        # 2 of 16: the cotangent form's left windows at eps = 2^-13 and 2^-15
+        ["--phi", "zoo:sin", "--tau", "1.75", "--compare-singular-cauchy"],
     ])
     def test_inconclusive_window_exits_three(self, capsys, argv):
         code, header, records = run_csv(capsys, ["hilbert"] + argv)
@@ -483,9 +483,9 @@ class TestLimits:
 
     def test_uncertified_pv_exits_three(self, capsys):
         # every grade passes, but the PV that gives the expected value is not certified
-        assert hilbert_stieltjes(make("cbv_demo"), 0.3).status == RSStatus.INCONCLUSIVE
+        assert hilbert_stieltjes(make("sin"), 1.75).status == RSStatus.INCONCLUSIVE
         code, _header, records = run_csv(
-            capsys, ["limits", "--phi", "zoo:cbv_demo", "--which", "V", "--target", "0.3"])
+            capsys, ["limits", "--phi", "zoo:sin", "--which", "V", "--target", "1.75"])
         assert code == EXIT_INCONCLUSIVE
         assert [r["grade"] for r in records] == ["pass"] * 5
 

@@ -172,3 +172,34 @@ def test_checker_flags_a_structure_reader():
         "K = make().kind\n"
     )
     assert structure_readers(src) == {"_split", "L", "<module>"}
+
+
+def _callee(call):
+    """The called name: ``f`` of both ``f(...)`` and ``m.f(...)``."""
+    return call.func.id if isinstance(call.func, ast.Name) else getattr(call.func, "attr", None)
+
+
+def aitken_tail_calls(source: str) -> list:
+    """Lines of ``source`` that call ``aitken_tail``, by bare name or as an attribute."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Call) and _callee(node) == "aitken_tail")
+
+
+@pytest.mark.parametrize("path", [p for p in PACKAGE if p.name != "accel.py"],
+                         ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_only_accel_runs_the_extrapolation(path):
+    # principal values and angular limits share accel.extrapolate, the one extrapolation loop
+    assert aitken_tail_calls(path.read_text(encoding="utf-8")) == []
+
+
+def test_checker_flags_an_aitken_tail_call():
+    src = (
+        "from .accel import aitken_tail, extrapolate\n"
+        "from . import accel\n"
+        "x = aitken_tail([1.0])\n"
+        "def f(v):\n"
+        "    return accel.aitken_tail(v)\n"
+        "y = extrapolate(f, [1.0])\n"
+        "tail = aitken_tail\n"
+    )
+    assert aitken_tail_calls(src) == [3, 5]

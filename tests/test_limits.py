@@ -32,7 +32,7 @@ class TestAngularLimit:
     def test_trace_is_recorded_along_schedule(self):
         # the trace holds the points the extrapolant reads, the deepest of the schedule
         est = angular_limit(lambda z: z.z.real, ApproachPath(0.0, 0.0))
-        assert [k for k, _ in est.trace] == list(range(10, 15))
+        assert [k for k, _ in est.trace] == list(range(15 - TAIL_WINDOW, 15))
         assert est.trace[-1][1] == pytest.approx(1 - 2.0 ** -14)
 
     @pytest.mark.parametrize("alpha, k_max", [(0.0, 14), (0.0, 3), (-1.5, 8), (1.56, 14)])
@@ -153,7 +153,7 @@ class TestReportStatuses:
 
     def test_certified_check_lists_every_point(self):
         report = conjugate_limit_check(make("step2pi", 0.0), math.pi / 2)
-        # the PV, then the deepest five points of each of the five paths
+        # the PV, then the deepest TAIL_WINDOW points of each of the five paths
         assert report.statuses == [RSStatus.CONVERGED] * (1 + 5 * TAIL_WINDOW)
 
     def test_uncertified_points_are_kept_under_passing_grades(self):

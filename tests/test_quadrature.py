@@ -21,7 +21,8 @@ from stieltjes import (
     require_converged,
     rs_integral,
 )
-from stieltjes.accel import aitken_step, aitken_tail
+from stieltjes.accel import TAIL_WINDOW, aitken_step, aitken_tail
+from stieltjes.core import reduce_angle
 from stieltjes.kernels import boundary_cot_kernel
 from stieltjes import quadrature, transforms
 from stieltjes.quadrature import CHUNK_POINTS, K_MIN, REPLICAS, _cached_draws, _draws
@@ -69,6 +70,17 @@ class TestAitken:
     def test_tail_empty_rejected(self):
         with pytest.raises(ValueError):
             aitken_tail([])
+
+    def test_tail_reads_exactly_the_last_window(self):
+        vals = [1.0 + 2.0 * 0.5 ** k for k in range(8)]
+        est, resid = aitken_tail(vals)
+        for i in range(len(vals) - TAIL_WINDOW):
+            moved = vals[:i] + [vals[i] + 1.0] + vals[i + 1:]
+            assert aitken_tail(moved) == (est, resid)
+        # a geometric tail puts the residual at 0; moving the first value
+        # of the window moves the step before the last, and so the residual
+        moved = vals[:-TAIL_WINDOW] + [vals[-TAIL_WINDOW] + 1e-3] + vals[1 - TAIL_WINDOW:]
+        assert aitken_tail(moved)[1] > 1e-6 + resid
 
 
 class TestRSIntegral:
@@ -226,6 +238,22 @@ class TestSeamImages:
                     assert np.all(np.diff(rest(_doubles_around(t))) >= 0.0), (name, t)
                     checked += 1
         assert checked >= 5
+
+    @pytest.mark.parametrize("a, b", [(27.699, 58.425), (-50.0, 50.0)])
+    def test_one_angle_reduction_per_split(self, monkeypatch, a, b):
+        sizes = []
+
+        def counted(t):
+            sizes.append(np.size(t))
+            return reduce_angle(t)
+
+        monkeypatch.setattr(quadrature, "reduce_angle", counted)
+        for name in NAMES:
+            before = len(sizes)
+            quadrature._split(make(name), np.cos, a, b)
+            assert len(sizes) - before <= 1, name
+        # the images of every atom of an entry share its one call
+        assert max(sizes) >= 5
 
     def test_far_seam_image_gives_the_eager_ladder(self):
         # the rest dipped by 1 on CANTOR_SEAM, so the ladder that skips a

@@ -97,7 +97,7 @@ class TestHilbertClosedForms:
 class TestHilbertInterface:
     def test_trace_and_flags(self):
         h = hilbert_stieltjes(make("sin"), 0.9)
-        assert len(h.eps_trace) >= 5
+        assert len(h.eps_trace) == TAIL_WINDOW
         eps = [e for e, _ in h.eps_trace]
         assert eps == sorted(eps, reverse=True)
         assert h.est_error < 1e-4
@@ -162,6 +162,20 @@ class TestDefaultSchedule:
         assert len(DEFAULT_EPS_SCHEDULE) == TAIL_WINDOW
         assert DEFAULT_EPS_SCHEDULE == LONG_SCHEDULE[-TAIL_WINDOW:]
 
+    @pytest.mark.parametrize("schedule", [None, LONG_SCHEDULE])
+    def test_runs_only_the_windows_the_extrapolation_reads(self, monkeypatch, schedule):
+        runs = []
+        rs_integral = singular.rs_integral
+
+        def counted(*args, **kwargs):
+            runs.append(args[2:4])
+            return rs_integral(*args, **kwargs)
+
+        monkeypatch.setattr(singular, "rs_integral", counted)
+        h = hilbert_stieltjes(make("sin"), 0.8, eps_schedule=schedule)
+        assert len(runs) == 2 * TAIL_WINDOW
+        assert [e for e, _v in h.eps_trace] == list(DEFAULT_EPS_SCHEDULE)
+
     @staticmethod
     def _same_value_smaller_error(short, long):
         assert repr(short.value) == repr(long.value)
@@ -186,15 +200,15 @@ class TestPVStatus:
         assert singular_cauchy_stieltjes(make("sin"), complex(np.exp(0.9j))).status is RSStatus.CONVERGED
 
     def test_inconclusive_window_makes_the_limit_inconclusive(self):
-        # at rel_tol 1e-6, 6 of the 10 cantor windows at 0.7 end inconclusive
+        # at rel_tol 1e-6, 5 of the 8 cantor windows at 0.7 end inconclusive
         h = hilbert_stieltjes(make("cantor"), 0.7, opts=QuadratureOptions(rel_tol=1e-6))
         assert h.status is RSStatus.INCONCLUSIVE
         assert math.isfinite(h.est_error)
 
     def test_cauchy_form_carries_its_own_status(self):
-        # one window of the cotangent form at eps = 2^-12 ends inconclusive;
+        # the cotangent form's left window at eps = 2^-13 ends inconclusive;
         # the Cauchy form's chord windows all converge
-        con = singular_cauchy_consistency(make("cbv_demo"), 0.3)
+        con = singular_cauchy_consistency(make("sin"), 1.75)
         assert con.hilbert.status is RSStatus.INCONCLUSIVE
         assert con.cauchy.status is RSStatus.CONVERGED
 
