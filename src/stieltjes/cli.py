@@ -8,10 +8,12 @@ named by a small spec language:
     const:<value>
     file:<path>               JSON: {"kind": "zoo"|"step"|"const", ...}
 
-Reports are CSV (header line, one record per line, floats at 12 significant
-digits) or, with --format structured, a single JSON document carrying the
-same fields.  Output is deterministic for a fixed seed: records are ordered
-by grid index no matter how many workers run, and nothing timestamps.
+Reports are CSV (header line, one record per line, computed floats at 12
+significant digits, echoed inputs such as r, theta, tau and target in the
+shortest form that reads back as the same float) or, with --format
+structured, a single JSON document carrying the same fields.  Output is
+deterministic for a fixed seed: records are ordered by grid index no
+matter how many workers run, and nothing timestamps.
 
 Exit codes: 0 ok, 1 usage or spec error or an unwritable --out, 2
 divergence, 3 inconclusive, 4 evaluation at a declared jump.  A report's
@@ -123,11 +125,15 @@ def parse_function_spec(spec: str):
     raise SpecError(f"unknown function spec {spec!r}")
 
 
+class _Echo(float):
+    """An input coordinate a report echoes: written so that it reads back as the same float."""
+
+
 def _fmt(x) -> str:
     # every int the reports carry (a level count, a 0/1 flag) prints as itself
     if isinstance(x, str):
         return x
-    return f"{float(x):.12g}"
+    return repr(float(x)) if isinstance(x, _Echo) else f"{float(x):.12g}"
 
 
 def _json_value(v):
@@ -199,7 +205,7 @@ def _cmd_transform(args):
         r, th = point
         res = op(phi, DiskPoint(r, th), opts)
         v = complex(res.value)
-        return [r, th, v.real, v.imag, res.est_error, res.status.value]
+        return [_Echo(r), _Echo(th), v.real, v.imag, res.est_error, res.status.value]
 
     with ThreadPoolExecutor(max_workers=args.jobs) as pool:
         rows = list(pool.map(run, grid))
@@ -221,7 +227,7 @@ def _cmd_hilbert(args):
             statuses.append(con.cauchy.status)
         else:
             h, extra = hilbert_stieltjes(phi, tau, opts=opts), []
-        rows.append([tau, h.value, h.est_error, int(h.extrapolated)] + extra)
+        rows.append([_Echo(tau), h.value, h.est_error, int(h.extrapolated)] + extra)
         statuses.append(h.status)
     return header, rows, statuses
 
@@ -250,7 +256,7 @@ def _cmd_limits(args):
         for row in report.rows:
             ext = complex(row.estimate.extrapolated)
             exp = complex(row.expected)
-            rows.append([target, row.field, row.approach, ext.real, ext.imag,
+            rows.append([_Echo(target), row.field, row.approach, ext.real, ext.imag,
                          exp.real, exp.imag, row.residual, row.grade])
     return header, rows, statuses
 

@@ -62,10 +62,13 @@ learns f from its record alone.  The integral of g against an atom
 (t_j, h_j) is h_j * g(t_j), so one g call at the atoms whose jumps lie in
 [a, b] gives their known sum, which every midpoint and replica sum shares,
 and the ladder refines the rest of f alone: a pure staircase is exact at
-every level.  Where the integrand jumps at an atom too, the sums genuinely
-depend on the tags, so the atom's |h_f * h_g| seeds every level's replica
-spread; a shared discontinuity is precisely the case where the integral
-must be allowed to fail.
+every level.  A caller that knows f's slope c where g peaks, and the
+integral of g, can pass both: the split then takes c * t out of f and adds
+its integral exactly, and the ladder refines what is left.  Where the
+integrand jumps at an atom too, the sums genuinely depend on the tags, so
+the atom's |h_f * h_g| seeds every level's replica spread; a shared
+discontinuity is precisely the case where the integral must be allowed to
+fail.
 
 Divergence is declared only when the replica spread and the level
 difference both grow geometrically over the same levels, which is the
@@ -224,7 +227,7 @@ def _jump_double(t, r, loc):
     return math.nextafter(t, -math.inf) if loc < r < loc + math.pi or r < loc - math.pi else t
 
 
-def _split(f, g, a, b):
+def _split(f, g, a, b, slope=None):
     """``(atoms, known, rest, monotone, shared)``: all that the ladder knows of f over [a, b].
 
     ``atoms`` are the images (t, h) of f's atoms whose jumps lie in [a, b].
@@ -233,17 +236,23 @@ def _split(f, g, a, b):
     an end counts only when its jump lies inside: a < t <= b for a
     ``step``, a <= tj < b otherwise, with tj the double where f itself
     jumps (:func:`_jump_double`), which angle reduction can put one double
-    below the image t.  ``known`` sums h * g(t) over them, or is None, so
-    that -0.0 stays -0.0.  ``rest`` is f less each of their jumps, dropped
-    past tj.  A ``step`` is all jumps, so its rest is flat by rule and f is
-    never called; a callable that is not a :class:`BoundaryFunction`
-    declares no atoms and is its own rest.  ``monotone``: the rest is
-    nondecreasing, as a Cantor staircase's is less its declared seam drop.
-    ``shared`` sums |h_f * h_g| over the atoms within ATOM_GUARD of an atom
-    of g, where the sums genuinely depend on the tags.
+    below the image t.  ``known`` sums h * g(t) over them, plus c * mass
+    for a ``slope = (c, mass)`` with c != 0, where mass is the integral of
+    g dt over [a, b]; or it is None, so that -0.0 stays -0.0.  ``rest`` is
+    (f(t) - c * t) less each atom's jump, dropped past tj: the line comes
+    out of f before the jumps, so that an f linear between its atoms with
+    slope c leaves a rest that is exactly flat.  A ``step`` is all jumps,
+    so its rest is -c * t by rule and f is never called; a callable that is
+    not a :class:`BoundaryFunction` declares no atoms.  ``monotone``: the
+    rest is nondecreasing, as a Cantor staircase's is less its declared
+    seam drop and no line.  ``shared`` sums |h_f * h_g| over the atoms
+    within ATOM_GUARD of an atom of g, where the sums genuinely depend on
+    the tags.
     """
+    c, mass = slope or (0.0, 0.0)
+    known = c * mass if c else None
     if not isinstance(f, BoundaryFunction):
-        return [], None, f, False, 0.0
+        return [], known, _less_line(f, c), False, 0.0
     step, periodic = f.kind == "step", f.kind != "pathological"
     # (atom, image, height) of each atom image, sorted by image as _images
     # sorts them, which fixes the order of known's sum
@@ -258,13 +267,18 @@ def _split(f, g, a, b):
     atoms = [(t, h) for _tj, t, h in marks]
     g_atoms = _images(g, a, b) if isinstance(g, BoundaryFunction) else []
     shared = sum((abs(h * hg) for t, h in atoms for y, hg in g_atoms if abs(t - y) <= ATOM_GUARD), 0.0)
-    known = (np.asarray(g(np.array([t for t, _h in atoms]))) * [h for _t, h in atoms]).sum() if atoms else None
-    if step:
-        rest = np.zeros_like
-    else:
-        rest = (lambda t: f(t) - sum(h * (t > tj) for tj, _t, h in marks)) if marks else f
-    monotone = f.kind == "cantor" and f.jumps == ((math.pi, -1.0),)
+    if atoms:
+        s_atoms = (np.asarray(g(np.array([t for t, _h in atoms]))) * [h for _t, h in atoms]).sum()
+        known = s_atoms if known is None else s_atoms + known
+    smooth = _less_line(np.zeros_like if step else f, c)
+    rest = (lambda t: smooth(t) - sum(h * (t > tj) for tj, _t, h in marks)) if marks and not step else smooth
+    monotone = f.kind == "cantor" and f.jumps == ((math.pi, -1.0),) and not c
     return atoms, known, rest, monotone, shared
+
+
+def _less_line(h, c):
+    """t -> h(t) - c * t, or h itself where c == 0."""
+    return (lambda t: h(t) - c * t) if c else h
 
 
 def _odd_points(p, q, n):
@@ -443,6 +457,7 @@ def rs_integral(
     opts: Optional[QuadratureOptions] = None,
     *,
     grading: Optional[tuple] = None,
+    slope: Optional[tuple] = None,
 ) -> RSResult:
     """Integrate ``g`` against ``d f`` over ``[a, b]`` by dyadic refinement.
 
@@ -453,8 +468,12 @@ def rs_integral(
     certifying.  ``grading = (center, distance)``, a finite center and a
     finite positive distance, concentrates partition points around an
     angle where the integrand is nearly singular, at the given distance
-    from a pole.  The module docstring states what g and f must do and
-    when the replicas run.
+    from a pole.  ``slope = (c, mass)``, both finite, with mass the
+    integral of g dt from min(a, b) to max(a, b), has the ladder refine
+    f - c * t alone and add c * mass exactly: the value is the same for
+    every c, and a c near f's slope where g peaks makes the refined part
+    small there.  The tolerance stays relative to the whole value.  The
+    module docstring states what g and f must do and when the replicas run.
 
     Orientation is respected: ``a > b`` flips the sign.  A level with a
     non-finite sum ends the run ``INCONCLUSIVE`` with est_error inf.  A
@@ -465,6 +484,8 @@ def rs_integral(
     if grading is not None and not (np.shape(grading) == (2,) and np.isfinite(grading).all() and grading[1] > 0.0):
         raise ValueError(f"grading must be a (center, distance) pair with a finite center "
                          f"and a finite positive distance, got {grading!r}")
+    if slope is not None and not (np.shape(slope) == (2,) and np.isfinite(slope).all()):
+        raise ValueError(f"slope must be a finite (c, mass) pair, got {slope!r}")
     if not (math.isfinite(a) and math.isfinite(b)):
         raise ValueError(f"integration ends must be finite, got [{a}, {b}]")
     sign = 1.0
@@ -473,7 +494,7 @@ def rs_integral(
     if a > b:
         a, b, sign = b, a, -1.0
 
-    _atoms, known, rest, monotone, shared = _split(f, g, a, b)
+    _atoms, known, rest, monotone, shared = _split(f, g, a, b, slope)
     ladder = _NestedLevels(rest, a, b, grading, monotone)
 
     levels = []

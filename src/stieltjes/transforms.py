@@ -3,7 +3,9 @@
 Four Stieltjes integrals against the disk kernels: the harmonic extension
 (Poisson), its conjugate, the analytic combination, and the Cauchy form.
 All are RS integrals over one period of the circle, normalized by 1/2*pi,
-with the integrator's atoms handled exactly by the quadrature engine.
+with the integrator's atoms handled exactly by the quadrature engine, and
+for U, S and C its slope at the point's angle too (see
+:func:`disk_transform`).
 
 The Cauchy kernel satisfies cauchy = (analytic + 1) / 2 pointwise, so the
 direct Cauchy integral equals half the analytic one plus the integrator's
@@ -15,6 +17,7 @@ vanishes for charge-neutral integrators and is what
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -64,33 +67,62 @@ def _scaled(res: RSResult, factor: float) -> RSResult:
     )
 
 
+@dataclass(frozen=True)
+class _Kernel:
+    """A row of the kernel table: ``row(z)`` is the integrand in t at the disk point z.
+
+    ``mean`` is the kernel's mean (1/2pi) int K(z, t) dt over one period,
+    the same at every z.
+    """
+
+    at: Callable
+    mean: float
+
+    def __call__(self, z):
+        return self.at(z)
+
+
 # the four disk kernels: each maps a disk point to its integrand in t, all
 # at radius z.r and angle z.theta - t (DiskPoint has checked the radius, so
-# they call the kernels' unchecked cores, which write over the difference)
+# they call the kernels' unchecked cores, which write over the difference),
+# and carries its mean: 1 for P, S and C, 0 for the odd Q
 KERNELS = {
-    "U": lambda z: (lambda t: _poisson(z.r, _angles(z.theta, t))),
-    "V": lambda z: (lambda t: _conj_poisson(z.r, _angles(z.theta, t))),
-    "S": lambda z: (lambda t: _schwarz(z.r, _angles(z.theta, t))),
-    "C": lambda z: (lambda t: _cauchy(z.r, _angles(z.theta, t))),
+    "U": _Kernel(lambda z: (lambda t: _poisson(z.r, _angles(z.theta, t))), 1.0),
+    "V": _Kernel(lambda z: (lambda t: _conj_poisson(z.r, _angles(z.theta, t))), 0.0),
+    "S": _Kernel(lambda z: (lambda t: _schwarz(z.r, _angles(z.theta, t))), 1.0),
+    "C": _Kernel(lambda z: (lambda t: _cauchy(z.r, _angles(z.theta, t))), 1.0),
 }
 
 
 def disk_transform(which: str, phi: BoundaryFunction, z,
                    opts: Optional[QuadratureOptions] = None) -> RSResult:
-    """(1/2pi) int K(z, t) dPhi(t) over one period, K = ``KERNELS[which]``."""
+    """(1/2pi) int K(z, t) dPhi(t) over one period, K = ``KERNELS[which]``.
+
+    The ladder integrates K against d(Phi(t) - c t) on [-pi, pi] and adds
+    c m_K exactly, with c = Phi'(theta) and m_K the kernel's mean: the
+    identity holds for every c, and with c the slope at theta the refined
+    part is the one the Fatou-type limit U(z) -> Phi'(theta) sends to 0.
+    That needs a certified, finite, nonzero derivative at theta and a
+    kernel of nonzero mean (U, S and C); otherwise c = 0 and the ladder
+    integrates against dPhi itself.  The partition is graded toward theta,
+    where the kernel peaks.
+    """
     z = _as_disk_point(z)
     if phi.kind == "pathological":
         raise DomainError("boundary transforms need a periodic integrator")
     # far from the window, theta - t and the grading's ends lose t to rounding
     z = DiskPoint(z.r, principal_angle(z.theta))
+    row = KERNELS[which]
+    c = phi.derivative(z.theta) if row.mean else None
     # the kernels' pole 1/z-bar sits at distance about 1 - r from e^{i theta}
     res = rs_integral(
-        KERNELS[which](z),
+        row(z),
         phi,
         -math.pi,
         math.pi,
         opts or TRANSFORM_OPTS,
         grading=(z.theta, 1.0 - z.r),
+        slope=(c, TWO_PI * row.mean) if c and math.isfinite(c) else None,
     )
     return _scaled(res, 1.0 / TWO_PI)
 

@@ -20,7 +20,8 @@ import math
 import numpy as np
 
 from stieltjes.accel import aitken_tail
-from stieltjes.core import BoundaryFunction, RSResult, RSStatus
+from stieltjes.core import TWO_PI, BoundaryFunction, RSResult, RSStatus
+from stieltjes.kernels import poisson_dtheta
 from stieltjes.quadrature import (
     CHUNK_POINTS,
     K_MIN,
@@ -108,6 +109,39 @@ def piecewise_staircase(jumps):
                    for lo, hi, v in zip([-math.pi] + uppers[:-1], uppers, values))
     return BoundaryFunction(name="staircase", kind="piecewise", pieces=pieces,
                             jumps=tuple(jumps) + ((math.pi, -float(values[-1])),))
+
+
+def tsin():
+    """phi(t) = t sin(1/t) on (-pi, pi], phi(0) = 0: continuous and countably BV, but not BV.
+
+    It is even, so it has no seam atom, and differentiable away from 0; its
+    derivative at 0 comes out nan, which certifies nothing.  It is the
+    paper's class, which no catalog entry reaches.
+    """
+    def fn(t):
+        t = np.asarray(t, dtype=float)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.where(t == 0.0, 0.0, t * np.sin(1.0 / t))
+
+    def dfn(t):
+        t = np.asarray(t, dtype=float)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.sin(1.0 / t) - np.cos(1.0 / t) / t
+
+    return BoundaryFunction(name="tsin", kind="closed_form", fn=fn, dfn=dfn, bounded_by=math.pi)
+
+
+def by_parts_poisson(phi, r, theta, n, chunk=2 ** 20):
+    """(1/2pi) int phi(t) dP/dtheta(theta - t) dt by the midpoint rule on n nodes.
+
+    Equals the Poisson transform of dphi where phi takes the same value at
+    -pi and pi, so the boundary term of the integration by parts cancels.
+    """
+    total = 0.0
+    for start in range(0, n, chunk):
+        t = -math.pi + TWO_PI * (np.arange(start, min(start + chunk, n)) + 0.5) / n
+        total += float(np.sum(phi(t) * poisson_dtheta(r, theta - t)))
+    return total / n
 
 
 def full_path_limit(field, path, tol=1e-3):

@@ -541,6 +541,10 @@ REPORTS = {
 }
 
 
+# the report columns that echo an input coordinate
+ECHOED = {"r", "theta", "tau", "target"}
+
+
 class TestReports:
     @pytest.mark.parametrize("argv", list(REPORTS.values()), ids=list(REPORTS))
     def test_structured_report_matches_csv(self, capsys, argv):
@@ -550,8 +554,24 @@ class TestReports:
         assert doc["fields"] == header
         assert len(doc["records"]) == len(records) > 0
         for rec, row in zip(doc["records"], records):
-            # the CSV carries floats at 12 significant digits
-            assert {k: v if isinstance(v, str) else f"{v:.12g}" for k, v in rec.items()} == row
+            # the CSV carries computed floats at 12 significant digits and
+            # echoed inputs in their shortest round-trip form
+            assert {k: v if isinstance(v, str) else repr(v) if k in ECHOED else f"{v:.12g}"
+                    for k, v in rec.items()} == row
+
+    @pytest.mark.parametrize("argv, field", [
+        (["transform", "--phi", "zoo:linear", "--which", "U", "--r", "0.9999", "--theta", "1.868984836962194"],
+         "theta"),
+        (["hilbert", "--phi", "zoo:sin", "--tau", "0.8000000000001", "--tol", "1e-4"], "tau"),
+        (["limits", "--phi", "zoo:sin", "--which", "U", "--target", "0.8000000000001"], "target"),
+    ], ids=["transform", "hilbert", "limits"])
+    def test_echoed_inputs_read_back_as_given(self, capsys, argv, field):
+        given = float(argv[argv.index(f"--{field}") + 1])
+        _code, _header, records = run_csv(capsys, argv)
+        # at 12 digits these would read back as another point
+        assert f"{given:.12g}" != repr(given)
+        assert records and all(float(rec[field]) == given for rec in records)
+        assert all(float(rec["r"]) == 0.9999 for rec in records if "r" in rec)
 
     def test_structured_report_is_strict_json(self, capsys):
         def refuse(token):

@@ -465,7 +465,7 @@ def _heavy_tailed(t):
 
 
 def _disk_run(name, which, r, theta, seed, rel_tol, k_max):
-    """The arguments of the ladder behind ``disk_transform(which, make(name), (r, theta))``."""
+    """The arguments of the ladder behind ``disk_transform(which, make(name), (r, theta))``, less its slope."""
     opts = QuadratureOptions(k_max=k_max, rel_tol=rel_tol, abs_tol=1e-9, seed=seed)
     return KERNELS[which](DiskPoint(r, theta)), make(name), -math.pi, math.pi, opts, (theta, 1.0 - r)
 
@@ -514,6 +514,41 @@ def test_lazy_replicas_give_the_eager_ladder_bit_for_bit(run):
     want = eager_rs_integral(g, f, a, b, opts, grading=grading)
     assert (repr(got.value), repr(got.est_error), got.status, repr(got.levels)) == (
         repr(want.value), repr(want.est_error), want.status, repr(want.levels))
+
+
+def _signature(res):
+    return repr(res.value), repr(res.est_error), res.status, repr(res.levels)
+
+
+@fixed(80)
+# the slopes disk_transform passes: linear's exact one, sin's at theta
+@example("linear", "U", 0.99, 1.868984836962194, 0, 1.0)
+@example("sin", "S", 0.97, 0.7, 1, math.cos(0.7))
+@example("cbv_demo", "C", 0.9, 0.2, 2, 0.3)
+@example("cantor", "U", 0.9, 0.0, 0, 0.0)
+@given(
+    # the catalog but spikes, which lives on [0, 1] only
+    name=st.sampled_from(["const", "linear", "sin", "cos", "step2pi", "multi_step", "cantor", "sawtooth",
+                          "cbv_demo"]),
+    which=st.sampled_from(sorted(KERNELS)),
+    r=st.floats(min_value=0.0, max_value=0.99),
+    theta=st.floats(min_value=-math.pi, max_value=math.pi),
+    seed=st.integers(min_value=0, max_value=4),
+    # any slope, right or wrong; one far past the value's scale would lose
+    # the value to the rounding of c * mass, which no level can see
+    c=st.one_of(st.just(0.0), st.floats(min_value=-100.0, max_value=100.0)),
+)
+def test_a_slope_moves_the_value_by_at_most_the_two_est_errors(name, which, r, theta, seed, c):
+    g, f = KERNELS[which](DiskPoint(r, theta)), make(name)
+    opts = QuadratureOptions(rel_tol=1e-6, abs_tol=1e-9, seed=seed)
+    plain = rs_integral(g, f, -math.pi, math.pi, opts, grading=(theta, 1.0 - r))
+    sloped = rs_integral(g, f, -math.pi, math.pi, opts, grading=(theta, 1.0 - r),
+                         slope=(c, TWO_PI * KERNELS[which].mean))
+    if c == 0.0:
+        assert _signature(sloped) == _signature(plain)
+    elif plain.converged and sloped.converged:
+        assert abs(sloped.value - plain.value) <= (plain.est_error + sloped.est_error
+                                                   + 1e-12 * max(1.0, abs(plain.value)))
 
 
 @st.composite

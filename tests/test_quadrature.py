@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import math
 import sys
 from collections import Counter
@@ -502,6 +503,11 @@ class TestNonFinite:
         with pytest.raises(ValueError):
             rs_integral(np.cos, np.sin, a, b)
 
+    @pytest.mark.parametrize("slope", [(math.nan, 1.0), (1.0, math.inf), (1.0,), (1.0, 2.0, 3.0)])
+    def test_rejects_a_slope_that_is_not_a_finite_pair(self, slope):
+        with pytest.raises(ValueError, match="slope"):
+            rs_integral(np.cos, np.sin, 0.0, 1.0, slope=slope)
+
 
 class TestReplicaBlock:
     """Ladders whose values, errors, statuses and depths the replica draws decide, pinned bit for bit."""
@@ -537,8 +543,9 @@ class TestLadderWork:
 
     @pytest.mark.parametrize("which, name, z, points, depth", [
         ("V", "sin", (0.9, 0.3), 358_512, 12),
-        ("S", "cos", (0.97, 0.3), 227_440, 11),
-    ], ids=["V-sin", "S-cos"])
+        ("S", "cos", (0.97, 0.3), 194_672, 11),
+        ("U", "sin", (0.9999, 0.7), 1_616, 4),
+    ], ids=["V-sin", "S-cos", "U-sin"])
     def test_kernel_points_are_pinned(self, monkeypatch, which, name, z, points, depth):
         sizes = []
         row = transforms.KERNELS[which]
@@ -551,7 +558,7 @@ class TestLadderWork:
                 return g(t)
             return sized
 
-        monkeypatch.setitem(transforms.KERNELS, which, counted)
+        monkeypatch.setitem(transforms.KERNELS, which, dataclasses.replace(row, at=counted))
         res = disk_transform(which, make(name), DiskPoint(*z))
         assert res.status is RSStatus.CONVERGED
         assert (sum(sizes), len(res.levels)) == (points, depth)

@@ -164,6 +164,8 @@ class TestDefaultSchedule:
 
     @pytest.mark.parametrize("schedule", [None, LONG_SCHEDULE])
     def test_runs_only_the_windows_the_extrapolation_reads(self, monkeypatch, schedule):
+        # an explicit schedule is cut to its last TAIL_WINDOW entries: each
+        # form runs the two windows of each default eps and no other
         runs = []
         rs_integral = singular.rs_integral
 
@@ -172,26 +174,13 @@ class TestDefaultSchedule:
             return rs_integral(*args, **kwargs)
 
         monkeypatch.setattr(singular, "rs_integral", counted)
-        h = hilbert_stieltjes(make("sin"), 0.8, eps_schedule=schedule)
-        assert len(runs) == 2 * TAIL_WINDOW
-        assert [e for e, _v in h.eps_trace] == list(DEFAULT_EPS_SCHEDULE)
-
-    @staticmethod
-    def _same_value_smaller_error(short, long):
-        assert repr(short.value) == repr(long.value)
-        assert short.eps_trace == long.eps_trace[-TAIL_WINDOW:]
-        assert short.est_error <= long.est_error
-
-    @pytest.mark.parametrize("name,tau", [("sin", 0.8), ("cantor", 0.7), ("cbv_demo", 0.3)])
-    def test_hilbert_matches_the_long_schedule(self, name, tau):
-        phi = make(name)
-        self._same_value_smaller_error(hilbert_stieltjes(phi, tau),
-                                       hilbert_stieltjes(phi, tau, LONG_SCHEDULE))
-
-    def test_singular_cauchy_matches_the_long_schedule(self):
-        phi, zeta0 = make("cbv_demo"), complex(np.exp(0.3j))
-        self._same_value_smaller_error(singular_cauchy_stieltjes(phi, zeta0),
-                                       singular_cauchy_stieltjes(phi, zeta0, LONG_SCHEDULE))
+        for pv, name, where in [(hilbert_stieltjes, "sin", 0.8), (hilbert_stieltjes, "cantor", 0.7),
+                                (hilbert_stieltjes, "cbv_demo", 0.3),
+                                (singular_cauchy_stieltjes, "cbv_demo", complex(np.exp(0.3j)))]:
+            runs.clear()
+            h = pv(make(name), where, schedule)
+            assert len(runs) == 2 * TAIL_WINDOW
+            assert [e for e, _v in h.eps_trace] == list(DEFAULT_EPS_SCHEDULE)
 
 
 class TestPVStatus:

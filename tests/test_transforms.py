@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -21,7 +22,9 @@ from stieltjes import (
     schwartz_stieltjes,
 )
 from stieltjes import transforms
-from stieltjes.transforms import KERNELS
+from stieltjes.transforms import KERNELS, TRANSFORM_OPTS
+
+from oracles import by_parts_poisson, tsin
 
 TWO_PI = 2 * math.pi
 
@@ -224,6 +227,74 @@ class TestGradedDeepRadii:
         res = conj_poisson_stieltjes(make("cantor"), DiskPoint(0.9999, 0.8 * math.pi))
         assert res.converged
         assert res.value == pytest.approx(0.4767208, abs=1e-5)
+
+
+def _linear_closed_form(which, z):
+    """U, V, S or C of ``linear``: dPhi = dt less 2pi at the seam, so S = 1 - (1 - z) / (1 + z)."""
+    w = z.z
+    s = 2.0 * w / (1.0 + w)
+    return {"U": s.real, "V": s.imag, "S": s, "C": s / 2.0}[which]
+
+
+def _signature(res):
+    return repr(res.value), repr(res.est_error), res.status, repr(res.levels)
+
+
+class TestSlope:
+    """disk_transform refines Phi(t) - Phi'(theta) t and adds Phi'(theta) m_K exactly."""
+
+    @pytest.mark.parametrize("which", "UVSC")
+    @pytest.mark.parametrize("z", [DiskPoint(0.99999, 1.868984836962194),
+                                   DiskPoint(1.0 - 2.0 ** -20, 2.8907108261195082)])
+    def test_linear_is_its_closed_form(self, which, z):
+        # the slope comes out of f before the seam jump, so for U, S and C
+        # the rest is exactly 2pi; taken out after it, the rest
+        # (t + 2pi) - t rounds at the peak by more than any replica can see
+        res = transforms.disk_transform(which, make("linear"), z)
+        ref = _linear_closed_form(which, z)
+        assert res.converged
+        assert abs(res.value - ref) <= res.est_error + 1e-12 * max(1.0, abs(ref))
+        if which != "V":
+            assert res.est_error == 0.0
+
+    @pytest.mark.parametrize("phi, theta", [
+        *((dataclasses.replace(make("sin"), dfn=lambda t, bad=bad: bad), 0.7)
+          for bad in (math.nan, math.inf, -math.inf)),
+        # t sin(1/t) has no derivative at 0, and its dfn gives nan there
+        (tsin(), 0.0),
+    ], ids=["sin-nan", "sin-inf", "sin-minus-inf", "tsin-at-0"])
+    @pytest.mark.parametrize("which", "UVSC")
+    def test_non_finite_derivative_is_no_slope(self, which, phi, theta):
+        z = DiskPoint(0.99, theta)
+        got = transforms.disk_transform(which, phi, z)
+        want = transforms.disk_transform(which, dataclasses.replace(phi, dfn=None), z)
+        assert _signature(got) == _signature(want)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("r, theta", [(0.99, 0.1), (0.99, 0.05)])
+    def test_tsin_meets_its_by_parts_reference(self, r, theta, seed):
+        # the two fixed points of the tsin sample; without the slope, the
+        # seed-1 run at (0.99, 0.1) certifies a value 3.2e-5 off with
+        # est_error 2.2e-5
+        coarse, fine = (by_parts_poisson(tsin(), r, theta, n) for n in (2 ** 20, 2 ** 21))
+        res = poisson_stieltjes(tsin(), DiskPoint(r, theta), dataclasses.replace(TRANSFORM_OPTS, seed=seed))
+        if res.converged:
+            assert abs(res.value - fine) <= res.est_error + 10.0 * abs(fine - coarse)
+
+    def test_only_kernels_of_nonzero_mean_take_the_slope(self, monkeypatch):
+        slopes = []
+        rs_integral = transforms.rs_integral
+
+        def recorded(*args, slope, **kwargs):
+            slopes.append(slope)
+            return rs_integral(*args, slope=slope, **kwargs)
+
+        monkeypatch.setattr(transforms, "rs_integral", recorded)
+        for which in "UVSC":
+            transforms.disk_transform(which, make("sin"), DiskPoint(0.5, 0.7))
+        # c = cos(0.7), mass 2pi m_K; V's mean is 0, so its slope would add nothing
+        assert slopes == [(math.cos(0.7), TWO_PI), None, (math.cos(0.7), TWO_PI), (math.cos(0.7), TWO_PI)]
+        assert [KERNELS[which].mean for which in "UVSC"] == [1.0, 0.0, 1.0, 1.0]
 
 
 class TestRefusals:
