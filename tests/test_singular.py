@@ -182,6 +182,23 @@ class TestDefaultSchedule:
             assert len(runs) == 2 * TAIL_WINDOW
             assert [e for e, _v in h.eps_trace] == list(DEFAULT_EPS_SCHEDULE)
 
+    @staticmethod
+    def _same_value_smaller_error(short, long):
+        assert repr(short.value) == repr(long.value)
+        assert short.eps_trace == long.eps_trace[-TAIL_WINDOW:]
+        assert short.est_error <= long.est_error
+
+    @pytest.mark.parametrize("name,tau", [("sin", 0.8), ("cantor", 0.7), ("cbv_demo", 0.3)])
+    def test_hilbert_matches_the_long_schedule(self, name, tau):
+        phi = make(name)
+        self._same_value_smaller_error(hilbert_stieltjes(phi, tau),
+                                       hilbert_stieltjes(phi, tau, LONG_SCHEDULE))
+
+    def test_singular_cauchy_matches_the_long_schedule(self):
+        phi, zeta0 = make("cbv_demo"), complex(np.exp(0.3j))
+        self._same_value_smaller_error(singular_cauchy_stieltjes(phi, zeta0),
+                                       singular_cauchy_stieltjes(phi, zeta0, LONG_SCHEDULE))
+
 
 class TestPVStatus:
     def test_converged_when_every_window_converges(self):
