@@ -131,6 +131,36 @@ def tsin():
     return BoundaryFunction(name="tsin", kind="closed_form", fn=fn, dfn=dfn, bounded_by=math.pi)
 
 
+# the measure dPhi of each catalog entry with a closed-form transform:
+# (the Schwarz transform of its density as a function of z, its atoms
+# (t_j, h_j), its net mass over one turn)
+CLOSED_FORM_MEASURES = {
+    "const": (lambda z: 0.0, (), 0.0),
+    # density cos t: of the kernel 1 + 2 sum z^n e^{-int}, only n = 1 remains
+    "sin": (lambda z: z, (), 0.0),
+    # density -sin t
+    "cos": (lambda z: 1j * z, (), 0.0),
+    # a constant density c gives c, as the kernel's mean is 1
+    "linear": (lambda z: 1.0, ((math.pi, -TWO_PI),), 0.0),
+    "sawtooth": (lambda z: 1.0 / math.pi, ((math.pi, -2.0),), 0.0),
+    "step2pi": (lambda z: 0.0, ((0.0, TWO_PI),), TWO_PI),
+    "multi_step": (lambda z: 0.0, ((-2.0, 1.5), (0.5, -2.2), (2.4, 0.8)), 0.1),
+}
+
+
+def transform_closed_form(name, which, z):
+    """U, V, S or C at the complex point z of a catalog entry in ``CLOSED_FORM_MEASURES``.
+
+    S is (1/2pi) int (e^{it} + z) / (e^{it} - z) dPhi(t): the density's part
+    plus h_j (e^{it_j} + z) / (e^{it_j} - z) / 2pi per atom.  U and V are its
+    real and imaginary parts, and C = (S + mass / 2pi) / 2, since the Cauchy
+    kernel e^{it} / (e^{it} - z) is half the Schwarz kernel plus 1/2.
+    """
+    density, atoms, mass = CLOSED_FORM_MEASURES[name]
+    s = complex(density(z)) + sum(h * (cmath.exp(1j * t) + z) / (cmath.exp(1j * t) - z) for t, h in atoms) / TWO_PI
+    return {"U": s.real, "V": s.imag, "S": s, "C": (s + mass / TWO_PI) / 2.0}[which]
+
+
 def by_parts_poisson(phi, r, theta, n, chunk=2 ** 20):
     """(1/2pi) int phi(t) dP/dtheta(theta - t) dt by the midpoint rule on n nodes.
 

@@ -41,10 +41,11 @@ from stieltjes.quadrature import (
     _odd_points,
     _split,
 )
-from stieltjes.transforms import KERNELS
+from stieltjes.transforms import KERNELS, disk_transform
 from stieltjes.zoo import NAMES
 
 from oracles import (
+    CLOSED_FORM_MEASURES,
     _level_points,
     analytic_exp,
     cantor_recursive,
@@ -58,6 +59,7 @@ from oracles import (
     piecewise_staircase,
     poisson_reference,
     poisson_sin,
+    transform_closed_form,
 )
 
 TWO_PI = 2 * math.pi
@@ -423,6 +425,25 @@ def test_principal_value_is_within_est_error_of_its_closed_form(name, t0, tau):
     want = PV_CLOSED_FORMS[name](phi, tau)
     got = hilbert_stieltjes(phi, tau)
     assert abs(got.value - want) <= got.est_error + 1e-12 * max(1.0, abs(want))
+
+
+@fixed(100)
+# the seam atom of linear and sawtooth, where the kernel peaks at r near 1
+@example("linear", "S", 0.9999, math.pi)
+@example("sawtooth", "U", 0.9999, -3.1)
+@example("sin", "V", 0.996, 0.8)
+@example("multi_step", "C", 0.99, 0.45)
+@given(
+    name=st.sampled_from(sorted(CLOSED_FORM_MEASURES)),
+    which=st.sampled_from(sorted(KERNELS)),
+    r=st.floats(min_value=0.5, max_value=0.9999),
+    theta=st.floats(min_value=-math.pi, max_value=math.pi),
+)
+def test_certified_transform_is_within_est_error_of_its_closed_form(name, which, r, theta):
+    res = disk_transform(which, make(name), DiskPoint(r, theta))
+    want = transform_closed_form(name, which, DiskPoint(r, theta).z)
+    if res.converged:
+        assert abs(res.value - want) <= res.est_error + 1e-12 * max(1.0, abs(want))
 
 
 def _identity(t):
