@@ -2,12 +2,18 @@
 
 The integral is taken in the strong sense: the net of tagged sums must
 settle down no matter how the tags are chosen.  Each refinement level
-therefore evaluates one midpoint-policy sum, and a bundle of randomized tag
-replicas wherever their spread can decide the outcome; the certificate
-demands both that successive levels agree and that the replica spread
-collapses.  With atoms exact and a smooth mesh map the midpoint error is
-O(h^2), so a certified run reports one Richardson step of its last two
-midpoint sums, s_k + (s_k - s_{k-1}) / 3.
+therefore evaluates one midpoint-policy sum and a block of REPLICAS
+randomized tag replicas.  A level certifies when the difference of its
+midpoint sum from the level before is within tolerance and the replicas
+show that the tags no longer matter: their spread is within tolerance too,
+or it has at least halved on each of the last two levels and is within
+DECAY_SLACK times the tolerance.  The level difference falls like h^2 and
+the spread, whose tag errors add like a random walk, only like h^1.5, so a
+spread that is still halving certifies the value as soon as it has
+settled.  The reported est_error is max(difference, spread), up to
+DECAY_SLACK times the tolerance.  With atoms exact and a smooth mesh map
+the midpoint error is O(h^2), so a certified run reports one Richardson
+step of its last two midpoint sums, s_k + (s_k - s_{k-1}) / 3.
 
 The integrand g and the integrator f only ever see 1-D arrays, and they
 must act elementwise on them.  On a level whose live cells, those with
@@ -27,35 +33,17 @@ returning it, or a value computed from it, is fine.
 
 The levels nest (see :class:`_NestedLevels`): each level calls f on its
 2**(k-1) new grid points alone, or, for a Cantor staircase, on the new
-points of the cells it changes across, and a level read again is a view.
+points of the cells it changes across, and a level is read as views.
 
 Replica ``rep`` of level k draws its uniforms from its own stream,
 ``default_rng((seed, k, rep))``, so every replica sum is fixed by the seed
-alone.  A block without a cutoff (below) is evaluated in chunks of rows:
-one ``g`` call on the flattened tags of at most CHUNK_POINTS at a time,
-then one row reduction.  A block with a cutoff is evaluated one row per
-``g`` call, or, on a level that gathers its live cells and takes cached
-draws, in calls of at most CHUNK_POINTS // REPLICAS tags.  A level narrow
-enough that its chunks hold whole rows, at most CHUNK_POINTS cells, takes
-its draws from a bounded, thread-safe, process-wide cache of read-only
-arrays; a wider level draws each row afresh.  A sparse level takes the
-live cells' columns of those draws, and a level without live cells runs no
-block: its spread is the shared one.
-
-A level runs its block only where the spread can matter: on the first
-level, on the last (its spread enters an inconclusive est_error), on a
-level whose difference is within tolerance, and where the level
-differences have grown as the divergence rule asks.  On any other level the
-difference alone fails the tolerance.  On a level whose difference passed,
-the tolerance is the block's cutoff: the block stops at the first row that
-leaves the spread above it, since that level can no longer converge, and
-most such levels exceed it on their first row.  Before the divergence
-rule reads the spreads, the levels in its window whose block was skipped or
-cut short run it in full, so every status, value, est_error and level
-count is the one a block on every level gives.  The one exception: a
-non-finite replica sum on a level whose block was skipped or cut short,
-and not run again, goes unseen.  A certified level still has all of its
-replica sums finite.
+alone.  The block is evaluated in chunks of rows: one ``g`` call on the
+flattened tags of at most CHUNK_POINTS at a time, then one row reduction.
+A level narrow enough that its chunks hold whole rows, at most
+CHUNK_POINTS cells, takes its draws from a bounded, thread-safe,
+process-wide cache of read-only arrays; a wider level draws each row
+afresh.  A sparse level takes the live cells' columns of those draws, and
+a level without live cells runs no block: its spread is the shared one.
 
 :func:`_split` is the one place that reads f's structure: the ladder
 learns f from its record alone.  The integral of g against an atom
@@ -66,9 +54,9 @@ every level.  A caller that knows f's slope c where g peaks, and the
 integral of g, can pass both: the split then takes c * t out of f and adds
 its integral exactly, and the ladder refines what is left.  Where the
 integrand jumps at an atom too, the sums genuinely depend on the tags, so
-the atom's |h_f * h_g| seeds every level's replica spread; a shared
-discontinuity is precisely the case where the integral must be allowed to
-fail.
+the atom's |h_f * h_g| seeds every level's replica spread, and such a
+spread never certifies by its decay; a shared discontinuity is precisely
+the case where the integral must be allowed to fail.
 
 Divergence is declared only when the replica spread and the level
 difference both grow geometrically over the same levels, which is the
@@ -102,8 +90,7 @@ __all__ = [
 # the coarsest level has 2**K_MIN base subintervals, the finest at most 2**K_CAP
 K_MIN = 4
 K_CAP = 22
-# random-tag replicas evaluated next to the midpoint sum on the levels whose
-# spread can decide the outcome
+# random-tag replicas evaluated next to the midpoint sum on every level
 REPLICAS = 8
 # replica tags per g call; a level this wide or wider makes one call per replica
 CHUNK_POINTS = 2 ** 15
@@ -122,6 +109,9 @@ DRAW_CACHE_BYTES = 64 * 2 ** 20
 GROWTH_FACTOR = 2.0
 GROWTH_STEPS = 3
 SPREAD_FLOOR_FACTOR = 100.0
+# a spread that has at least halved on each of its last two levels certifies
+# up to DECAY_SLACK times the tolerance
+DECAY_SLACK = 16.0
 
 
 class NonConvergentError(RuntimeError):
@@ -138,9 +128,13 @@ class QuadratureOptions:
 
     * ``k_max``: the finest level has 2**k_max base subintervals; the
       coarsest has 2**K_MIN.  An int in [K_MIN, K_CAP].
-    * ``rel_tol``, ``abs_tol``: a level is accepted once max(level
-      difference, replica spread) falls under max(rel_tol * |value|,
-      abs_tol).  Both must be finite and >= 0, and one of them > 0.
+    * ``rel_tol``, ``abs_tol``: the tolerance is max(rel_tol * |value|,
+      abs_tol).  Both must be finite and >= 0, and one of them > 0.  A run
+      is ``CONVERGED`` at the first level whose difference from the level
+      before is within the tolerance and whose replica spread is within
+      it too, or has at least halved on each of its last two levels and
+      is within DECAY_SLACK times it.  Its est_error is max(difference,
+      spread): at most DECAY_SLACK times the tolerance.
     * ``seed``: a non-negative int; draws the REPLICAS random-tag replicas
       of each level.
 
@@ -352,7 +346,7 @@ def _cached_draws(seed, k, n):
     return u
 
 
-def _replica_spread(g, level, seed, k, s_mid, spread, cutoff):
+def _replica_spread(g, level, seed, k, s_mid, spread):
     """The largest of ``spread`` and |s - s_mid| over level k's REPLICAS random-tag sums s.
 
     ``level`` is ``(pts, widths, df, live)`` and ``s_mid`` its midpoint
@@ -360,13 +354,9 @@ def _replica_spread(g, level, seed, k, s_mid, spread, cutoff):
     midpoint sum and to every replica sum, so the distances are those of
     the rest's sums.
     The caller seeds ``spread`` with the shared atoms' spread, a level's
-    whole spread if it has no live cell.  With ``cutoff`` inf the replicas
-    are evaluated as chunks of rows, at most CHUNK_POINTS tags and one ``g``
-    call on the flattened chunk each; with a finite ``cutoff``, one row per
-    call, or on a gathered level with cached draws as many rows as make at
-    most CHUNK_POINTS // REPLICAS tags, and the first call that leaves the
-    spread above the cutoff ends the evaluation: the spread is then
-    unknown, None.  A non-finite replica sum returns nan at once.
+    whole spread if it has no live cell.  The replicas are evaluated as
+    chunks of rows, at most CHUNK_POINTS tags and one ``g`` call on the
+    flattened chunk each.  A non-finite replica sum returns nan at once.
     """
     pts, widths, df, live = level
     n = widths.size
@@ -374,14 +364,7 @@ def _replica_spread(g, level, seed, k, s_mid, spread, cutoff):
     if not lo.size:
         return spread
     cached = _cached_draws(seed, k, n) if n <= CHUNK_POINTS else None
-    if cutoff == math.inf:
-        rows = max(1, CHUNK_POINTS // n)
-    elif cached is not None and not isinstance(live, slice):
-        # a gathered level's few live tags cost less per call than per row:
-        # its cut block takes calls of at most CHUNK_POINTS // REPLICAS tags
-        rows = max(1, CHUNK_POINTS // (REPLICAS * lo.size))
-    else:
-        rows = 1
+    rows = max(1, CHUNK_POINTS // n)
     for r0 in range(0, REPLICAS, rows):
         reps = range(r0, min(r0 + rows, REPLICAS))
         u = (_draws(seed, k, reps, n) if cached is None else cached[r0:reps.stop])[:, live]
@@ -394,8 +377,6 @@ def _replica_spread(g, level, seed, k, s_mid, spread, cutoff):
             d = abs(s - s_mid)
             if d > spread:
                 spread = d
-        if spread > cutoff:
-            return None
     return spread
 
 
@@ -473,7 +454,7 @@ def rs_integral(
     f - c * t alone and add c * mass exactly: the value is the same for
     every c, and a c near f's slope where g peaks makes the refined part
     small there.  The tolerance stays relative to the whole value.  The
-    module docstring states what g and f must do and when the replicas run.
+    module docstring states what g and f must do and when a level certifies.
 
     Orientation is respected: ``a > b`` flips the sign.  A level with a
     non-finite sum ends the run ``INCONCLUSIVE`` with est_error inf.  A
@@ -497,12 +478,7 @@ def rs_integral(
     _atoms, known, rest, monotone, shared = _split(f, g, a, b, slope)
     ladder = _NestedLevels(rest, a, b, grading, monotone)
 
-    levels = []
-    # per level: the midpoint sum of the rest
-    heads = []
-    # None where the replicas were skipped or cut short
-    spreads = []
-    diffs = []
+    levels, spreads, diffs = [], [], []
     prev_sum = None
 
     for k in range(K_MIN, opts.k_max + 1):
@@ -516,46 +492,38 @@ def rs_integral(
         mid = pts[:-1][live] + pts[1:][live]
         mid *= 0.5
         g_mid = np.asarray(g(mid))
-        heads.append(_summed(_products(g_mid, df, mid, live), df))
-        s_mid = heads[-1] if known is None else heads[-1] + known
+        head = _summed(_products(g_mid, df, mid, live), df)
+        s_mid = head if known is None else head + known
         # every sum is a numpy scalar of the products' dtype: float or complex
         value = sign * s_mid.item()
         levels.append((float(widths.max()), value))
-        if not cmath.isfinite(s_mid):
+        # a non-finite midpoint or replica sum ends the run
+        spread = _replica_spread(g, level, opts.seed, k, head, shared) if cmath.isfinite(s_mid) else math.nan
+        if math.isnan(spread):
             return RSResult(value, levels, math.inf, RSStatus.INCONCLUSIVE)
 
         diff = math.inf if prev_sum is None else abs(s_mid - prev_sum)
+        spreads.append(spread)
         diffs.append(diff)
         tol = opts.tolerance(abs(s_mid))
-        passed = diff <= tol
-        growing = _grows(diffs)
-        spreads.append(None)
-        # any other level fails its tolerance on the difference alone
-        if passed or growing or k in (K_MIN, opts.k_max):
-            # a passed level cannot converge once its spread exceeds tol; the
-            # divergence rule and the last level's est_error need the whole spread
-            cutoff = tol if passed and not growing and k < opts.k_max else math.inf
-            # complete this level's spread and the divergence window's, oldest
-            # first; a non-finite replica sum ends the run at its own level
-            for j in range(len(spreads) - 1 - GROWTH_STEPS * growing, len(spreads)):
-                if spreads[j] is None:
-                    lv = level if K_MIN + j == k else _with_live(ladder.level(K_MIN + j))
-                    spreads[j] = _replica_spread(g, lv, opts.seed, K_MIN + j, heads[j], shared, cutoff)
-                    if spreads[j] is not None and math.isnan(spreads[j]):
-                        return RSResult(levels[j][1], levels[:j + 1], math.inf, RSStatus.INCONCLUSIVE)
-        spread = spreads[-1]
-
-        if passed and spread is not None and spread <= tol:
+        # a spread floored by a shared atom is no evidence of its decay
+        decayed = not shared and spread <= DECAY_SLACK * tol and _halved_twice(spreads)
+        if diff <= tol and (spread <= tol or decayed):
             # halving the mesh quarters the O(h^2) midpoint error: one
             # Richardson step moves the value by diff / 3, inside est_error
             est = float(max(diff, spread))
             return RSResult(sign * (s_mid + (s_mid - prev_sum) / 3.0).item(), levels, est, RSStatus.CONVERGED)
 
-        if growing and spread > SPREAD_FLOOR_FACTOR * opts.abs_tol and _grows(spreads):
+        if spread > SPREAD_FLOOR_FACTOR * opts.abs_tol and _grows(spreads) and _grows(diffs):
             return RSResult(value, levels, float(spread), RSStatus.DIVERGED)
         prev_sum = s_mid
 
     return RSResult(value, levels, float(max(diff, spread)), RSStatus.INCONCLUSIVE)
+
+
+def _halved_twice(spreads):
+    """The last spread at most half the one before, and that one at most half its own predecessor."""
+    return len(spreads) >= 3 and spreads[-1] <= 0.5 * spreads[-2] and spreads[-2] <= 0.5 * spreads[-3]
 
 
 def _grows(seq):

@@ -4,12 +4,12 @@ Everything here is deliberately naive and kept separate from the package:
 plain tagged sums, dense-grid quadrature, a recursive Cantor evaluator, and
 textbook finite differences.  When a test compares the library against one
 of these, the two sides share no code.  The two exceptions must match the
-package bit for bit.  ``eager_rs_integral`` shares the package's level
-helpers and keeps only its own level loop, on the from-scratch partitions
-of ``_level_points``.  It evaluates g on every cell, flat ones included:
-it calls ``_row_sums`` without live indices, where the package gathers
-the live cells of a sparse level, and it sums by ``_summed``, which counts
-a flat cell's product as an exact zero where a sum is not finite.
+package bit for bit.  ``eager_rs_integral`` shares only ``_split``, the
+one reader of f's structure, and the grid map of ``_level_points``; it
+restates the ladder on from-scratch partitions, evaluating g on every
+cell, flat ones included, and every replica row with its own ``g`` call
+on a row drawn afresh, where the package gathers the live cells of a
+sparse level, chunks the rows and caches the draws.
 ``full_path_limit`` shares ``aitken_tail`` and evaluates every point of the
 approach path.
 """
@@ -23,18 +23,15 @@ from stieltjes.accel import aitken_tail
 from stieltjes.core import TWO_PI, BoundaryFunction, RSResult, RSStatus
 from stieltjes.kernels import poisson_dtheta
 from stieltjes.quadrature import (
-    CHUNK_POINTS,
+    DECAY_SLACK,
+    GROWTH_FACTOR,
+    GROWTH_STEPS,
     K_MIN,
     REPLICAS,
     SPREAD_FLOOR_FACTOR,
     QuadratureOptions,
-    _cached_draws,
-    _draws,
     _grid_map,
-    _grows,
-    _row_sums,
     _split,
-    _summed,
 )
 
 
@@ -245,29 +242,18 @@ def cot_half_expression(tau, t):
     return 1.0 / np.tan(0.5 * (np.asarray(tau, dtype=float) - np.asarray(t, dtype=float)))
 
 
-# the refinement ladder as it was before lazy replicas: every level
-# evaluates all REPLICAS replica sums, up to the first non-finite one
+# the refinement ladder restated level by level: every cell and every
+# replica row evaluated, one g call per row, each row drawn afresh
 
 
-def _replica_sums(g, pts, widths, df, seed, k):
-    """Level k's REPLICAS random-tag sums, up to and including the first non-finite one.
-
-    The replicas are evaluated as blocks of rows, at most CHUNK_POINTS tags
-    and one ``g`` call on the flattened block each.
-    """
-    n = widths.size
-    cached = _cached_draws(seed, k, n) if n <= CHUNK_POINTS else None
-    rows = max(1, CHUNK_POINTS // n)
-    sums = []
-    for r0 in range(0, REPLICAS, rows):
-        reps = range(r0, min(r0 + rows, REPLICAS))
-        tags = (_draws(seed, k, reps, n) if cached is None else cached[r0:reps.stop]) * widths
-        tags += pts[:-1]
-        for s in _row_sums(g, tags, df):
-            sums.append(s)
-            if not cmath.isfinite(s):
-                return sums
-    return sums
+def _sum_over_cells(gv, df):
+    """The tagged sum of g values ``gv`` against df, a flat cell's product an exact zero where the sum is not."""
+    p = gv * df
+    s = p.sum()
+    if not cmath.isfinite(s):
+        p[df == 0.0] = 0.0
+        s = p.sum()
+    return s
 
 
 def _level_points(a, b, n, grading):
@@ -282,7 +268,13 @@ def _level_points(a, b, n, grading):
 
 
 def eager_rs_integral(g, f, a, b, opts=None, *, grading=None):
-    """``rs_integral`` with the whole replica block evaluated on every level."""
+    """``rs_integral`` restated: every level evaluates g on every cell and all REPLICAS rows.
+
+    A level certifies when its difference is within the tolerance and its
+    spread is too, or, with no shared atom, when the spread has at least
+    halved on each of its last two levels and is within DECAY_SLACK times
+    the tolerance.
+    """
     opts = opts or QuadratureOptions()
     if grading is not None and not (math.isfinite(grading[1]) and grading[1] > 0.0):
         raise ValueError("grading distance must be finite and positive")
@@ -296,45 +288,43 @@ def eager_rs_integral(g, f, a, b, opts=None, *, grading=None):
 
     _atoms, known, rest, _monotone, shared = _split(f, g, a, b)
 
-    levels = []
-    spreads = []
-    diffs = []
-    prev_sum = None
-    is_complex = False
+    def grows(seq):
+        return len(seq) > GROWTH_STEPS and all(
+            seq[-i - 1] > 0.0 and seq[-i] >= 0.999 * GROWTH_FACTOR * seq[-i - 1] for i in range(1, GROWTH_STEPS + 1))
 
+    levels, spreads, diffs = [], [], []
+    prev_sum = None
     for k in range(K_MIN, opts.k_max + 1):
-        pts = _level_points(a, b, 2 ** k, grading)
+        n = 2 ** k
+        pts = _level_points(a, b, n, grading)
         widths = np.diff(pts)
         df = np.diff(np.asarray(rest(pts), dtype=float))
-        # the midpoint values live to the end of the level; freeing them at
-        # once lets the allocator shrink and re-fault the heap on every replica
-        g_mid = np.asarray(g(0.5 * (pts[:-1] + pts[1:])))
         # the sums of the rest; the atoms add known to each of them alike
-        sums = [_summed(g_mid * df, df)]
-        if cmath.isfinite(sums[-1]):
-            sums += _replica_sums(g, pts, widths, df, opts.seed, k)
-        s_mid = sums[0] if known is None else sums[0] + known
-        is_complex = is_complex or np.iscomplexobj(g_mid)
-        signed = lambda s: sign * (complex(s) if is_complex else float(s))
-        value = signed(s_mid)
+        head = _sum_over_cells(np.asarray(g(0.5 * (pts[:-1] + pts[1:]))), df)
+        s_mid = head if known is None else head + known
+        value = sign * s_mid.item()
         levels.append((float(widths.max()), value))
-        if not (cmath.isfinite(s_mid) and cmath.isfinite(sums[-1])):
+        if not cmath.isfinite(s_mid):
             return RSResult(value, levels, math.inf, RSStatus.INCONCLUSIVE)
-
         # the shared atoms' spread seeds the replicas'
-        spread = max([shared] + [abs(s - sums[0]) for s in sums])
+        spread = shared
+        for rep in range(REPLICAS):
+            tags = pts[:-1] + np.random.default_rng((opts.seed, k, rep)).random(n) * widths
+            s = _sum_over_cells(np.broadcast_to(np.asarray(g(tags)), tags.shape), df)
+            if not cmath.isfinite(s):
+                return RSResult(value, levels, math.inf, RSStatus.INCONCLUSIVE)
+            spread = max(spread, abs(s - head))
         spreads.append(spread)
         diff = math.inf if prev_sum is None else abs(s_mid - prev_sum)
         diffs.append(diff)
-        est = max(diff, spread)
-
-        if diff < math.inf and est <= opts.tolerance(abs(s_mid)):
-            # halving the mesh quarters the O(h^2) midpoint error: one
-            # Richardson step moves the value by diff / 3, inside est_error
-            return RSResult(signed(s_mid + (s_mid - prev_sum) / 3.0), levels, float(est), RSStatus.CONVERGED)
-
-        if spreads[-1] > SPREAD_FLOOR_FACTOR * opts.abs_tol and _grows(spreads) and _grows(diffs):
-            return RSResult(value, levels, float(spreads[-1]), RSStatus.DIVERGED)
+        tol = opts.tolerance(abs(s_mid))
+        halved = len(spreads) >= 3 and spreads[-1] <= spreads[-2] / 2.0 and spreads[-2] <= spreads[-3] / 2.0
+        if diff <= tol and (spread <= tol or (shared == 0.0 and halved and spread <= DECAY_SLACK * tol)):
+            # one Richardson step of the last two midpoint sums
+            return RSResult(sign * (s_mid + (s_mid - prev_sum) / 3.0).item(), levels, float(max(diff, spread)),
+                            RSStatus.CONVERGED)
+        if spread > SPREAD_FLOOR_FACTOR * opts.abs_tol and grows(spreads) and grows(diffs):
+            return RSResult(value, levels, float(spread), RSStatus.DIVERGED)
         prev_sum = s_mid
 
-    return RSResult(value, levels, float(est), RSStatus.INCONCLUSIVE)
+    return RSResult(value, levels, float(max(diff, spread)), RSStatus.INCONCLUSIVE)

@@ -388,7 +388,7 @@ class TestHilbert:
 
     @pytest.mark.parametrize("argv", [
         # 1 of the 8 window ladders ends inconclusive at the default tol
-        ["--phi", "zoo:cantor", "--tau", "0.0"],
+        ["--phi", "zoo:cantor", "--tau", "1.25"],
         # 5 of 8
         ["--phi", "zoo:cantor", "--tau", "0.7"],
         # 2 of 16: the cotangent form's left windows at eps = 2^-13 and 2^-15
@@ -482,10 +482,11 @@ class TestLimits:
         assert any(r["grade"] == "fail" for r in records)
 
     def test_uncertified_pv_exits_three(self, capsys):
-        # every grade passes, but the PV that gives the expected value is not certified
-        assert hilbert_stieltjes(make("sin"), 1.75).status == RSStatus.INCONCLUSIVE
+        # every grade passes, but the PV that gives the expected value is not
+        # certified: 3 of its 8 window ladders end inconclusive
+        assert hilbert_stieltjes(make("cantor"), 2.05).status == RSStatus.INCONCLUSIVE
         code, _header, records = run_csv(
-            capsys, ["limits", "--phi", "zoo:sin", "--which", "V", "--target", "1.75"])
+            capsys, ["limits", "--phi", "zoo:cantor", "--which", "V", "--target", "2.05"])
         assert code == EXIT_INCONCLUSIVE
         assert [r["grade"] for r in records] == ["pass"] * 5
 

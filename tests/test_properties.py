@@ -6,6 +6,7 @@ example database, so the suite stays deterministic.
 
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -33,7 +34,9 @@ from stieltjes import (
 from stieltjes.accel import TAIL_WINDOW
 from stieltjes.core import ATOM_GUARD, _cantor_staircase, _reduced, principal_angle
 from stieltjes.kernels import COT_GUARD, boundary_cot_kernel
+from stieltjes import quadrature
 from stieltjes.quadrature import (
+    DECAY_SLACK,
     K_MIN,
     _NestedLevels,
     _graded_map,
@@ -492,15 +495,14 @@ def _disk_run(name, which, r, theta, seed, rel_tol, k_max):
 
 
 @fixed(60)
-# diverged, decided on spreads of levels that skipped their replicas
+# diverged: the spreads and the level differences double over the same levels
 @example((make("spikes"), _identity, 0.0, 1.0, QuadratureOptions(), None))
-# level 13 passes its difference and its block is cut short; at level 16
-# the differences have doubled three times, and only level 13's whole block
-# shows that the spreads have not
+# at level 16 the differences have doubled three times, but the spreads
+# have not: the run ends inconclusive, not diverged
 @example((_heavy_tailed, _identity, 0.0, 1.0, QuadratureOptions(rel_tol=0.0, abs_tol=HEAVY_STEP, k_max=16, seed=2),
           None))
 # level 4's replicas miss the NaN window and level 5's hit it: the run ends
-# at level 5, whose block runs only when level 8 completes the spreads
+# at level 5
 @example((_spikes_nan_window, _identity, 0.0, 1.0, QuadratureOptions(seed=2), None))
 # NaN replica sums on the first level
 @example((_one_on_dyadics, _identity, 0.0, 1.0, QuadratureOptions(), None))
@@ -539,6 +541,44 @@ def test_lazy_replicas_give_the_eager_ladder_bit_for_bit(run):
 
 def _signature(res):
     return repr(res.value), repr(res.est_error), res.status, repr(res.levels)
+
+
+@fixed(60)
+# certified by the spread's decay at 9.8 times the tolerance
+@example(_disk_run("sin", "V", 0.996, 0.8, 0, 1e-5, 18))
+@example(_disk_run("cantor", "V", 0.9, 1.0, 0, 1e-5, 18))
+@given(st.builds(
+    _disk_run,
+    # the catalog but spikes, which lives on [0, 1] only
+    name=st.sampled_from(["const", "linear", "sin", "cos", "step2pi", "multi_step", "cantor", "sawtooth",
+                          "cbv_demo"]),
+    which=st.sampled_from(sorted(KERNELS)),
+    r=st.floats(min_value=0.0, max_value=0.999),
+    theta=st.floats(min_value=-math.pi, max_value=math.pi),
+    seed=st.integers(min_value=0, max_value=4),
+    rel_tol=st.floats(min_value=-8.0, max_value=-3.0).map(lambda e: 10.0 ** e),
+    k_max=st.integers(min_value=K_MIN, max_value=18),
+))
+def test_a_certified_level_s_spread_is_within_tolerance_or_has_halved_twice(run):
+    g, f, a, b, opts, grading = run
+    spreads = []
+    spread = quadrature._replica_spread
+
+    def recorded(*args):
+        s = spread(*args)
+        spreads.append(float(s))
+        return s
+
+    with mock.patch.object(quadrature, "_replica_spread", recorded):
+        res = rs_integral(g, f, a, b, opts, grading=grading)
+    if res.converged:
+        (_, before), (_, last) = res.levels[-2:]
+        diff, tol = abs(last - before), opts.tolerance(abs(last))
+        assert diff <= tol
+        if spreads[-1] > tol:
+            assert spreads[-1] <= DECAY_SLACK * tol
+            assert spreads[-1] <= 0.5 * spreads[-2] and spreads[-2] <= 0.5 * spreads[-3]
+        assert res.est_error == max(diff, spreads[-1])
 
 
 @fixed(80)
@@ -622,7 +662,7 @@ def test_nested_levels_equal_the_levels_built_from_scratch(case):
     for j in range(K_MIN + 1, k + 1):
         nested.refine()
         check(j)
-    # ... and again from the finest grid, as the divergence rule re-runs it
+    # ... and again from the finest grid
     for j in range(K_MIN, k):
         check(j)
 

@@ -2,7 +2,6 @@ import cmath
 import dataclasses
 import math
 import sys
-from collections import Counter
 
 import numpy as np
 import pytest
@@ -26,8 +25,8 @@ from stieltjes.accel import TAIL_WINDOW, aitken_step, aitken_tail
 from stieltjes.core import reduce_angle
 from stieltjes.kernels import boundary_cot_kernel
 from stieltjes import quadrature, transforms
-from stieltjes.quadrature import CHUNK_POINTS, K_MIN, REPLICAS, _cached_draws, _draws
-from stieltjes.transforms import disk_transform
+from stieltjes.quadrature import CHUNK_POINTS, DECAY_SLACK, K_MIN, REPLICAS, _cached_draws, _draws, _split
+from stieltjes.transforms import TRANSFORM_OPTS, disk_transform
 from stieltjes.zoo import NAMES
 
 from oracles import _level_points, eager_rs_integral, piecewise_staircase, rs_brute, rs_tagged_sum
@@ -348,7 +347,10 @@ class TestCyclic:
         opts = QuadratureOptions(rel_tol=1e-5, abs_tol=1e-7)
         g_df = rs_integral(make("cos"), make("cantor"), -math.pi, math.pi, opts)
         f_dg = rs_integral(make("cantor"), make("cos"), -math.pi, math.pi, opts)
-        assert abs(g_df.value + f_dg.value) < 1e-5
+        # by parts, the two integrals cancel over a period, as far as their
+        # certificates promise
+        assert g_df.converged and f_dg.converged
+        assert abs(g_df.value + f_dg.value) <= g_df.est_error + f_dg.est_error
 
 
 class TestGrading:
@@ -514,9 +516,9 @@ class TestReplicaBlock:
 
     @pytest.mark.parametrize("run, value, est_error, status, depth", [
         (lambda: rs_integral(np.cos, make("sin"), 0.0, 1.0),
-         "0.7273243567064205", "3.6715891438277026e-09", RSStatus.CONVERGED, 14),
+         "0.7273243567064204", "8.960360420307012e-08", RSStatus.CONVERGED, 11),
         (lambda: conj_poisson_stieltjes(make("cantor"), DiskPoint(0.9, 1.0)),
-         "-0.08437145383334291", "8.080457996850513e-07", RSStatus.CONVERGED, 13),
+         "-0.08437462519297724", "1.1187722783639322e-05", RSStatus.CONVERGED, 10),
         # integrand and integrator jump at 0.5: the atom sums to 2pi * g(0.5), and
         # the shared spread |2pi * 2pi| seeds every level's replica spread
         (lambda: rs_integral(make("step2pi", 0.5), make("step2pi", 0.5), -math.pi, math.pi,
@@ -538,13 +540,81 @@ class TestReplicaBlock:
             value, est_error, status, depth)
 
 
+def _recorded_spreads(monkeypatch):
+    """Record the spread of every level a ladder runs from here on."""
+    spreads = []
+    spread = quadrature._replica_spread
+
+    def recorded(*args):
+        s = spread(*args)
+        spreads.append(float(s))
+        return s
+
+    monkeypatch.setattr(quadrature, "_replica_spread", recorded)
+    return spreads
+
+
+class _AtomicCos(BoundaryFunction):
+    """cos(8t) as an integrand that declares the atoms in ``jumps``, so that it can share the integrator's."""
+
+    def __call__(self, t):
+        return np.cos(8.0 * t)
+
+
+class TestDecayCertificate:
+    """A level certifies on a spread within tolerance, or on one that halved twice running within DECAY_SLACK of it."""
+
+    @pytest.mark.parametrize("which, z, depth", [
+        # the level difference passes at level 12, the spread alone at 15
+        ("V", (0.996, 0.8), 11),
+        ("U", (0.6, 1.19), 9),
+        ("V", (0.9, 0.3), 9),
+    ])
+    def test_spread_over_the_tolerance_has_halved_twice(self, monkeypatch, which, z, depth):
+        spreads = _recorded_spreads(monkeypatch)
+        runs = []
+
+        def unscaled(*args, **kwargs):
+            runs.append(rs_integral(*args, **kwargs))
+            return runs[-1]
+
+        monkeypatch.setattr(transforms, "rs_integral", unscaled)
+        disk_transform(which, make("sin"), DiskPoint(*z))
+        res, = runs
+        assert res.status is RSStatus.CONVERGED and len(res.levels) == len(spreads) == depth
+        (_, before), (_, last) = res.levels[-2:]
+        diff, spread, tol = abs(last - before), spreads[-1], TRANSFORM_OPTS.tolerance(abs(last))
+        assert diff <= tol < spread <= DECAY_SLACK * tol
+        assert spreads[-1] <= 0.5 * spreads[-2] and spreads[-2] <= 0.5 * spreads[-3]
+        assert res.est_error == max(diff, spread)
+
+    def test_shared_atom_never_certifies_by_decay(self, monkeypatch):
+        # g declares an atom on f's at 0.5, so |h_f * h_g| = 1e-4 floors
+        # every spread; the spreads halve twice onto that floor at level 13,
+        # within DECAY_SLACK times the tolerance, with the difference passed
+        f = make("cbv_demo")
+        g = _AtomicCos(name="cos8", kind="step", jumps=((0.5, 1e-4 / abs(dict(f.jumps)[0.5])),))
+        shared = _split(f, g, -3.0, 3.0)[4]
+        assert shared == pytest.approx(1e-4, rel=1e-12)
+        spreads = _recorded_spreads(monkeypatch)
+        opts = QuadratureOptions(rel_tol=1e-4, k_max=16)
+        res = rs_integral(g, f, -3.0, 3.0, opts)
+        sums = [s for _mesh, s in res.levels]
+        k = 13 - K_MIN
+        assert spreads[k - 2] >= 2.0 * spreads[k - 1] >= 4.0 * spreads[k] == 4.0 * shared
+        assert abs(sums[k] - sums[k - 1]) <= opts.tolerance(abs(sums[k])) < shared <= DECAY_SLACK * opts.tolerance(
+            abs(sums[k]))
+        assert res.status is RSStatus.INCONCLUSIVE and len(res.levels) == 13
+        assert res.est_error == shared
+
+
 class TestLadderWork:
     """The kernel points of fixed transform ladders at TRANSFORM_OPTS, pinned with their depths."""
 
     @pytest.mark.parametrize("which, name, z, points, depth", [
-        ("V", "sin", (0.9, 0.3), 358_512, 12),
-        ("S", "cos", (0.97, 0.3), 194_672, 11),
-        ("U", "sin", (0.9999, 0.7), 1_616, 4),
+        ("V", "sin", (0.9, 0.3), 73_584, 9),
+        ("S", "cos", (0.97, 0.3), 36_720, 8),
+        ("U", "sin", (0.9999, 0.7), 1_008, 3),
     ], ids=["V-sin", "S-cos", "U-sin"])
     def test_kernel_points_are_pinned(self, monkeypatch, which, name, z, points, depth):
         sizes = []
@@ -594,11 +664,10 @@ class TestReplicaDraws:
         calls = []
         res = rs_integral(_counting(np.cos, calls), np.sin, 0.0, 1.0,
                           QuadratureOptions(rel_tol=1e-15, abs_tol=0.0, k_max=12))
-        # levels of 2**4 to 2**12 cells: one midpoint call each; no level
-        # difference passes, so only the first and the last level run their
-        # replica block, one call each
+        # levels of 2**4 to 2**12 cells: one midpoint call each, and one call
+        # for the whole replica block, whose rows fit in CHUNK_POINTS
         assert len(res.levels) == 9
-        assert calls == [1] * 11
+        assert calls == [1] * 18
 
     def test_probe_adds_one_g_call(self, monkeypatch):
         g = make("step2pi", 0.5)
@@ -627,8 +696,9 @@ class TestReplicaDraws:
         f = make("cantor")
         # inside the seam atom's images, so every g call is a level's
         res = rs_integral(g, f, -3.0, 3.0, QuadratureOptions(rel_tol=1e-15, abs_tol=0.0, k_max=16))
-        # no level difference passes: only the first level and the last run
-        # their replica block, the last in REPLICAS chunks of one row each
+        # no level difference passes; every level runs its block in chunks
+        # of at most CHUNK_POINTS cells' rows, the last in REPLICAS chunks
+        # of one row each
         assert len(res.levels) == 13
         cells = {}
         for k in range(K_MIN, 17):
@@ -636,12 +706,16 @@ class TestReplicaDraws:
             cells[k] = pts, np.flatnonzero(np.diff(f(pts)))
         # levels 4 and 5 are more than half live and evaluate every cell
         assert [2 * live.size <= pts.size - 1 for pts, live in cells.values()] == [False] * 2 + [True] * 11
-        assert [t.size for t in tags] == ([2 ** K_MIN, REPLICAS * 2 ** K_MIN, 2 ** (K_MIN + 1)]
-                                          + [cells[k][1].size for k in range(K_MIN + 2, 17)]
-                                          + [cells[16][1].size] * REPLICAS)
-        for k, t in zip(range(K_MIN + 2, 17), tags[3:]):
+        want, mids = [], {}
+        for k, (pts, live) in cells.items():
+            seen = live.size if 2 * live.size <= 2 ** k else 2 ** k
+            mids[k] = len(want)
+            rows = max(1, CHUNK_POINTS // 2 ** k)
+            want += [seen] + [min(rows, REPLICAS - r0) * seen for r0 in range(0, REPLICAS, rows)]
+        assert [t.size for t in tags] == want
+        for k in range(K_MIN + 2, 17):
             pts, live = cells[k]
-            assert np.array_equal(t, (pts[:-1][live] + pts[1:][live]) * 0.5)
+            assert np.array_equal(tags[mids[k]], (pts[:-1][live] + pts[1:][live]) * 0.5)
         # the last level's chunks: its replica streams, gathered by column
         pts, live = cells[16]
         for rep, t in enumerate(tags[-REPLICAS:]):
@@ -652,74 +726,12 @@ class TestReplicaDraws:
         calls = []
         res = rs_integral(_counting(np.cos, calls), np.sin, 0.0, 1.0,
                           QuadratureOptions(rel_tol=1e-15, abs_tol=0.0, k_max=15))
-        # one midpoint call per level; only the first and the last level run
-        # their block, in chunks of at most 2**15 tags: 1 chunk at 2**4 cells
-        # and REPLICAS at 2**15
+        # one midpoint call per level, and every level runs its block in
+        # chunks of at most 2**15 tags: 1 chunk up to 2**12 cells, 2 at
+        # 2**13, 4 at 2**14 and REPLICAS at 2**15
         assert len(res.levels) == 12
-        assert len(calls) == 12 + 1 + REPLICAS
+        assert len(calls) == 12 + 9 + 2 + 4 + REPLICAS
         assert set(calls) == {1}
-
-    def test_passed_level_stops_at_its_first_wide_chunk(self):
-        sizes = []
-
-        def g(t):
-            sizes.append(t.size)
-            return np.cos(t)
-
-        res = rs_integral(g, np.sin, 0.0, 1.0, QuadratureOptions(rel_tol=1e-10, abs_tol=0.0, k_max=16))
-        # level 15 (2**15 cells, one replica per chunk) passes its difference
-        # but not its first replica, so its block stops there; level 16 is the
-        # last and runs all of its own
-        (_, s14), (_, s15) = res.levels[-3:-1]
-        assert abs(s15 - s14) <= 1e-10 * abs(s15)
-        # one midpoint call per level; the first level's block is one chunk
-        assert sizes == ([2 ** K_MIN, REPLICAS * 2 ** K_MIN] + [2 ** k for k in range(K_MIN + 1, 15)]
-                         + [2 ** 15] * 2 + [2 ** 16] * (1 + REPLICAS))
-
-    def test_passed_narrow_level_stops_at_its_first_row_over_the_tolerance(self):
-        sizes = []
-
-        def g(t):
-            sizes.append(t.size)
-            return np.cos(t)
-
-        opts = QuadratureOptions(rel_tol=1e-8, abs_tol=0.0, k_max=14)
-        res = rs_integral(g, np.sin, 0.0, 1.0, opts)
-        # levels 2**11 to 2**13 pass their difference, each far narrower than
-        # CHUNK_POINTS, but not their first replica row: each makes one
-        # replica call, of its n tags; level 2**14 is the last and runs its
-        # whole block in chunks of CHUNK_POINTS // n rows
-        sums = dict(zip(range(K_MIN, 15), (s for _mesh, s in res.levels)))
-        assert all(abs(sums[k] - sums[k - 1]) <= opts.tolerance(abs(sums[k])) for k in (11, 12, 13))
-        assert sizes == ([2 ** K_MIN, REPLICAS * 2 ** K_MIN] + [2 ** k for k in range(K_MIN + 1, 11)]
-                         + [2 ** 11] * 2 + [2 ** 12] * 2 + [2 ** 13] * 2
-                         + [2 ** 14] + [CHUNK_POINTS] * (REPLICAS * 2 ** 14 // CHUNK_POINTS))
-        # replica 0 of level 2**11 alone leaves its spread above the tolerance
-        pts = _level_points(0.0, 1.0, 2 ** 11, None)
-        tags = pts[:-1] + _draws(0, 11, [0], 2 ** 11)[0] * np.diff(pts)
-        assert abs(np.sum(np.cos(tags) * np.diff(np.sin(pts))) - sums[11]) > opts.tolerance(abs(sums[11]))
-
-    def test_sparse_cut_block_is_one_call(self):
-        sizes = []
-
-        def g(t):
-            sizes.append(t.size)
-            return np.cos(t)
-
-        f = make("cantor")
-        # inside the seam atom's images, so every g call is a level's
-        res = rs_integral(g, f, -3.0, 3.0, QuadratureOptions(rel_tol=1e-3, abs_tol=0.0, k_max=14))
-        assert res.status is RSStatus.CONVERGED and len(res.levels) == 7
-        live = {k: np.count_nonzero(np.diff(f(_level_points(-3.0, 3.0, 2 ** k, None)))) for k in range(K_MIN, 11)}
-        # levels 2**7, 2**9 and 2**10 pass their difference and gather at most
-        # 154 live cells: each cut block is one call of all REPLICAS rows
-        assert [live[k] for k in (7, 9, 10)] == [40, 96, 154]
-        want = []
-        for k in range(K_MIN, 11):
-            want.append(live[k] if 2 * live[k] <= 2 ** k else 2 ** k)
-            if k in (K_MIN, 7, 9, 10):
-                want.append(REPLICAS * want[-1])
-        assert sizes == want
 
     def test_rows_are_the_seeded_streams_on_interleaved_threads(self):
         # _draws builds one generator per row, so interleaved threads must
@@ -871,8 +883,8 @@ class TestNestedLevels:
             repr(want.value), repr(want.est_error), want.status, repr(want.levels))
 
     def test_rerun_levels_call_no_f(self):
-        # the divergence rule of the spikes run evaluates three earlier
-        # levels again, from the finest grid and its f values
+        # a diverged run too builds each level once, calling f on its new
+        # points alone
         sizes = []
 
         def identity(t):
@@ -882,25 +894,3 @@ class TestNestedLevels:
         res = rs_integral(make("spikes"), identity, 0.0, 1.0)
         assert res.status is RSStatus.DIVERGED
         assert sizes == self._one_call_per_level(len(res.levels))
-
-    def test_each_level_is_built_once_plus_once_per_back_filled_block(self, monkeypatch):
-        # the spikes run's divergence rule completes blocks its earlier levels
-        # skipped; nothing else may build a level a second time
-        built, back_filled = Counter(), Counter()
-        level, replica_spread = quadrature._NestedLevels.level, quadrature._replica_spread
-
-        def counted_level(self, k):
-            built[k] += 1
-            return level(self, k)
-
-        def counted_spread(g, lv, seed, k, *rest):
-            if k < max(built):
-                back_filled[k] += 1
-            return replica_spread(g, lv, seed, k, *rest)
-
-        monkeypatch.setattr(quadrature._NestedLevels, "level", counted_level)
-        monkeypatch.setattr(quadrature, "_replica_spread", counted_spread)
-        res = rs_integral(make("spikes"), lambda t: np.asarray(t, dtype=float), 0.0, 1.0)
-        assert res.status is RSStatus.DIVERGED
-        assert sum(back_filled.values()) > 0
-        assert dict(built) == {k: 1 + back_filled[k] for k in range(K_MIN, K_MIN + len(res.levels))}

@@ -80,7 +80,10 @@ class TestClosedFormFields:
         s = schwartz_stieltjes(phi, z)
         u = poisson_stieltjes(phi, z)
         v = conj_poisson_stieltjes(phi, z)
-        assert s.value == pytest.approx(complex(u.value, v.value), abs=1e-9)
+        # the three ladders stop at levels of their own: each value is
+        # promised within its est_error alone
+        assert s.converged and u.converged and v.converged
+        assert abs(s.value - complex(u.value, v.value)) <= s.est_error + u.est_error + v.est_error
 
     def test_fields_at_origin(self):
         # U(0) is the total mass / 2pi; V(0) = 0 is the conjugate normalization
