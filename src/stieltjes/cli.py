@@ -285,7 +285,7 @@ def _build_parser() -> _Parser:
     def quadrature(p):
         p.add_argument("--tol", type=float, default=None,
                        help="relative tolerance (default: STIELTJES_TOL or 1e-6)")
-        p.add_argument("--seed", type=int, default=0, help="tag-replica seed")
+        p.add_argument("--seed", type=int, default=0, help="random-tag seed")
         output(p)
 
     p = sub.add_parser("integrate", help="Riemann-Stieltjes integral of g against df")

@@ -373,9 +373,9 @@ class RSResult:
     levels, and otherwise the midpoint-policy sum at the deepest level
     reached (a complex number for complex integrands).  ``levels`` records
     ``(mesh, midpoint sum)`` per level.  ``est_error`` folds the last
-    level-to-level difference together with the spread over tag-policy
-    replicas, so a ``CONVERGED`` status certifies both refinement and tag
-    insensitivity.
+    level-to-level difference together with the spread of a row of
+    random tags and its jump guard, so a ``CONVERGED`` status certifies
+    both refinement and tag insensitivity.
     """
 
     value: complex

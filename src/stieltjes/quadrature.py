@@ -2,18 +2,28 @@
 
 The integral is taken in the strong sense: the net of tagged sums must
 settle down no matter how the tags are chosen.  Each refinement level
-therefore evaluates one midpoint-policy sum and a block of REPLICAS
-randomized tag replicas.  A level certifies when the difference of its
-midpoint sum from the level before is within tolerance and the replicas
-show that the tags no longer matter: their spread is within tolerance too,
-or it has at least halved on each of the last two levels and is within
-DECAY_SLACK times the tolerance.  The level difference falls like h^2 and
-the spread, whose tag errors add like a random walk, only like h^1.5, so a
-spread that is still halving certifies the value as soon as it has
-settled.  The reported est_error is max(difference, spread), up to
-DECAY_SLACK times the tolerance.  With atoms exact and a smooth mesh map
-the midpoint error is O(h^2), so a certified run reports one Richardson
-step of its last two midpoint sums, s_k + (s_k - s_{k-1}) / 3.
+therefore evaluates one midpoint-policy sum and one row of random tags.  A
+level certifies when the difference of its midpoint sum from the level
+before is within tolerance and the row's spread shows that the tags no
+longer matter: it is within tolerance too, or it has at least halved on each
+of the last two levels and is within DECAY_SLACK times the tolerance.  The
+level difference falls like h^2 and the spread, whose tag errors add like a
+random walk, only like h^1.5, so a spread that is still halving certifies
+the value as soon as it has settled.  The reported est_error is
+max(difference, spread), up to DECAY_SLACK times the tolerance.  With atoms
+exact and a smooth mesh map the midpoint error is O(h^2), so a certified run
+reports one Richardson step of its last two midpoint sums,
+s_k + (s_k - s_{k-1}) / 3.
+
+The row's spread is |sum d| + SPREAD_KAPPA * sqrt(sum |d|^2) over the live
+cells, with d_i = (g(xi_i) - g(m_i)) * df_i for the row's tags xi_i and the
+midpoints m_i.  The tag errors of different cells are independent, so the
+row's own terms estimate the spread of many replica sums about the midpoint
+sum.  One row misses a jump of g that f shares in a single cell about half
+the time, so a jump guard is added: osc(g) over the two ends and the
+midpoint of the live cell of largest |df|, times that |df|.  It counts
+until it has at least halved over two levels, that is, until it shrinks
+with the mesh, which a shared jump's never does.
 
 The integrand g and the integrator f only ever see 1-D arrays, and they
 must act elementwise on them.  On a level whose live cells, those with
@@ -24,46 +34,44 @@ so every sum but the sign of an exactly zero one is that over all cells.
 A denser level evaluates g on every cell, and a sum of it that is not
 finite is summed again with each flat cell's product an exact zero.  So on
 every level a flat cell adds nothing: g may be NaN or infinite where f is
-flat, and only a live cell (a NaN in df is live) can make a sum non-finite.
-The ladder owns every array it hands g and f and reuses it once the call has
-returned: where g's values are float64 like the tags, the products g * df
-of a midpoint or replica sum are written over the spent tags.  So g and f
-must neither write into their argument nor keep it after they return;
-returning it, or a value computed from it, is fine.
+flat, and only a live cell (a NaN in df is live) or a guard point can make
+a level non-finite.  The ladder owns every array it hands g and f and
+reuses it once the call has returned: where g's values are float64 like
+the tags, the products g * df of the midpoint sum and the row are written
+over the spent tags.  So g and f must neither write into their argument nor
+keep it after they return; returning it, or a value computed from it, is
+fine.
 
 The levels nest (see :class:`_NestedLevels`): each level calls f on its
 2**(k-1) new grid points alone, or, for a Cantor staircase, on the new
-points of the cells it changes across, and a level is read as views.
+points of the cells it changes across.
 
-Replica ``rep`` of level k draws its uniforms from its own stream,
-``default_rng((seed, k, rep))``, so every replica sum is fixed by the seed
-alone.  The block is evaluated in chunks of rows: one ``g`` call on the
-flattened tags of at most CHUNK_POINTS at a time, then one row reduction.
-A level narrow enough that its chunks hold whole rows, at most
-CHUNK_POINTS cells, takes its draws from a bounded, thread-safe,
-process-wide cache of read-only arrays; a wider level draws each row
-afresh.  A sparse level takes the live cells' columns of those draws, and
-a level without live cells runs no block: its spread is the shared one.
+The row of level k draws its uniforms from ``default_rng((seed, k, 0))``,
+so it is fixed by the seed alone, and one ``g`` call evaluates its live
+cells' tags and the guard's three points.  A level of at most
+DRAW_CACHE_CELLS cells takes its draws from a bounded, thread-safe,
+process-wide cache of read-only rows; a wider level draws afresh.  A level
+without live cells calls g on no row: its spread is the shared one.
 
 :func:`_split` is the one place that reads f's structure: the ladder
 learns f from its record alone.  The integral of g against an atom
 (t_j, h_j) is h_j * g(t_j), so one g call at the atoms whose jumps lie in
-[a, b] gives their known sum, which every midpoint and replica sum shares,
+[a, b] gives their known sum, which the midpoint sum and the row share,
 and the ladder refines the rest of f alone: a pure staircase is exact at
 every level.  A caller that knows f's slope c where g peaks, and the
 integral of g, can pass both: the split then takes c * t out of f and adds
 its integral exactly, and the ladder refines what is left.  Where the
 integrand jumps at an atom too, the sums genuinely depend on the tags, so
-the atom's |h_f * h_g| seeds every level's replica spread, and such a
-spread never certifies by its decay; a shared discontinuity is precisely
-the case where the integral must be allowed to fail.
+the atom's |h_f * h_g| floors every level's spread, and such a spread
+never certifies by its decay; a shared discontinuity is precisely the case
+where the integral must be allowed to fail.
 
-Divergence is declared only when the replica spread and the level
-difference both grow geometrically over the same levels, which is the
-signature of sums that blow up along ever finer partitions.  Spread alone
-is not enough: while the mesh is coarser than a narrow kernel peak, random
-tags that hit or miss the peak make the spread jump about although the
-sums themselves settle.
+Divergence is declared only when the spread or the guard, and the level
+difference, grow geometrically over the same levels, which is the signature
+of sums that blow up along ever finer partitions.  Spread alone is not
+enough: while the mesh is coarser than a narrow kernel peak, random tags
+that hit or miss the peak make the spread jump about although the sums
+themselves settle.
 """
 
 from __future__ import annotations
@@ -90,22 +98,20 @@ __all__ = [
 # the coarsest level has 2**K_MIN base subintervals, the finest at most 2**K_CAP
 K_MIN = 4
 K_CAP = 22
-# random-tag replicas evaluated next to the midpoint sum on every level
-REPLICAS = 8
-# replica tags per g call; a level this wide or wider makes one call per replica
-CHUNK_POINTS = 2 ** 15
 # a level with at most this share of live cells evaluates g on them alone; a
 # denser one on every cell.  A sin U transform at r = 1 - 2**-45, 92% live at
 # level 18, went 67 -> 110 ms gathering on every partly flat level; with this
 # share it stays dense, and read 77 -> 68 ms (2 vCPUs)
 GATHER_SHARE = 0.5
-# levels of at most CHUNK_POINTS cells, those whose chunks hold whole rows,
-# take their replica draws from a cache of at most DRAW_CACHE_BYTES: 32
-# entries of at most 2 MB
-DRAW_CACHE_BYTES = 64 * 2 ** 20
+# the weight of the row's sqrt(sum |d|^2) in its spread: the largest of eight
+# Gaussian replica sums is typically 1.8 of their standard deviation
+SPREAD_KAPPA = 3.0
+# levels of at most DRAW_CACHE_CELLS cells take their row's uniforms from a
+# cache of 64 rows, at most 16 MB
+DRAW_CACHE_CELLS = 2 ** 15
 # divergence: GROWTH_STEPS consecutive growth ratios of at least
-# GROWTH_FACTOR in both spread and level difference, with the last spread
-# above SPREAD_FLOOR_FACTOR * abs_tol
+# GROWTH_FACTOR in the spread or the guard, and in the level difference, with
+# the last spread above SPREAD_FLOOR_FACTOR * abs_tol
 GROWTH_FACTOR = 2.0
 GROWTH_STEPS = 3
 SPREAD_FLOOR_FACTOR = 100.0
@@ -131,16 +137,16 @@ class QuadratureOptions:
     * ``rel_tol``, ``abs_tol``: the tolerance is max(rel_tol * |value|,
       abs_tol).  Both must be finite and >= 0, and one of them > 0.  A run
       is ``CONVERGED`` at the first level whose difference from the level
-      before is within the tolerance and whose replica spread is within
-      it too, or has at least halved on each of its last two levels and
-      is within DECAY_SLACK times it.  Its est_error is max(difference,
-      spread): at most DECAY_SLACK times the tolerance.
-    * ``seed``: a non-negative int; draws the REPLICAS random-tag replicas
-      of each level.
+      before is within the tolerance and whose spread is within it too,
+      or has at least halved on each of its last two levels and is within
+      DECAY_SLACK times it.  Its est_error is max(difference, spread): at
+      most DECAY_SLACK times the tolerance.
+    * ``seed``: a non-negative int; draws the random tags of each level's
+      replica row.
 
     Divergence needs GROWTH_STEPS consecutive ratios of at least
-    GROWTH_FACTOR in both the spread and the level difference, with the
-    last spread above SPREAD_FLOOR_FACTOR * abs_tol.
+    GROWTH_FACTOR in the spread or the jump guard, and in the level
+    difference, with the last spread above SPREAD_FLOOR_FACTOR * abs_tol.
     """
 
     k_max: int = 18
@@ -293,7 +299,6 @@ class _NestedLevels:
     for bit, and the grid map and f act elementwise, so the next level's
     even points and their f values are the current ones: :meth:`refine`
     maps and calls f on the new odd points only, from :func:`_odd_points`.
-    :meth:`level` returns views of the finest grid and its f values.
 
     With ``monotone``, f must be nondecreasing on [a, b], as a Cantor
     staircase is once ``_split`` takes out its seam drop: then f is constant
@@ -321,63 +326,70 @@ class _NestedLevels:
         f_grid[1::2][live] = np.asarray(self.f(new[live]), dtype=float)
         self.grid, self.f_grid = grid, f_grid
 
-    def level(self, k):
-        """``(pts, widths, df)`` of level k, at most the finest level built."""
-        # level k's grid is every step-th point of the finest grid
-        step = (self.grid.size - 1) >> k
-        pts, fv = self.grid[::step], self.f_grid[::step]
+    def level(self):
+        """``(pts, widths, df)`` of the finest level built."""
+        pts, fv = self.grid, self.f_grid
         return pts, np.subtract(pts[1:], pts[:-1]), np.subtract(fv[1:], fv[:-1])
 
 
-def _draws(seed, k, reps, n):
-    """Uniforms of replicas ``reps`` on level k: row rep is ``default_rng((seed, k, rep)).random(n)``."""
-    u = np.empty((len(reps), n))
-    for row, rep in zip(u, reps):
-        np.random.default_rng((seed, k, rep)).random(out=row)
-    return u
+def _draws(seed, k, n):
+    """The uniforms of level k's replica row: ``default_rng((seed, k, 0)).random(n)``."""
+    return np.random.default_rng((seed, k, 0)).random(n)
 
 
-# every entry holds at most REPLICAS * CHUNK_POINTS doubles
-@functools.lru_cache(maxsize=DRAW_CACHE_BYTES // (8 * REPLICAS * CHUNK_POINTS))
+@functools.lru_cache(maxsize=64)
 def _cached_draws(seed, k, n):
-    """All REPLICAS rows of ``_draws`` for level k, read-only, from a bounded process-wide cache."""
-    u = _draws(seed, k, range(REPLICAS), n)
+    """``_draws`` of a level of at most DRAW_CACHE_CELLS cells, read-only, from a bounded process-wide cache."""
+    u = _draws(seed, k, n)
     u.flags.writeable = False
     return u
 
 
-def _replica_spread(g, level, seed, k, s_mid, spread):
-    """The largest of ``spread`` and |s - s_mid| over level k's REPLICAS random-tag sums s.
+def _replica_spread(g, level, seed, k, p_mid, shared, guards):
+    """Level k's spread: the largest of ``shared`` and its row's spread plus its jump guard.
 
-    ``level`` is ``(pts, widths, df, live)`` and ``s_mid`` its midpoint
-    sum, both of the rest of f: the atoms' known sum adds alike to the
-    midpoint sum and to every replica sum, so the distances are those of
-    the rest's sums.
-    The caller seeds ``spread`` with the shared atoms' spread, a level's
-    whole spread if it has no live cell.  The replicas are evaluated as
-    chunks of rows, at most CHUNK_POINTS tags and one ``g`` call on the
-    flattened chunk each.  A non-finite replica sum returns nan at once.
+    The row's spread and the guard are as the module docstring states, and
+    the guard counts until it is at most half the one two levels before.
+    ``level`` is ``(pts, widths, df, live)`` and ``p_mid`` its midpoint
+    products, as wide as df, both of the rest of f: the atoms' known sum
+    adds alike to the midpoint sum and to the row's, so the d_i are those
+    of the rest.  The caller passes the shared atoms' spread, a level's
+    whole spread if it has no live cell, and the guards of the levels
+    before, to which this level's is appended.  One ``g`` call takes the
+    live cells' tags and the guard's three points.  A row or guard that is
+    not finite returns nan.
     """
     pts, widths, df, live = level
+    lo = pts[:-1][live]
+    m = lo.size
+    if not m:
+        guards.append(0.0)
+        return shared
     n = widths.size
-    lo, widths = pts[:-1][live], widths[live]
-    if not lo.size:
-        return spread
-    cached = _cached_draws(seed, k, n) if n <= CHUNK_POINTS else None
-    rows = max(1, CHUNK_POINTS // n)
-    for r0 in range(0, REPLICAS, rows):
-        reps = range(r0, min(r0 + rows, REPLICAS))
-        u = (_draws(seed, k, reps, n) if cached is None else cached[r0:reps.stop])[:, live]
-        # drawn afresh or gathered, the block is the ladder's own to scale in place
-        tags = np.multiply(u, widths, out=u if u.flags.writeable else None)
-        tags += lo
-        for s in _row_sums(g, tags, df, live):
-            if not cmath.isfinite(s):
-                return math.nan
-            d = abs(s - s_mid)
-            if d > spread:
-                spread = d
-    return spread
+    u = _cached_draws(seed, k, n) if n <= DRAW_CACHE_CELLS else _draws(seed, k, n)
+    # the guard's cell: flat cells have |df| = 0, so it is live
+    i = int(np.argmax(np.abs(df)))
+    tags = np.empty(m + 3)
+    np.multiply(u[live], widths[live], out=tags[:m])
+    tags[:m] += lo
+    tags[m:] = pts[i], 0.5 * (pts[i] + pts[i + 1]), pts[i + 1]
+    gv = np.asarray(g(tags))
+    # a g that returns a scalar still stands for a value at every tag
+    gv = gv if gv.size == tags.size else np.broadcast_to(gv, tags.shape)
+    # g times |df| at the guard's points; numpy's max, unlike Python's, keeps a NaN
+    ends = gv[m:] * abs(df[i])
+    guard = float(np.abs(ends - ends[[1, 2, 0]]).max())
+    d = _products(gv[:m], df, tags[:m], live)
+    d -= p_mid
+    s = _summed(d, df)
+    # |d|^2 squared and summed: no BLAS call, which threads a reduction this size
+    sq = np.abs(d)
+    sq *= sq
+    row = abs(s) + SPREAD_KAPPA * math.sqrt(sq.sum())
+    guards.append(guard)
+    if not math.isfinite(row + guard):
+        return math.nan
+    return max(shared, row + guard if len(guards) < 3 or guard > 0.5 * guards[-3] else row)
 
 
 def _with_live(level):
@@ -390,44 +402,31 @@ def _with_live(level):
 def _products(gv, df, tags, live):
     """gv * df[live], written over the spent ``tags`` when g's values share their dtype.
 
-    Where ``live`` leaves cells out, the products go into rows of zeros as
-    wide as ``df``, at the live columns.
+    Where ``live`` leaves cells out, the products go into a row of zeros as
+    wide as ``df``, at the live cells.
     """
     p = np.multiply(gv, df[live], out=tags if gv.dtype == tags.dtype else None)
     if isinstance(live, slice):
         return p
-    rows = np.zeros(p.shape[:-1] + df.shape, p.dtype)
-    rows[..., live] = p
-    return rows
+    row = np.zeros(df.shape, p.dtype)
+    row[live] = p
+    return row
 
 
 def _summed(p, df):
-    """The sums of the rows of products ``p`` over df's cells, a flat cell's product an exact zero.
+    """The sum of the per-cell terms ``p`` over df's cells, a flat cell's term an exact zero.
 
-    A non-finite g times df == 0 is nan, so where a sum is not finite the
-    flat cells' products are set to 0.0 and the rows summed again: a g that
-    is non-finite only where f is flat gives every level, dense or
+    A non-finite g times df == 0 is nan, so where the sum is not finite the
+    flat cells' terms are set to 0.0 in ``p`` and it is summed again: a g
+    that is non-finite only where f is flat gives every level, dense or
     gathered, the sum of its live cells.  A finite sum is summed once.
     """
-    s = p.sum(axis=-1)
-    # cmath tests a midpoint sum in a twentieth of numpy's time
-    if not (cmath.isfinite(s) if s.ndim == 0 else np.isfinite(s).all()):
-        p[..., df == 0.0] = 0.0
-        s = p.sum(axis=-1)
+    s = p.sum()
+    # cmath tests a sum in a twentieth of numpy's time
+    if not cmath.isfinite(s):
+        p[df == 0.0] = 0.0
+        s = p.sum()
     return s
-
-
-def _row_sums(g, tags, df, live=slice(None)):
-    """The tagged sum of each row of ``tags``, from one ``g`` call on the flattened rows.
-
-    ``live`` is as for :func:`_products`.  The products are written over
-    ``tags`` for a float64 g.  A helper so that the g values die before the
-    next chunk is drawn.
-    """
-    gv = np.asarray(g(tags.reshape(-1)))
-    # a g that returns a scalar still stands for a value at every tag
-    gv = gv.reshape(tags.shape) if gv.size == tags.size else np.broadcast_to(gv, tags.shape)
-    return _summed(_products(gv, df, tags, live), df)
 
 
 def rs_integral(
@@ -478,27 +477,25 @@ def rs_integral(
     _atoms, known, rest, monotone, shared = _split(f, g, a, b, slope)
     ladder = _NestedLevels(rest, a, b, grading, monotone)
 
-    levels, spreads, diffs = [], [], []
+    levels, spreads, guards, diffs = [], [], [], []
     prev_sum = None
 
     for k in range(K_MIN, opts.k_max + 1):
         if k > K_MIN:
             ladder.refine()
-        level = _with_live(ladder.level(k))
+        level = _with_live(ladder.level())
         pts, widths, df, live = level
-        # g's values and the products written over the midpoint tags stay
-        # bound to the end of the level: freed at once, they would let the
-        # allocator trim the heap and fault it in again for the replica block
         mid = pts[:-1][live] + pts[1:][live]
         mid *= 0.5
-        g_mid = np.asarray(g(mid))
-        head = _summed(_products(g_mid, df, mid, live), df)
+        # the row reads the midpoint products, written over the midpoint tags
+        p_mid = _products(np.asarray(g(mid)), df, mid, live)
+        head = _summed(p_mid, df)
         s_mid = head if known is None else head + known
         # every sum is a numpy scalar of the products' dtype: float or complex
         value = sign * s_mid.item()
         levels.append((float(widths.max()), value))
-        # a non-finite midpoint or replica sum ends the run
-        spread = _replica_spread(g, level, opts.seed, k, head, shared) if cmath.isfinite(s_mid) else math.nan
+        # a non-finite midpoint sum, row or guard ends the run
+        spread = _replica_spread(g, level, opts.seed, k, p_mid, shared, guards) if cmath.isfinite(s_mid) else math.nan
         if math.isnan(spread):
             return RSResult(value, levels, math.inf, RSStatus.INCONCLUSIVE)
 
@@ -514,7 +511,7 @@ def rs_integral(
             est = float(max(diff, spread))
             return RSResult(sign * (s_mid + (s_mid - prev_sum) / 3.0).item(), levels, est, RSStatus.CONVERGED)
 
-        if spread > SPREAD_FLOOR_FACTOR * opts.abs_tol and _grows(spreads) and _grows(diffs):
+        if spread > SPREAD_FLOOR_FACTOR * opts.abs_tol and (_grows(spreads) or _grows(guards)) and _grows(diffs):
             return RSResult(value, levels, float(spread), RSStatus.DIVERGED)
         prev_sum = s_mid
 

@@ -42,7 +42,7 @@ __all__ = [
 ]
 
 # Transform runs certify against these by default.  The relative target is
-# what random-tag replica spread can actually reach within the level budget
+# what the random-tag spread can actually reach within the level budget
 # for kernel-weighted integrands; values come out far more accurate.
 TRANSFORM_OPTS = QuadratureOptions(rel_tol=1e-5, abs_tol=1e-9)
 

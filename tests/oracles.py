@@ -7,9 +7,10 @@ of these, the two sides share no code.  The two exceptions must match the
 package bit for bit.  ``eager_rs_integral`` shares only ``_split``, the
 one reader of f's structure, and the grid map of ``_level_points``; it
 restates the ladder on from-scratch partitions, evaluating g on every
-cell, flat ones included, and every replica row with its own ``g`` call
-on a row drawn afresh, where the package gathers the live cells of a
-sparse level, chunks the rows and caches the draws.
+cell, flat ones included, and the replica row and the jump guard each with
+its own ``g`` call on a row drawn afresh, where the package gathers the
+live cells of a sparse level, makes one call of the row and the guard and
+caches the draws.
 ``full_path_limit`` shares ``aitken_tail`` and evaluates every point of the
 approach path.
 """
@@ -27,8 +28,8 @@ from stieltjes.quadrature import (
     GROWTH_FACTOR,
     GROWTH_STEPS,
     K_MIN,
-    REPLICAS,
     SPREAD_FLOOR_FACTOR,
+    SPREAD_KAPPA,
     QuadratureOptions,
     _grid_map,
     _split,
@@ -242,13 +243,12 @@ def cot_half_expression(tau, t):
     return 1.0 / np.tan(0.5 * (np.asarray(tau, dtype=float) - np.asarray(t, dtype=float)))
 
 
-# the refinement ladder restated level by level: every cell and every
-# replica row evaluated, one g call per row, each row drawn afresh
+# the refinement ladder restated level by level: every cell evaluated, the
+# replica row and the guard each in a g call of its own, the row drawn afresh
 
 
-def _sum_over_cells(gv, df):
-    """The tagged sum of g values ``gv`` against df, a flat cell's product an exact zero where the sum is not."""
-    p = gv * df
+def _sum_over_cells(p, df):
+    """The sum of the per-cell terms ``p``, a flat cell's term set to an exact zero in ``p`` where the sum is not finite."""
     s = p.sum()
     if not cmath.isfinite(s):
         p[df == 0.0] = 0.0
@@ -268,12 +268,18 @@ def _level_points(a, b, n, grading):
 
 
 def eager_rs_integral(g, f, a, b, opts=None, *, grading=None):
-    """``rs_integral`` restated: every level evaluates g on every cell and all REPLICAS rows.
+    """``rs_integral`` restated: every level evaluates g on every cell, for its midpoints and its one replica row.
 
-    A level certifies when its difference is within the tolerance and its
-    spread is too, or, with no shared atom, when the spread has at least
-    halved on each of its last two levels and is within DECAY_SLACK times
-    the tolerance.
+    With d = (g(tags) - g(midpoints)) * df per cell, the row's spread is
+    |sum d| + SPREAD_KAPPA * sqrt(sum |d|^2).  The guard is g's oscillation
+    over the ends and the midpoint of the first cell of largest |df|, times
+    that |df|; the spread is the shared atoms' one or the row's plus the
+    guard, the guard left out once it is at most half its value two levels
+    before.  A level certifies when its difference is within the tolerance
+    and its spread is too, or, with no shared atom, when the spread has at
+    least halved on each of its last two levels and is within DECAY_SLACK
+    times the tolerance.  Divergence needs the spread or the guard, and the
+    difference, to grow.
     """
     opts = opts or QuadratureOptions()
     if grading is not None and not (math.isfinite(grading[1]) and grading[1] > 0.0):
@@ -292,7 +298,7 @@ def eager_rs_integral(g, f, a, b, opts=None, *, grading=None):
         return len(seq) > GROWTH_STEPS and all(
             seq[-i - 1] > 0.0 and seq[-i] >= 0.999 * GROWTH_FACTOR * seq[-i - 1] for i in range(1, GROWTH_STEPS + 1))
 
-    levels, spreads, diffs = [], [], []
+    levels, spreads, guards, diffs = [], [], [], []
     prev_sum = None
     for k in range(K_MIN, opts.k_max + 1):
         n = 2 ** k
@@ -300,20 +306,28 @@ def eager_rs_integral(g, f, a, b, opts=None, *, grading=None):
         widths = np.diff(pts)
         df = np.diff(np.asarray(rest(pts), dtype=float))
         # the sums of the rest; the atoms add known to each of them alike
-        head = _sum_over_cells(np.asarray(g(0.5 * (pts[:-1] + pts[1:]))), df)
+        p_mid = np.asarray(g(0.5 * (pts[:-1] + pts[1:]))) * df
+        head = _sum_over_cells(p_mid, df)
         s_mid = head if known is None else head + known
         value = sign * s_mid.item()
         levels.append((float(widths.max()), value))
         if not cmath.isfinite(s_mid):
             return RSResult(value, levels, math.inf, RSStatus.INCONCLUSIVE)
-        # the shared atoms' spread seeds the replicas'
-        spread = shared
-        for rep in range(REPLICAS):
-            tags = pts[:-1] + np.random.default_rng((opts.seed, k, rep)).random(n) * widths
-            s = _sum_over_cells(np.broadcast_to(np.asarray(g(tags)), tags.shape), df)
-            if not cmath.isfinite(s):
+        row = guard = 0.0
+        if np.any(df != 0.0):
+            tags = pts[:-1] + np.random.default_rng((opts.seed, k, 0)).random(n) * widths
+            d = np.broadcast_to(np.asarray(g(tags)), tags.shape) * df - p_mid
+            row = abs(_sum_over_cells(d, df)) + SPREAD_KAPPA * math.sqrt(float(np.sum(np.abs(d) ** 2)))
+            i = int(np.argmax(np.abs(df)))
+            gi = np.broadcast_to(np.asarray(g(np.array([pts[i], (pts[i] + pts[i + 1]) / 2.0, pts[i + 1]]))), (3,))
+            ends = gi * abs(df[i])
+            osc = max(abs(ends[0] - ends[1]), abs(ends[1] - ends[2]), abs(ends[2] - ends[0]))
+            guard = osc if np.isfinite(ends).all() else math.nan
+            if not math.isfinite(row + guard):
                 return RSResult(value, levels, math.inf, RSStatus.INCONCLUSIVE)
-            spread = max(spread, abs(s - head))
+        guards.append(guard)
+        counted = len(guards) < 3 or guard > guards[-3] / 2.0
+        spread = max(shared, row + guard if counted else row)
         spreads.append(spread)
         diff = math.inf if prev_sum is None else abs(s_mid - prev_sum)
         diffs.append(diff)
@@ -323,7 +337,7 @@ def eager_rs_integral(g, f, a, b, opts=None, *, grading=None):
             # one Richardson step of the last two midpoint sums
             return RSResult(sign * (s_mid + (s_mid - prev_sum) / 3.0).item(), levels, float(max(diff, spread)),
                             RSStatus.CONVERGED)
-        if spread > SPREAD_FLOOR_FACTOR * opts.abs_tol and grows(spreads) and grows(diffs):
+        if spread > SPREAD_FLOOR_FACTOR * opts.abs_tol and (grows(spreads) or grows(guards)) and grows(diffs):
             return RSResult(value, levels, float(spread), RSStatus.DIVERGED)
         prev_sum = s_mid
 

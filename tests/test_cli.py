@@ -165,6 +165,17 @@ class TestIntegrate:
         assert code == EXIT_DIVERGED
         assert records[0]["status"] == "diverged"
 
+    def test_divergent_pair_against_spikes_exits_two(self, capsys):
+        # the swapped pair: against d(spikes) the tagged sums blow up too,
+        # and the jump guard of the cell of largest |df| doubles every level
+        code, _header, records = run_csv(
+            capsys,
+            ["integrate", "--g", "poly:t", "--f", "zoo:spikes",
+             "--a", "0", "--b", "1"],
+        )
+        assert code == EXIT_DIVERGED
+        assert records[0]["status"] == "diverged"
+
     def test_shared_jump_exits_three(self, capsys, tmp_path):
         path = tmp_path / "step.json"
         path.write_text(json.dumps({"kind": "step", "jumps": [[0.5, 1.0]]}))

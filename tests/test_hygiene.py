@@ -203,3 +203,37 @@ def test_checker_flags_an_aitken_tail_call():
         "tail = aitken_tail\n"
     )
     assert aitken_tail_calls(src) == [3, 5]
+
+
+# numpy names whose reductions go through BLAS.  OpenBLAS threads them: np.vdot
+# over 16,384 points took 4-8 ms on 2 shared vCPUs, where a square-and-sum takes
+# about 10 us, so the ladder's per-level reductions stay elementwise
+BLAS_CALLS = ("dot", "vdot", "inner", "matmul", "tensordot")
+
+
+def blas_reductions(source: str) -> list:
+    """Lines of ``source`` that read a BLAS reduction or ``linalg`` as an attribute, or use ``@``."""
+    return sorted({node.lineno for node in ast.walk(ast.parse(source))
+                   if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult)
+                   or isinstance(node, ast.Attribute) and node.attr in BLAS_CALLS + ("linalg",)})
+
+
+def test_the_engine_calls_no_blas_reduction():
+    source = (ROOT / "src/stieltjes/quadrature.py").read_text(encoding="utf-8")
+    assert blas_reductions(source) == []
+
+
+def test_checker_flags_a_blas_reduction():
+    src = (
+        "import numpy as np\n"
+        "a = np.dot(x, y)\n"
+        "b = np.vdot(x, y)\n"
+        "c = np.inner(x, y)\n"
+        "d = np.linalg.norm(x)\n"
+        "e = x @ y\n"
+        "f = x.dot(y)\n"
+        "g = np.einsum('i,i->', x, y)\n"
+        "h = (x * x).sum()\n"
+        "x @= y\n"
+    )
+    assert blas_reductions(src) == [2, 3, 4, 5, 6, 7, 10]

@@ -501,21 +501,21 @@ def _disk_run(name, which, r, theta, seed, rel_tol, k_max):
 # have not: the run ends inconclusive, not diverged
 @example((_heavy_tailed, _identity, 0.0, 1.0, QuadratureOptions(rel_tol=0.0, abs_tol=HEAVY_STEP, k_max=16, seed=2),
           None))
-# level 4's replicas miss the NaN window and level 5's hit it: the run ends
+# level 4's row misses the NaN window and level 5's hits it: the run ends
 # at level 5
-@example((_spikes_nan_window, _identity, 0.0, 1.0, QuadratureOptions(seed=2), None))
-# NaN replica sums on the first level
+@example((_spikes_nan_window, _identity, 0.0, 1.0, QuadratureOptions(seed=20), None))
+# a NaN row on the first level
 @example((_one_on_dyadics, _identity, 0.0, 1.0, QuadratureOptions(), None))
 # integrand and integrator jump at 0.5: every level makes a probe sum
 @example((make("step2pi", 0.5), make("step2pi", 0.5), -math.pi, math.pi,
           QuadratureOptions(rel_tol=1e-4, k_max=10), None))
 @example(_disk_run("cantor", "V", 0.9, 1.0, 0, 1e-5, K_MIN))
-# runs out of levels at 2**16 cells, past the one-replica-per-call width
+# runs out of levels at 2**16 cells, past the cached draws' width
 @example((np.cos, make("sin"), 0.0, 1.0, QuadratureOptions(rel_tol=1e-15, abs_tol=0.0, k_max=16), None))
 # the Cantor staircase is at most half live from level 6 on; its last level,
-# 2**16 cells, gathers the live columns of uncached draws, one row per chunk
+# 2**16 cells, gathers the live entries of an uncached row
 @example((np.cos, make("cantor"), -3.0, 3.0, QuadratureOptions(rel_tol=1e-15, abs_tol=0.0, k_max=16), None))
-# a staircase's rest is flat: every level evaluates g on no cell and runs no block
+# a staircase's rest is flat: every level evaluates g on no cell and on no row
 @example(_disk_run("multi_step", "S", 0.9, 0.3, 1, 1e-6, 10))
 # every level live: the dense path
 @example(_disk_run("cbv_demo", "C", 0.95, -2.0, 3, 1e-7, 14))
@@ -531,7 +531,7 @@ def _disk_run(name, which, r, theta, seed, rel_tol, k_max):
     rel_tol=st.floats(min_value=-8.0, max_value=-3.0).map(lambda e: 10.0 ** e),
     k_max=st.integers(min_value=K_MIN, max_value=14),
 ))
-def test_lazy_replicas_give_the_eager_ladder_bit_for_bit(run):
+def test_ladder_gives_the_eager_ladder_bit_for_bit(run):
     g, f, a, b, opts, grading = run
     got = rs_integral(g, f, a, b, opts, grading=grading)
     want = eager_rs_integral(g, f, a, b, opts, grading=grading)
@@ -649,22 +649,15 @@ def _same_bits(x, y):
 def test_nested_levels_equal_the_levels_built_from_scratch(case):
     f, a, b, grading, k = case
     nested = _NestedLevels(f, a, b, grading)
-
-    def check(j):
-        pts, widths, df = nested.level(j)
+    # each level as the ladder reads it, right after building it
+    for j in range(K_MIN, k + 1):
+        if j > K_MIN:
+            nested.refine()
+        pts, widths, df = nested.level()
         want = _level_points(a, b, 2 ** j, grading)
         assert _same_bits(pts, want)
         assert _same_bits(widths, np.diff(want))
         assert _same_bits(df, np.diff(np.asarray(f(want), dtype=float)))
-
-    # each level as the ladder reads it right after building it ...
-    check(K_MIN)
-    for j in range(K_MIN + 1, k + 1):
-        nested.refine()
-        check(j)
-    # ... and again from the finest grid
-    for j in range(K_MIN, k):
-        check(j)
 
 
 @fixed(25)
@@ -736,7 +729,7 @@ def test_rest_skips_only_cells_where_it_is_flat(case):
     for j in range(K_MIN, k + 1):
         if j > K_MIN:
             nested.refine()
-        pts, widths, df = nested.level(j)
+        pts, widths, df = nested.level()
         want = _level_points(a, b, 2 ** j, grading)
         assert _same_bits(pts, want)
         assert _same_bits(widths, np.diff(want))

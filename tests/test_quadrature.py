@@ -25,7 +25,7 @@ from stieltjes.accel import TAIL_WINDOW, aitken_step, aitken_tail
 from stieltjes.core import reduce_angle
 from stieltjes.kernels import boundary_cot_kernel
 from stieltjes import quadrature, transforms
-from stieltjes.quadrature import CHUNK_POINTS, DECAY_SLACK, K_MIN, REPLICAS, _cached_draws, _draws, _split
+from stieltjes.quadrature import DECAY_SLACK, DRAW_CACHE_CELLS, K_MIN, _cached_draws, _draws, _split
 from stieltjes.transforms import TRANSFORM_OPTS, disk_transform
 from stieltjes.zoo import NAMES
 
@@ -201,6 +201,19 @@ class TestDeclaredJumps:
                           QuadratureOptions(rel_tol=1e-4, k_max=10))
         assert res.status is not RSStatus.CONVERGED
 
+    # c of the shared-jump sample, default_rng(7).uniform(0.1, 0.9, 40), at
+    # the indices where a spread over eight replica sums, without the jump
+    # guard, certified each of seeds 0-4
+    @pytest.mark.parametrize("c", np.random.default_rng(7).uniform(0.1, 0.9, 40)[
+        [3, 5, 8, 11, 13, 17, 19, 20, 22, 30, 31, 32, 33, 34, 36, 38]])
+    def test_undeclared_shared_jump_never_certified(self, c):
+        # g = f = (t > c) as plain callables declare no atom: the tagged sums
+        # are 0 or 1 as the tag in the jump's cell falls, and the one row
+        # misses the jump's far side half the time; the jump guard sees it
+        h = lambda t: t > c
+        statuses = {rs_integral(h, h, 0.0, 1.0, QuadratureOptions(seed=seed)).status for seed in range(5)}
+        assert RSStatus.CONVERGED not in statuses
+
     def test_nearby_but_distinct_jumps_fine(self):
         g = make("step2pi", 0.5)
         f = make("step2pi", 1.5)
@@ -295,7 +308,7 @@ class TestDivergence:
 
     def test_unresolved_kernel_peak_is_not_divergence(self):
         # r = 0.99 next to the seam atom: while the mesh is coarser than the
-        # peak the replica spread jumps about, but the level difference
+        # peak the random-tag spread jumps about, but the level difference
         # does not grow with it, so the sums are not blowing up
         res = poisson_stieltjes(make("linear"), DiskPoint(0.99, -3.052))
         assert res.status is not RSStatus.DIVERGED
@@ -512,15 +525,15 @@ class TestNonFinite:
 
 
 class TestReplicaBlock:
-    """Ladders whose values, errors, statuses and depths the replica draws decide, pinned bit for bit."""
+    """Ladders whose values, errors, statuses and depths the replica row decides, pinned bit for bit."""
 
     @pytest.mark.parametrize("run, value, est_error, status, depth", [
         (lambda: rs_integral(np.cos, make("sin"), 0.0, 1.0),
-         "0.7273243567064204", "8.960360420307012e-08", RSStatus.CONVERGED, 11),
+         "0.7273243567064205", "5.6949589732769945e-08", RSStatus.CONVERGED, 12),
         (lambda: conj_poisson_stieltjes(make("cantor"), DiskPoint(0.9, 1.0)),
-         "-0.08437462519297724", "1.1187722783639322e-05", RSStatus.CONVERGED, 10),
+         "-0.08437145383334291", "1.595164417853494e-06", RSStatus.CONVERGED, 13),
         # integrand and integrator jump at 0.5: the atom sums to 2pi * g(0.5), and
-        # the shared spread |2pi * 2pi| seeds every level's replica spread
+        # the shared spread |2pi * 2pi| floors every level's spread
         (lambda: rs_integral(make("step2pi", 0.5), make("step2pi", 0.5), -math.pi, math.pi,
                              QuadratureOptions(rel_tol=1e-4, k_max=10)),
          "39.47841760435743", "39.47841760435743", RSStatus.INCONCLUSIVE, 7),
@@ -529,10 +542,10 @@ class TestReplicaBlock:
             BoundaryFunction(name="staircase", kind="step", jumps=((2.0, 1.0), (1.875, 0.0))),
             DiskPoint(0.5, 0.0)),
          "0.07164206941465698", "0.0", RSStatus.CONVERGED, 2),
-        # runs to 2**16 cells, past the one-replica-per-call width
+        # runs to 2**16 cells, past the cached draws' width
         (lambda: rs_integral(np.cos, make("sin"), 0.0, 1.0,
                              QuadratureOptions(rel_tol=1e-15, abs_tol=0.0, k_max=16)),
-         "0.7273243567081858", "1.182078879224946e-08", RSStatus.INCONCLUSIVE, 13),
+         "0.7273243567081858", "2.8722706909930627e-08", RSStatus.INCONCLUSIVE, 13),
     ], ids=["cos-dsin", "cantor-V", "shared-atom", "adjacent-atoms", "deep"])
     def test_ladder_is_pinned(self, run, value, est_error, status, depth):
         res = run()
@@ -565,10 +578,9 @@ class TestDecayCertificate:
     """A level certifies on a spread within tolerance, or on one that halved twice running within DECAY_SLACK of it."""
 
     @pytest.mark.parametrize("which, z, depth", [
-        # the level difference passes at level 12, the spread alone at 15
-        ("V", (0.996, 0.8), 11),
+        ("V", (0.931, 0.12), 11),
         ("U", (0.6, 1.19), 9),
-        ("V", (0.9, 0.3), 9),
+        ("V", (0.635, -1.38), 9),
     ])
     def test_spread_over_the_tolerance_has_halved_twice(self, monkeypatch, which, z, depth):
         spreads = _recorded_spreads(monkeypatch)
@@ -589,18 +601,18 @@ class TestDecayCertificate:
         assert res.est_error == max(diff, spread)
 
     def test_shared_atom_never_certifies_by_decay(self, monkeypatch):
-        # g declares an atom on f's at 0.5, so |h_f * h_g| = 1e-4 floors
-        # every spread; the spreads halve twice onto that floor at level 13,
+        # g declares an atom on f's at 0.5, so |h_f * h_g| = 1.8e-5 floors
+        # every spread; the spreads halve twice onto that floor at level 15,
         # within DECAY_SLACK times the tolerance, with the difference passed
         f = make("cbv_demo")
-        g = _AtomicCos(name="cos8", kind="step", jumps=((0.5, 1e-4 / abs(dict(f.jumps)[0.5])),))
+        g = _AtomicCos(name="cos8", kind="step", jumps=((0.5, 1.8e-5 / abs(dict(f.jumps)[0.5])),))
         shared = _split(f, g, -3.0, 3.0)[4]
-        assert shared == pytest.approx(1e-4, rel=1e-12)
+        assert shared == pytest.approx(1.8e-5, rel=1e-12)
         spreads = _recorded_spreads(monkeypatch)
         opts = QuadratureOptions(rel_tol=1e-4, k_max=16)
         res = rs_integral(g, f, -3.0, 3.0, opts)
         sums = [s for _mesh, s in res.levels]
-        k = 13 - K_MIN
+        k = 15 - K_MIN
         assert spreads[k - 2] >= 2.0 * spreads[k - 1] >= 4.0 * spreads[k] == 4.0 * shared
         assert abs(sums[k] - sums[k - 1]) <= opts.tolerance(abs(sums[k])) < shared <= DECAY_SLACK * opts.tolerance(
             abs(sums[k]))
@@ -612,9 +624,9 @@ class TestLadderWork:
     """The kernel points of fixed transform ladders at TRANSFORM_OPTS, pinned with their depths."""
 
     @pytest.mark.parametrize("which, name, z, points, depth", [
-        ("V", "sin", (0.9, 0.3), 73_584, 9),
-        ("S", "cos", (0.97, 0.3), 36_720, 8),
-        ("U", "sin", (0.9999, 0.7), 1_008, 3),
+        ("V", "sin", (0.9, 0.3), 32_766, 10),
+        ("S", "cos", (0.97, 0.3), 16_379, 9),
+        ("U", "sin", (0.9999, 0.7), 233, 3),
     ], ids=["V-sin", "S-cos", "U-sin"])
     def test_kernel_points_are_pinned(self, monkeypatch, which, name, z, points, depth):
         sizes = []
@@ -642,13 +654,13 @@ def _counting(g, calls):
 
 
 def _counting_draws(monkeypatch):
-    """Record ``(k, len(reps), n)`` of every ``_draws`` call from here on."""
+    """Record ``(k, n)`` of every ``_draws`` call from here on."""
     drawn = []
     draws = quadrature._draws
 
-    def counted(seed, k, reps, n):
-        drawn.append((k, len(reps), n))
-        return draws(seed, k, reps, n)
+    def counted(seed, k, n):
+        drawn.append((k, n))
+        return draws(seed, k, n)
 
     monkeypatch.setattr(quadrature, "_draws", counted)
     return drawn
@@ -665,7 +677,7 @@ class TestReplicaDraws:
         res = rs_integral(_counting(np.cos, calls), np.sin, 0.0, 1.0,
                           QuadratureOptions(rel_tol=1e-15, abs_tol=0.0, k_max=12))
         # levels of 2**4 to 2**12 cells: one midpoint call each, and one call
-        # for the whole replica block, whose rows fit in CHUNK_POINTS
+        # for the replica row and the jump guard's three points
         assert len(res.levels) == 9
         assert calls == [1] * 18
 
@@ -683,7 +695,7 @@ class TestReplicaDraws:
         monkeypatch.setattr(BoundaryFunction, "__call__", counted)
         res = rs_integral(g, f, -math.pi, math.pi, QuadratureOptions(rel_tol=1e-4, k_max=10))
         # one call at the atoms, then per level one midpoint call, on no tags:
-        # the rest of a step is flat, so no level runs a replica block
+        # the rest of a step is flat, so no level evaluates a replica row
         assert calls == [1] * (1 + len(res.levels))
 
     def test_sparse_levels_evaluate_their_live_cells_alone(self):
@@ -696,9 +708,8 @@ class TestReplicaDraws:
         f = make("cantor")
         # inside the seam atom's images, so every g call is a level's
         res = rs_integral(g, f, -3.0, 3.0, QuadratureOptions(rel_tol=1e-15, abs_tol=0.0, k_max=16))
-        # no level difference passes; every level runs its block in chunks
-        # of at most CHUNK_POINTS cells' rows, the last in REPLICAS chunks
-        # of one row each
+        # no level difference passes; every level makes a midpoint call and
+        # one call of its row's tags and the guard's three points
         assert len(res.levels) == 13
         cells = {}
         for k in range(K_MIN, 17):
@@ -706,45 +717,29 @@ class TestReplicaDraws:
             cells[k] = pts, np.flatnonzero(np.diff(f(pts)))
         # levels 4 and 5 are more than half live and evaluate every cell
         assert [2 * live.size <= pts.size - 1 for pts, live in cells.values()] == [False] * 2 + [True] * 11
-        want, mids = [], {}
+        want = []
         for k, (pts, live) in cells.items():
             seen = live.size if 2 * live.size <= 2 ** k else 2 ** k
-            mids[k] = len(want)
-            rows = max(1, CHUNK_POINTS // 2 ** k)
-            want += [seen] + [min(rows, REPLICAS - r0) * seen for r0 in range(0, REPLICAS, rows)]
+            want += [seen, seen + 3]
         assert [t.size for t in tags] == want
         for k in range(K_MIN + 2, 17):
             pts, live = cells[k]
-            assert np.array_equal(tags[mids[k]], (pts[:-1][live] + pts[1:][live]) * 0.5)
-        # the last level's chunks: its replica streams, gathered by column
-        pts, live = cells[16]
-        for rep, t in enumerate(tags[-REPLICAS:]):
-            u = np.random.default_rng((0, 16, rep)).random(2 ** 16)
-            assert np.array_equal(t, u[live] * np.diff(pts)[live] + pts[:-1][live])
-
-    def test_wider_levels_split_the_block(self):
-        calls = []
-        res = rs_integral(_counting(np.cos, calls), np.sin, 0.0, 1.0,
-                          QuadratureOptions(rel_tol=1e-15, abs_tol=0.0, k_max=15))
-        # one midpoint call per level, and every level runs its block in
-        # chunks of at most 2**15 tags: 1 chunk up to 2**12 cells, 2 at
-        # 2**13, 4 at 2**14 and REPLICAS at 2**15
-        assert len(res.levels) == 12
-        assert len(calls) == 12 + 9 + 2 + 4 + REPLICAS
-        assert set(calls) == {1}
+            mid, row = tags[2 * (k - K_MIN):2 * (k - K_MIN) + 2]
+            assert np.array_equal(mid, (pts[:-1][live] + pts[1:][live]) * 0.5)
+            # the row's stream, gathered by cell, then the guard cell's ends and midpoint
+            u = np.random.default_rng((0, k, 0)).random(2 ** k)
+            assert np.array_equal(row[:-3], u[live] * np.diff(pts)[live] + pts[:-1][live])
+            i = np.argmax(np.abs(np.diff(quadrature._split(f, g, -3.0, 3.0)[2](pts))))
+            assert np.array_equal(row[-3:], [pts[i], 0.5 * (pts[i] + pts[i + 1]), pts[i + 1]])
 
     def test_rows_are_the_seeded_streams_on_interleaved_threads(self):
         # _draws builds one generator per row, so interleaved threads must
         # still get each row's own stream
         jobs = [(seed, k, n) for seed in (70101, 70102) for k, n in ((5, 3), (11, 40), (17, 7))]
-        want = {(seed, k): np.array([np.random.default_rng((seed, k, rep)).random(n) for rep in range(REPLICAS)])
-                for seed, k, n in jobs}
+        want = {(seed, k): np.random.default_rng((seed, k, 0)).random(n) for seed, k, n in jobs}
 
         def run(job):
-            seed, k, n = job
-            # every row alone, then pairs of rows, then the whole block
-            blocks = [range(rep, rep + 1) for rep in range(REPLICAS)] + [range(r0, r0 + 2) for r0 in (0, 3, 6)]
-            return [(reps, _draws(seed, k, reps, n)) for _ in range(5) for reps in blocks + [range(REPLICAS)]]
+            return [_draws(*job) for _ in range(20)]
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -754,41 +749,42 @@ class TestReplicaDraws:
         finally:
             sys.setswitchinterval(interval)
         for (seed, k, n), rows in zip(jobs * 2, results):
-            for reps, u in rows:
-                assert np.array_equal(u, want[seed, k][reps.start:reps.stop])
+            for u in rows:
+                assert np.array_equal(u, want[seed, k])
 
     def test_cached_rows_are_the_seeded_streams_and_read_only(self):
         u = _cached_draws(7, 5, 33)
-        assert u.shape == (REPLICAS, 33)
-        for rep in range(REPLICAS):
-            assert np.array_equal(u[rep], np.random.default_rng((7, 5, rep)).random(33))
+        assert np.array_equal(u, np.random.default_rng((7, 5, 0)).random(33))
         with pytest.raises(ValueError):
-            u[0, 0] = 0.5
+            u[0] = 0.5
         assert _cached_draws(7, 5, 33) is u
 
     def test_cache_stays_bounded(self):
         # three entries more than the cache holds, all at the widest sizes
         maxsize = _cached_draws.cache_info().maxsize
-        for n in range(CHUNK_POINTS - maxsize - 2, CHUNK_POINTS + 1):
+        for n in range(DRAW_CACHE_CELLS - maxsize - 2, DRAW_CACHE_CELLS + 1):
             _cached_draws(8, 10, n)
         info = _cached_draws.cache_info()
         assert info.currsize == info.maxsize
-        largest = _cached_draws(8, 10, CHUNK_POINTS).nbytes
-        assert info.maxsize * largest <= quadrature.DRAW_CACHE_BYTES
+        largest = _cached_draws(8, 10, DRAW_CACHE_CELLS).nbytes
+        assert info.maxsize * largest <= 16 * 2 ** 20
 
     def test_widest_cached_rows_are_the_seeded_streams_and_read_only(self):
-        u = _cached_draws(11, 15, CHUNK_POINTS)
-        assert u.shape == (REPLICAS, CHUNK_POINTS)
-        for rep in range(REPLICAS):
-            assert np.array_equal(u[rep], np.random.default_rng((11, 15, rep)).random(CHUNK_POINTS))
+        u = _cached_draws(11, 15, DRAW_CACHE_CELLS)
+        assert np.array_equal(u, np.random.default_rng((11, 15, 0)).random(DRAW_CACHE_CELLS))
         assert not u.flags.writeable
 
     def test_level_past_the_cache_draws_afresh(self, monkeypatch):
         drawn = _counting_draws(monkeypatch)
-        # level 16 has twice CHUNK_POINTS cells, so each replica is a chunk of its own
-        rs_integral(np.cos, make("sawtooth"), 0.0, 4.0,
-                    QuadratureOptions(rel_tol=1e-15, abs_tol=0.0, k_max=16, seed=70103))
-        assert [d for d in drawn if d[0] == 16] == [(16, 1, 2 ** 16)] * REPLICAS
+        calls = []
+        opts = QuadratureOptions(rel_tol=1e-15, abs_tol=0.0, k_max=16, seed=70103)
+        # level 16 has twice DRAW_CACHE_CELLS cells, so each run draws its row afresh
+        for _ in range(2):
+            res = rs_integral(_counting(np.cos, calls), make("sawtooth"), 0.0, 4.0, opts)
+        assert [d for d in drawn if d[0] == 16] == [(16, 2 ** 16)] * 2
+        # each run calls g once at the seam atom at pi, then twice per level,
+        # on a 1-D array, past the cache's width too
+        assert len(calls) == 2 * (1 + 2 * len(res.levels)) and set(calls) == {1}
 
     def test_repeated_ladder_draws_nothing(self, monkeypatch):
         # a seed no other test uses, so the first run fills the cache itself
@@ -882,7 +878,7 @@ class TestNestedLevels:
         assert (repr(got.value), repr(got.est_error), got.status, repr(got.levels)) == (
             repr(want.value), repr(want.est_error), want.status, repr(want.levels))
 
-    def test_rerun_levels_call_no_f(self):
+    def test_diverged_run_calls_f_on_new_points_only(self):
         # a diverged run too builds each level once, calling f on its new
         # points alone
         sizes = []

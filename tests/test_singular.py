@@ -84,9 +84,11 @@ class TestHilbertClosedForms:
 
     def test_cantor_odd_symmetry_center(self):
         # the staircase measure is symmetric about 0 and the kernel is odd,
-        # while the seam atom sits antipodally where the kernel vanishes
+        # while the seam atom sits antipodally where the kernel vanishes; the
+        # value is promised within its est_error of 0, about 1e-5
         h = hilbert_stieltjes(make("cantor"), 0.0)
-        assert h.value == pytest.approx(0.0, abs=1e-6)
+        assert h.status is RSStatus.CONVERGED
+        assert abs(h.value) <= h.est_error < 1e-4
 
     def test_against_dense_pv_oracle(self):
         tau = 1.1
