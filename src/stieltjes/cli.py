@@ -12,8 +12,9 @@ Reports are CSV (header line, one record per line, computed floats at 12
 significant digits, echoed inputs such as r, theta, tau and target in the
 shortest form that reads back as the same float) or, with --format
 structured, a single JSON document carrying the same fields.  Output is
-deterministic for a fixed seed: records are ordered by grid index no
-matter how many workers run, and nothing timestamps.
+deterministic for a fixed seed: records are ordered by grid index, and
+nothing timestamps.  transform runs its grid points in order in the calling
+thread; --jobs is kept so that existing command lines still parse.
 
 Exit codes: 0 ok, 1 usage or spec error or an unwritable --out, 2
 divergence, 3 inconclusive, 4 evaluation at a declared jump.  A report's
@@ -28,7 +29,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from functools import cache, partial
 from typing import Optional
 
@@ -199,16 +199,12 @@ def _cmd_transform(args):
         raise ValueError("--jobs must be at least 1")
     op = _TRANSFORMS[args.which]
     opts = _opts(args)
-    grid = [(r, th) for r in args.r for th in args.theta]
-
-    def run(point):
-        r, th = point
-        res = op(phi, DiskPoint(r, th), opts)
-        v = complex(res.value)
-        return [_Echo(r), _Echo(th), v.real, v.imag, res.est_error, res.status.value]
-
-    with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-        rows = list(pool.map(run, grid))
+    rows = []
+    for r in args.r:
+        for th in args.theta:
+            res = op(phi, DiskPoint(r, th), opts)
+            v = complex(res.value)
+            rows.append([_Echo(r), _Echo(th), v.real, v.imag, res.est_error, res.status.value])
     header = ["r", "theta", "value", "value_im", "est_error", "status"]
     return header, rows, [RSStatus(row[5]) for row in rows]
 
@@ -301,7 +297,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--which", choices=tuple(_TRANSFORMS), required=True)
     p.add_argument("--r", type=float, nargs="+", required=True)
     p.add_argument("--theta", type=float, nargs="+", required=True)
-    p.add_argument("--jobs", type=int, default=1, help="worker threads (at least 1)")
+    p.add_argument("--jobs", type=int, default=1,
+                   help="kept for compatibility, at least 1; points run in order in one thread")
     quadrature(p)
     p.set_defaults(run=_cmd_transform)
 

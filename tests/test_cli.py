@@ -6,10 +6,12 @@ stderr text are observable without spawning subshells.
 
 import json
 import math
+import threading
 
 import numpy as np
 import pytest
 
+from stieltjes import cli
 from stieltjes.cli import (
     EXIT_DIVERGED,
     EXIT_INCONCLUSIVE,
@@ -293,6 +295,24 @@ class TestTransform:
         assert main(base + ["--jobs", "1", "--out", str(p1)]) == EXIT_OK
         assert main(base + ["--jobs", "4", "--out", str(p4)]) == EXIT_OK
         assert p1.read_bytes() == p4.read_bytes()
+
+    def test_grid_runs_in_the_calling_thread(self, tmp_path, monkeypatch):
+        threads = []
+        transform = cli._TRANSFORMS["V"]
+
+        def recorded(*a):
+            threads.append(threading.get_ident())
+            return transform(*a)
+
+        monkeypatch.setitem(cli._TRANSFORMS, "V", recorded)
+        base = ["transform", "--phi", "zoo:step2pi:0.0", "--which", "V",
+                "--r", "0.3", "0.7", "--theta", "0.0", "1.0", "2.0"]
+        p1 = tmp_path / "one.csv"
+        p4 = tmp_path / "four.csv"
+        assert main(base + ["--jobs", "4", "--out", str(p4)]) == EXIT_OK
+        assert threads == [threading.get_ident()] * 6
+        assert main(base + ["--jobs", "1", "--out", str(p1)]) == EXIT_OK
+        assert p4.read_bytes() == p1.read_bytes()
 
     def test_same_seed_same_bytes(self, tmp_path):
         base = ["transform", "--phi", "zoo:sin", "--which", "U",

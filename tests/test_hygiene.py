@@ -237,3 +237,43 @@ def test_checker_flags_a_blas_reduction():
         "x @= y\n"
     )
     assert blas_reductions(src) == [2, 3, 4, 5, 6, 7, 10]
+
+
+# the engine holds the GIL through a level's Python and small numpy calls, so
+# threads queue for it: with a 2-thread pool a 4-point S(sin) grid ran 14.9 ms
+# against 5.1 ms in one thread (2 shared vCPUs)
+CONCURRENCY_MODULES = ("threading", "concurrent", "multiprocessing")
+
+
+def concurrency_imports(source: str) -> list:
+    """(line, module) of every import of a thread or process module in ``source``."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            continue
+        out += [(node.lineno, name) for name in names
+                if name.split(".")[0] in CONCURRENCY_MODULES]
+    return out
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_the_package_starts_no_threads_or_processes(path):
+    assert concurrency_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_checker_flags_a_concurrency_import():
+    src = (
+        "import threading\n"
+        "from concurrent.futures import ThreadPoolExecutor\n"
+        "import multiprocessing.pool as mp\n"
+        "import concurrency\n"
+        "from . import threading\n"
+        "from os import cpu_count\n"
+        "import os, concurrent.futures\n"
+    )
+    assert concurrency_imports(src) == [(1, "threading"), (2, "concurrent.futures"),
+                                        (3, "multiprocessing.pool"), (7, "concurrent.futures")]
