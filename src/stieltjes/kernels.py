@@ -24,8 +24,10 @@ disk transforms call the cores on ``_angles(theta, t)``, the difference
 array of their own: their ``DiskPoint`` has checked the radius once, and a
 check per call costs about half of a short kernel call.  The public kernels
 check the radius and hand the cores a copy, so no kernel writes into its
-argument.  Every kernel, core or public, gives a 0-d result back as a
-Python ``float`` or ``complex``, through :func:`_value`.
+argument.  Where the public Q or Im S, or the angle, is subnormal, the
+half-angle form loses bits, so they take the sine form (:func:`_tiny_conj`).
+Every kernel gives a 0-d result back as a Python ``float`` or ``complex``,
+via :func:`_value`.
 """
 
 from __future__ import annotations
@@ -182,7 +184,14 @@ def conj_poisson(r, theta):
     if np.ndim(r) == 0 and r == 1.0:
         return boundary_cot_kernel(theta, 0.0)
     _check_radius(r)
-    return _conj_poisson(r, _copy(r, theta))
+    x = _copy(r, theta)
+    return _value(_tiny_conj(r, x, _conj_poisson(r, x.copy())))
+
+
+def _tiny_conj(r, x, q):
+    """q, or 2 r sin x / ((1 - r)^2 + 4 r sin^2(x / 2)) where q or x is below the normal range."""
+    tiny = np.minimum(np.abs(q), np.abs(x)) < 2.0 ** -1021
+    return np.where(tiny, 2.0 * r * np.sin(x) / ((1.0 - r) ** 2 + 4.0 * r * np.sin(0.5 * x) ** 2), q)
 
 
 def conj_poisson_dt(r, theta):
@@ -206,7 +215,10 @@ def analytic_kernel(z, t):
     """
     if not abs(z) < 1.0:  # refuses nan and inf too
         raise DomainError(f"disk kernels need |z| < 1, got {z!r}")
-    return _schwarz(abs(z), _angles(cmath.phase(z), t))
+    r, x = abs(z), _angles(cmath.phase(z), t)
+    s = np.array(_schwarz(r, x.copy()), dtype=complex)
+    s.imag = _tiny_conj(r, x, s.imag)
+    return _value(s)
 
 
 def cauchy_kernel(z, t):

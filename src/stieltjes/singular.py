@@ -1,25 +1,21 @@
 """Principal-value boundary integrals of an integrator.
 
-The conjugate function's boundary values are reached through truncated
-integrals of the cotangent kernel over symmetric angular exclusions
-``eps <= |tau - t| <= pi``, refined along a dyadic schedule of ``eps`` and
-extrapolated by :func:`accel.extrapolate`, which runs only the last
-``accel.TAIL_WINDOW`` truncations of a schedule, the ones the Aitken step
-reads.  The default schedule is exactly those, eps = 2^-13 ... 2^-16, and
-``est_error`` is the Aitken residual plus the worst window certificate
-among them.
-The singular Cauchy form excludes a chord-metric arc
-``|zeta - zeta0| < eps`` instead and carries the 1/(2 pi i) normalization
-of classical singular integrals.  At zeta0 projected to e^{i tau} its
-integrand is (cot((tau - t)/2) - i) / 2: both forms evaluate one kernel
-behind one pole guard.  Its real part reproduces half the cotangent
-limit; the imaginary part decays with the excluded arc's mass (plus a
-constant for staircase integrators) and is reported, not mixed into the
-comparison.
-
-Evaluation at a declared atom of the integrator is refused: the truncated
-integrals at such a point depend on the exclusion convention, and no
-single value is canonical.
+A truncation integrates the cotangent kernel over eps <= |tau - t| <= pi;
+:func:`accel.extrapolate` runs the last ``accel.TAIL_WINDOW`` entries of a
+dyadic eps schedule (by default eps = 2^-13 ... 2^-16) and takes their
+Aitken limit.  ``quadrature._split`` sums the atoms in the two windows
+exactly; the kernel is odd about tau, so one real ladder over s in
+[eps, pi] integrates -cot(s/2) against what it leaves, rest_right(tau + s)
++ rest_left(tau - s), and certifies the truncation, not two window values
+that nearly cancel.  ``est_error`` is the Aitken residual plus the worst
+truncation's certificate and atom-sum rounding.  The singular Cauchy form
+excludes the chord arc |zeta - zeta0| < eps instead; at zeta0 = e^{i tau}
+its integrand is (cot((tau - t)/2) - i) / 2: the real part is half the
+fold, and the imaginary part telescopes to -1/2 times the integrator's
+increment over the windows, read from the rests' ends and the atoms'
+heights.  It decays with the excluded arc's mass (plus a constant for
+staircases) and is reported, not compared.  Evaluation at a declared atom
+is refused: the truncations there depend on the exclusion convention.
 """
 
 from __future__ import annotations
@@ -32,7 +28,7 @@ from typing import Optional, Sequence
 from .accel import TAIL_WINDOW, extrapolate
 from .core import TWO_PI, BoundaryFunction, DiskPoint, RSStatus, principal_angle
 from .kernels import boundary_cot_kernel
-from .quadrature import NonConvergentError, QuadratureOptions, rs_integral
+from .quadrature import NonConvergentError, QuadratureOptions, _split, rs_integral
 from .transforms import TRANSFORM_OPTS, conj_poisson_stieltjes
 
 __all__ = [
@@ -61,12 +57,11 @@ class PVResult:
 
     ``eps_trace`` holds (eps, truncated value) in decreasing eps order for
     the last ``accel.TAIL_WINDOW`` entries of the schedule, the only
-    truncations run and the ones the extrapolation reads; ``value`` is the
-    extrapolated limit; ``est_error`` adds the extrapolation residual to
-    the worst quadrature certificate over the trace; ``extrapolated``
-    distinguishes a genuine accelerated limit from a last-truncation
-    fallback on short traces; ``status`` is ``CONVERGED`` only when every
-    window ladder of the trace converged (a diverged window raises).
+    truncations run; ``value`` is the extrapolated limit; ``est_error``
+    adds the extrapolation residual to the worst truncation's certificate;
+    ``extrapolated`` tells an accelerated limit from a last-truncation
+    fallback; ``status`` is ``CONVERGED`` only when every truncation's
+    ladder converged (a diverged one raises).
     """
 
     value: complex
@@ -99,36 +94,39 @@ def _checked_schedule(eps_schedule, upper):
     return schedule
 
 
-def _pv_limit(phi, g, tau, schedule, opts, halfwidth):
-    """Truncated integrals of g dPhi along the schedule's tail, extrapolated to eps -> 0.
+def _pv_limit(phi, tau, schedule, opts, cauchy):
+    """Truncations of cot((tau - t)/2) dPhi / 2 pi, one folded ladder each, extrapolated to eps -> 0.
 
-    Each eps integrates over [tau - pi, tau - delta] and [tau + delta, tau + pi]
-    with delta = ``halfwidth(eps)``, both graded at (tau, delta).  Only the
-    truncations :func:`accel.extrapolate` evaluates run.
+    Each excludes |tau - t| < delta = eps, or 2 asin(eps / 2) for the ``cauchy``
+    form; the fold over [delta, pi] is graded at (0, delta).
     """
-    statuses, errors = [], []
+    folds = []
+    cot = lambda t: boundary_cot_kernel(tau, t)
+    scale = 0.5 if cauchy else 1.0
 
     def truncation(eps):
-        delta = halfwidth(eps)
-        grading = (tau, delta)
-        left = rs_integral(g, phi, tau - math.pi, tau - delta, opts, grading=grading)
-        right = rs_integral(g, phi, tau + delta, tau + math.pi, opts, grading=grading)
-        for part in (left, right):
-            if part.status is RSStatus.DIVERGED:
-                raise NonConvergentError("truncated integral diverged", part)
-            statuses.append(part.status)
-        errors.append((left.est_error + right.est_error) / TWO_PI)
-        return (left.value + right.value) / TWO_PI
+        delta = 2.0 * math.asin(eps / 2.0) if cauchy else eps
+        atoms_l, known_l, rest_l, *_ = _split(phi, cot, tau - math.pi, tau - delta)
+        atoms_r, known_r, rest_r, *_ = _split(phi, cot, tau + delta, tau + math.pi)
+        fold = rs_integral(lambda s: boundary_cot_kernel(0.0, s), lambda s: rest_r(tau + s) + rest_l(tau - s),
+                           delta, math.pi, opts, grading=(0.0, delta))
+        if fold.status is RSStatus.DIVERGED:
+            raise NonConvergentError("truncated integral diverged", fold)
+        atoms = atoms_l + atoms_r
+        # an atom's half-angle rounds by up to eps 3 pi / 2 where cot's slope is 1 + cot^2,
+        # which also covers the tangent, its reciprocal and the sum of n terms
+        rounding = math.ulp(1.0) * (TWO_PI + len(atoms)) * sum(abs(h) * (1.0 + cot(t) ** 2) for t, h in atoms)
+        folds.append((fold.status, scale * (fold.est_error + rounding) / TWO_PI))
+        value = scale * sum((k for k in (known_l, known_r) if k is not None), fold.value) / TWO_PI
+        if not cauchy:
+            return value
+        increment = (sum(h for _t, h in atoms) + rest_l(tau - delta) - rest_l(tau - math.pi)
+                     + rest_r(tau + math.pi) - rest_r(tau + delta))
+        return complex(value, -0.5 * increment / TWO_PI)
 
     trace, limit, resid = extrapolate(truncation, schedule)
-    converged = all(s is RSStatus.CONVERGED for s in statuses)
-    return PVResult(
-        value=limit,
-        eps_trace=trace,
-        extrapolated=len(trace) >= 3,
-        est_error=resid + max([0.0, *errors]),
-        status=RSStatus.CONVERGED if converged else RSStatus.INCONCLUSIVE,
-    )
+    status = RSStatus.CONVERGED if all(s is RSStatus.CONVERGED for s, _e in folds) else RSStatus.INCONCLUSIVE
+    return PVResult(limit, trace, len(trace) >= 3, resid + max(e for _s, e in folds), status)
 
 
 def hilbert_stieltjes(
@@ -144,8 +142,7 @@ def hilbert_stieltjes(
     """
     tau = _boundary_angle(phi, tau)
     schedule = _checked_schedule(eps_schedule, upper=math.pi)
-    g = lambda t: boundary_cot_kernel(tau, t)
-    return _pv_limit(phi, g, tau, schedule, opts or TRANSFORM_OPTS, lambda eps: eps)
+    return _pv_limit(phi, tau, schedule, opts or TRANSFORM_OPTS, cauchy=False)
 
 
 def truncated_conjugate_integral(phi: BoundaryFunction, t0: float, r: float) -> float:
@@ -192,21 +189,17 @@ def singular_cauchy_stieltjes(
 
     ``zeta0``, within 1e-9 of the circle, is taken at its projection
     e^{i tau}, where -i e^{it} / (e^{it} - e^{i tau}) = (cot((tau - t)/2) - i) / 2:
-    :func:`boundary_cot_kernel` and its pole guard.  The exclusion removes
-    the arc at chord distance |zeta - zeta0| < eps, whose angular
-    half-width is 2 asin(eps / 2).  The real part carries the principal
-    value, the imaginary part the vanishing (or, for staircases, constant)
-    window boundary term.
+    :func:`boundary_cot_kernel` and its pole guard.  The exclusion
+    |zeta - zeta0| < eps has angular half-width 2 asin(eps / 2); the real
+    part is half the cotangent fold there, the imaginary part the window
+    boundary term, vanishing or, for staircases, constant.
     """
     zeta0 = complex(zeta0)
     if abs(abs(zeta0) - 1.0) > 1e-9:
         raise ValueError("evaluation point must lie on the unit circle")
     tau = _boundary_angle(phi, cmath.phase(zeta0))
     schedule = _checked_schedule(eps_schedule, upper=2.0)
-
-    g = lambda t: 0.5 * (boundary_cot_kernel(tau, t) - 1j)
-    halfwidth = lambda eps: 2.0 * math.asin(eps / 2.0)
-    return _pv_limit(phi, g, tau, schedule, opts or TRANSFORM_OPTS, halfwidth)
+    return _pv_limit(phi, tau, schedule, opts or TRANSFORM_OPTS, cauchy=True)
 
 
 @dataclass
@@ -233,9 +226,4 @@ def singular_cauchy_consistency(
 ) -> SingularConsistency:
     h = hilbert_stieltjes(phi, tau, eps_schedule, opts)
     i = singular_cauchy_stieltjes(phi, cmath.exp(1j * tau), eps_schedule, opts)
-    return SingularConsistency(
-        hilbert=h,
-        cauchy=i,
-        residual=abs(h.value - 2.0 * i.value.real),
-        imag_magnitude=abs(i.value.imag),
-    )
+    return SingularConsistency(h, i, abs(h.value - 2.0 * i.value.real), abs(i.value.imag))

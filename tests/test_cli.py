@@ -418,12 +418,12 @@ class TestHilbert:
         capsys.readouterr()
 
     @pytest.mark.parametrize("argv", [
-        # 1 of the 8 window ladders ends inconclusive at the default tol
+        # all 4 folded ladders end inconclusive at the default tol
         ["--phi", "zoo:cantor", "--tau", "1.25"],
-        # 5 of 8
+        # 1 of 4
         ["--phi", "zoo:cantor", "--tau", "0.7"],
-        # 2 of 16: the cotangent form's left windows at eps = 2^-13 and 2^-15
-        ["--phi", "zoo:sin", "--tau", "1.75", "--compare-singular-cauchy"],
+        # 3 of the 4 folded ladders of each form
+        ["--phi", "zoo:cbv_demo", "--tau", "0.95", "--compare-singular-cauchy"],
     ])
     def test_inconclusive_window_exits_three(self, capsys, argv):
         code, header, records = run_csv(capsys, ["hilbert"] + argv)
@@ -514,10 +514,10 @@ class TestLimits:
 
     def test_uncertified_pv_exits_three(self, capsys):
         # every grade passes, but the PV that gives the expected value is not
-        # certified: 3 of its 8 window ladders end inconclusive
-        assert hilbert_stieltjes(make("cantor"), 2.05).status == RSStatus.INCONCLUSIVE
+        # certified: 2 of its 4 folded ladders end inconclusive
+        assert hilbert_stieltjes(make("cantor"), 2.3).status == RSStatus.INCONCLUSIVE
         code, _header, records = run_csv(
-            capsys, ["limits", "--phi", "zoo:cantor", "--which", "V", "--target", "2.05"])
+            capsys, ["limits", "--phi", "zoo:cantor", "--which", "V", "--target", "2.3"])
         assert code == EXIT_INCONCLUSIVE
         assert [r["grade"] for r in records] == ["pass"] * 5
 

@@ -83,6 +83,18 @@ class TestConjPoisson:
         gap = eps * (boundary_cot_kernel(eps, 0.0) - conj_poisson(1 - eps, eps))
         assert 0.9 <= gap <= 1.1
 
+    @pytest.mark.parametrize("r, x, want", [
+        # 2 r x / (1 - r)^2: the half-angle form rounds 5e-324 / 2 to 0
+        (0.5, 5e-324, 2e-323),
+        (0.5, -5e-324, -2e-323),
+        # 2 r sin x rounded once: 4 r tan(x / 2) / D' rounds twice, to 1e-323
+        (5e-324, 0.75, 5e-324),
+    ])
+    def test_subnormal_angle_or_value_takes_the_sine_form(self, r, x, want):
+        assert conj_poisson(r, x) == want
+        assert analytic_kernel(r, -x).imag == want
+        assert cauchy_kernel(r, -x).imag == want / 2
+
 
 class TestCotangentKernel:
     def test_angle_difference_and_periodicity(self):

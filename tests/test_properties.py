@@ -4,6 +4,7 @@ Every property runs a fixed number of derandomized examples and keeps no
 example database, so the suite stays deterministic.
 """
 
+import cmath
 import math
 import warnings
 from unittest import mock
@@ -30,6 +31,7 @@ from stieltjes import (
     poisson_stieltjes,
     reduce_angle,
     rs_integral,
+    singular_cauchy_stieltjes,
 )
 from stieltjes.accel import TAIL_WINDOW
 from stieltjes.core import ATOM_GUARD, _cantor_staircase, _reduced, principal_angle
@@ -428,6 +430,12 @@ def test_principal_value_is_within_est_error_of_its_closed_form(name, t0, tau):
     want = PV_CLOSED_FORMS[name](phi, tau)
     got = hilbert_stieltjes(phi, tau)
     assert abs(got.value - want) <= got.est_error + 1e-12 * max(1.0, abs(want))
+    # the singular Cauchy form: twice its real part is the same PV, and its
+    # imaginary part is -1/(4 pi) times phi's increment over a turn
+    cauchy = singular_cauchy_stieltjes(phi, cmath.exp(1j * tau))
+    assert abs(2.0 * cauchy.value.real - want) <= 2.0 * cauchy.est_error + 1e-12 * max(1.0, abs(want))
+    want_im = -phi.period_increment / (4.0 * math.pi)
+    assert abs(cauchy.value.imag - want_im) <= cauchy.est_error + 1e-12 * max(1.0, abs(want_im))
 
 
 @fixed(100)

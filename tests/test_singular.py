@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import math
 
 import numpy as np
@@ -138,16 +139,26 @@ class TestHilbertInterface:
         assert con.hilbert.value == pytest.approx(math.sin(1e16), abs=1e-3)
 
     def test_angle_in_the_window_passes_through(self, monkeypatch):
-        centers = []
-        rs_integral = singular.rs_integral
+        # both _split windows are built from tau = -0.0 as it is, and each eps
+        # runs one ladder over [delta, pi] graded at (0.0, delta)
+        windows, ladders = [], []
+        rs_integral, split = singular.rs_integral, singular._split
 
-        def recorded(*args, grading, **kwargs):
-            centers.append(grading[0])
-            return rs_integral(*args, grading=grading, **kwargs)
+        def split_recorded(f, g, a, b):
+            windows.append((a, b))
+            return split(f, g, a, b)
 
+        def recorded(g, f, a, b, opts, *, grading):
+            ladders.append((a, b, grading))
+            return rs_integral(g, f, a, b, opts, grading=grading)
+
+        monkeypatch.setattr(singular, "_split", split_recorded)
         monkeypatch.setattr(singular, "rs_integral", recorded)
         hilbert_stieltjes(make("sin"), -0.0, eps_schedule=(0.5,))
-        assert [repr(c) for c in centers] == ["-0.0", "-0.0"]
+        tau = -0.0
+        assert [repr(e) for w in windows for e in w] == [
+            repr(e) for e in (tau - math.pi, tau - 0.5, tau + 0.5, tau + math.pi)]
+        assert [(a, b, repr(c), d) for a, b, (c, d) in ladders] == [(0.5, math.pi, "0.0", 0.5)]
 
     def test_schedule_must_decrease(self):
         with pytest.raises(ValueError):
@@ -171,7 +182,12 @@ class TestDefaultSchedule:
     @pytest.mark.parametrize("schedule", [None, LONG_SCHEDULE])
     def test_runs_only_the_windows_the_extrapolation_reads(self, monkeypatch, schedule):
         # an explicit schedule is cut to its last TAIL_WINDOW entries: each
-        # form runs the two windows of each default eps and no other
+        # form runs one folded ladder over [delta, pi] for each default eps
+        # and no other, and gives the default schedule's result bit for bit
+        cases = [(hilbert_stieltjes, "sin", 0.8), (hilbert_stieltjes, "cantor", 0.7),
+                 (hilbert_stieltjes, "cbv_demo", 0.3),
+                 (singular_cauchy_stieltjes, "cbv_demo", complex(np.exp(0.3j)))]
+        defaults = [pv(make(name), where) for pv, name, where in cases]
         runs = []
         rs_integral = singular.rs_integral
 
@@ -180,30 +196,16 @@ class TestDefaultSchedule:
             return rs_integral(*args, **kwargs)
 
         monkeypatch.setattr(singular, "rs_integral", counted)
-        for pv, name, where in [(hilbert_stieltjes, "sin", 0.8), (hilbert_stieltjes, "cantor", 0.7),
-                                (hilbert_stieltjes, "cbv_demo", 0.3),
-                                (singular_cauchy_stieltjes, "cbv_demo", complex(np.exp(0.3j)))]:
+        for (pv, name, where), default in zip(cases, defaults):
             runs.clear()
             h = pv(make(name), where, schedule)
-            assert len(runs) == 2 * TAIL_WINDOW
+            assert len(runs) == TAIL_WINDOW
+            assert all(b == math.pi for _a, b in runs)
             assert [e for e, _v in h.eps_trace] == list(DEFAULT_EPS_SCHEDULE)
-
-    @staticmethod
-    def _same_value_smaller_error(short, long):
-        assert repr(short.value) == repr(long.value)
-        assert short.eps_trace == long.eps_trace[-TAIL_WINDOW:]
-        assert short.est_error <= long.est_error
-
-    @pytest.mark.parametrize("name,tau", [("sin", 0.8), ("cantor", 0.7), ("cbv_demo", 0.3)])
-    def test_hilbert_matches_the_long_schedule(self, name, tau):
-        phi = make(name)
-        self._same_value_smaller_error(hilbert_stieltjes(phi, tau),
-                                       hilbert_stieltjes(phi, tau, LONG_SCHEDULE))
-
-    def test_singular_cauchy_matches_the_long_schedule(self):
-        phi, zeta0 = make("cbv_demo"), complex(np.exp(0.3j))
-        self._same_value_smaller_error(singular_cauchy_stieltjes(phi, zeta0),
-                                       singular_cauchy_stieltjes(phi, zeta0, LONG_SCHEDULE))
+            assert repr(h.value) == repr(default.value)
+            assert h.eps_trace == default.eps_trace
+            assert h.est_error == default.est_error
+            assert h.status is default.status
 
 
 class TestPVStatus:
@@ -212,14 +214,23 @@ class TestPVStatus:
         assert singular_cauchy_stieltjes(make("sin"), complex(np.exp(0.9j))).status is RSStatus.CONVERGED
 
     def test_inconclusive_window_makes_the_limit_inconclusive(self):
-        # at rel_tol 1e-6, 5 of the 8 cantor windows at 0.7 end inconclusive
+        # at rel_tol 1e-6, 1 of the 4 folded cantor ladders at 0.7 ends inconclusive
         h = hilbert_stieltjes(make("cantor"), 0.7, opts=QuadratureOptions(rel_tol=1e-6))
         assert h.status is RSStatus.INCONCLUSIVE
         assert math.isfinite(h.est_error)
 
-    def test_cauchy_form_carries_its_own_status(self):
-        # at rel_tol 1e-6 the cotangent form's left window at eps = 2^-13
-        # ends inconclusive; the Cauchy form's chord windows all converge
+    def test_cauchy_form_carries_its_own_status(self, monkeypatch):
+        # both forms fold onto nearly the same ladder, and no input scanned
+        # leaves exactly one of them inconclusive; so a stub ends the
+        # cotangent form's ladder at eps = 2^-13 inconclusive, while the
+        # Cauchy form's ladders start at 2 asin(eps / 2) and all converge
+        rs_integral = singular.rs_integral
+
+        def stubbed(g, f, a, b, opts, **kwargs):
+            res = rs_integral(g, f, a, b, opts, **kwargs)
+            return dataclasses.replace(res, status=RSStatus.INCONCLUSIVE) if a == 2.0 ** -13 else res
+
+        monkeypatch.setattr(singular, "rs_integral", stubbed)
         con = singular_cauchy_consistency(make("sin"), 1.75, opts=QuadratureOptions(rel_tol=1e-6))
         assert con.hilbert.status is RSStatus.INCONCLUSIVE
         assert con.cauchy.status is RSStatus.CONVERGED
